@@ -20,6 +20,12 @@ means nothing if the bits drift, the script also asserts the
 vectorized engine reproduces the batched engine's bytes on the mega
 scenario.  ``make bench-scale-smoke`` runs it as part of ``make
 verify``.
+
+For information only (not gated, not in the trend gate), each repeat
+also samples nocstar-1024 at the same operating point;
+``nocstar_ratio`` = nocstar-1024 best / distributed-1024 best tracks how
+far the NOCSTAR arbitration model sits from the lean mesh path, as an
+in-process ratio that carries across machines.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ MEGA_CONFIG = "distributed-1024"
 MEGA_CORES = 1024
 MEGA_ACCESSES = 25
 
+#: Sampled beside the mega point for the informational nocstar_ratio.
+NOCSTAR_CONFIG = "nocstar-1024"
+
 #: The perf guard: mega wall-clock must not exceed anchor wall-clock
 #: (measured headroom is ~1.4x).
 MAX_RATIO = 1.0
@@ -68,9 +77,9 @@ def _anchor_unit() -> RunUnit:
     )
 
 
-def _mega_unit() -> RunUnit:
+def _mega_unit(config: str = MEGA_CONFIG) -> RunUnit:
     return RunUnit(
-        config=cfg.build_config(MEGA_CONFIG, MEGA_CORES),
+        config=cfg.build_config(config, MEGA_CORES),
         workload=get_workload(WORKLOAD),
         accesses_per_core=MEGA_ACCESSES,
         seed=SEED,
@@ -95,6 +104,7 @@ def main(argv) -> int:
     os.environ.pop(REFERENCE_ENV, None)
     anchor = _anchor_unit()
     mega = _mega_unit()
+    nocstar = _mega_unit(NOCSTAR_CONFIG)
     anchor.build_workload()  # lru-cached: exclude builds from timing
     mega.build_workload()
 
@@ -111,14 +121,18 @@ def main(argv) -> int:
     # alike; compare best against best.
     anchor_samples = []
     mega_samples = []
+    nocstar_samples = []
     for _ in range(REPEATS):
         seconds, anchor_result = _run_once(anchor, vectorized_env=None)
         anchor_samples.append(seconds)
         seconds, mega_result = _run_once(mega, vectorized_env="1")
         mega_samples.append(seconds)
+        nocstar_samples.append(_run_once(nocstar, vectorized_env="1")[0])
     anchor_best = min(anchor_samples)
     mega_best = min(mega_samples)
+    nocstar_best = min(nocstar_samples)
     ratio = mega_best / anchor_best
+    nocstar_ratio = nocstar_best / mega_best
 
     anchor_events = (
         anchor_result.stats.l2_hits
@@ -141,7 +155,11 @@ def main(argv) -> int:
                 [f"{MEGA_CONFIG} x{MEGA_ACCESSES} (vectorized)",
                  mega_best, mega_events,
                  " ".join(f"{s:.3f}" for s in mega_samples)],
+                [f"{NOCSTAR_CONFIG} x{MEGA_ACCESSES} (vectorized)",
+                 nocstar_best, "",
+                 " ".join(f"{s:.3f}" for s in nocstar_samples)],
                 ["ratio (mega/anchor)", ratio, "", ""],
+                ["nocstar_ratio (nocstar/mega, info)", nocstar_ratio, "", ""],
             ],
             precision=3,
         )
@@ -172,6 +190,10 @@ def main(argv) -> int:
         "mega_samples": mega_samples,
         "mega_events": mega_events,
         "mega_cycles": mega_result.cycles,
+        "nocstar_config": NOCSTAR_CONFIG,
+        "nocstar_seconds": nocstar_best,
+        "nocstar_samples": nocstar_samples,
+        "nocstar_ratio": nocstar_ratio,
         "scale_ratio": ratio,
         "max_ratio": MAX_RATIO,
     }

@@ -9,25 +9,29 @@ Control path (§III-B2): before the traversal, the source requests every
 link of the path from that link's arbiter *in the same cycle*; the
 grants are ANDed.  Any missing grant means the whole setup retries next
 cycle (no partial paths).  This discrete-event model resolves
-contention with per-link ``free_at`` reservations: a setup succeeds in
-the first cycle all links are simultaneously free, and each failed
-attempt is charged one retry cycle and one round of control energy.
+contention with per-cycle link reservations: a setup succeeds in the
+first cycle all links are simultaneously free, and each failed attempt
+is charged one retry cycle and one round of control energy.
 
 Both link-acquisition modes of §V are supported: one-way (request and
 response each arbitrate for a single traversal) and round-trip (links
 held for the whole remote access and released explicitly).
 
-Reservations are per-cycle occupancy maps rather than busy-until
-watermarks: the driving engine resolves cores' misses slightly out of
-global time order (bounded by its run-ahead quantum), and a watermark
-would make a reservation placed at cycle 5000 block an unrelated
-message at cycle 4000.  With occupancy maps, only true same-cycle
-conflicts on a link cause retries.
+Reservations live in one cycle-indexed store for the whole fabric —
+cycle -> set of links carrying data in that cycle — rather than in
+busy-until watermarks: the driving engine resolves cores' misses
+slightly out of global time order (bounded by its run-ahead quantum),
+and a watermark would make a reservation placed at cycle 5000 block an
+unrelated message at cycle 4000.  Only true same-cycle conflicts on a
+link cause retries.  Indexing by cycle mirrors the hardware's ANDed
+grants: each (src, dst) path is a memoised frozenset of links, so one
+setup attempt is one set test per traversal cycle, not one per hop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Set, Tuple
+from collections import Counter, defaultdict
+from typing import DefaultDict, Dict, FrozenSet, NamedTuple, Set, Tuple
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
 from repro.core.link_arbiter import control_fanout
@@ -38,6 +42,9 @@ from repro.faults.inject import (
 from repro.faults.routing import UnreachableError
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
+
+#: (XY path, its links as a set, uncontended traversal cycles).
+Route = Tuple[Tuple[Link, ...], FrozenSet[Link], int]
 
 
 class NocstarTraversal(NamedTuple):
@@ -76,22 +83,22 @@ class NocstarInterconnect:
         #: paths then skip building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
+        #: Path and duration source: the precomputed fault-free
+        #: RouteCache tables, or (None, under the reference engine) the
+        #: topology and traversal_cycles.  Arbitration is always live.
+        self.routes = routes
+        if routes is not None:
+            self._cycles = routes.nocstar_cycles(config.hpc_max)
         if faults is not None and (
             faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
         ):
             # Construction-time dispatch: the fault-free hot path stays
             # branch-free and byte-identical to the pre-fault model.
             self.send = self._send_faulty
-        elif routes is not None:
-            # Same dispatch pattern for the route cache: paths and
-            # uncontended traversal durations come from the precomputed
-            # fault-free tables; arbitration stays live.
-            self._cached_path = routes.path
-            self._cached_cycles = routes.nocstar_cycles(config.hpc_max)
-            self.send = self._send_routed
-        #: link -> set of cycles during which the link carries data.
-        self._occupied: Dict[Link, Set[int]] = {}
+        #: (src, dst) -> Route, filled on first use.
+        self._routes: Dict[Tuple[int, int], Route] = {}
+        #: cycle -> links carrying data during that cycle.
+        self._busy: DefaultDict[int, Set[Link]] = defaultdict(set)
         #: link -> cycle from which the link is held (round-trip mode).
         self._held: Dict[Link, int] = {}
         self.messages = 0
@@ -107,6 +114,17 @@ class NocstarInterconnect:
     def traversal_cycles(self, hops: int) -> int:
         """Cycles for the data traversal: ceil(hops / HPCmax)."""
         return -(-hops // self.config.hpc_max) if hops else 0
+
+    def _route(self, src: int, dst: int) -> Route:
+        """Build and memoise the :data:`Route` for ``src -> dst``."""
+        if self.routes is None:
+            path = tuple(self.topology.xy_path(src, dst))
+            duration = self.traversal_cycles(len(path))
+        else:
+            path = self.routes.path(src, dst)
+            duration = self._cycles[src][dst]
+        route = self._routes[src, dst] = (path, frozenset(path), duration)
+        return route
 
     def send(
         self,
@@ -129,115 +147,39 @@ class NocstarInterconnect:
             return NocstarTraversal(
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
-        path = tuple(self.topology.xy_path(src, dst))
-        hops = len(path)
-        duration = self.traversal_cycles(hops)
-        earliest = now if speculative_setup else now + 1
-        start = earliest
-        while not self._path_free(path, start, duration):
-            start += 1
-        retries = start - earliest
-        for link in path:
-            occupied = self._occupied.setdefault(link, set())
-            occupied.update(range(start, start + duration))
-            if hold:
-                self._held[link] = start + duration
-        # Every setup attempt broadcasts a request to all path arbiters.
-        self.control_requests += hops * (retries + 1)
-        self.total_hops += hops
-        self.total_setup_retries += retries
-        if retries == 0:
-            self.uncontended_messages += 1
-        if self._event is not None:
-            self._event(
-                now, "nocstar_setup",
-                src=src, dst=dst, hops=hops, retries=retries, hold=hold,
-            )
-        return NocstarTraversal(
-            ready=start + duration,
-            hops=hops,
-            setup_retries=retries,
-            traversal_cycles=duration,
-            links=path,
+        path, links, duration = (
+            self._routes.get((src, dst)) or self._route(src, dst)
         )
-
-    def _send_routed(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        speculative_setup: bool = False,
-        hold: bool = False,
-    ) -> NocstarTraversal:
-        """:meth:`send` off the precomputed fault-free route tables.
-
-        Only the pure (src, dst) functions — the XY path and the
-        uncontended traversal duration — come from the cache; the
-        per-cycle link reservations, retries, and round-trip holds run
-        through the exact live arbitration model, so contended sends
-        resolve identically to the uncached path.
-        """
-        self.messages += 1
-        if src == dst:
-            self.local_messages += 1
-            return NocstarTraversal(
-                ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
-            )
-        path = self._cached_path(src, dst)
-        hops = len(path)
-        duration = self._cached_cycles[src][dst]
         earliest = now if speculative_setup else now + 1
         start = earliest
-        occupancy = self._occupied
+        # Test the candidate span latest cycle first.  On a conflict,
+        # skip directly past that cycle: a setup is feasible only once
+        # every busy cycle of every path link clears the span, so the
+        # jump lands on the same first feasible start the cycle-by-cycle
+        # retry would find (and charges the same retries).
+        busy_at = self._busy.get
+        cycle = start + duration - 1
+        while cycle >= start:
+            busy = busy_at(cycle)
+            if busy is not None and not links.isdisjoint(busy):
+                start = cycle + 1
+                cycle += duration
+            else:
+                cycle -= 1
         if self._held:
-            while not self._path_free(path, start, duration):
-                start += 1
-        else:
-            # Inlined _path_free for the dominant one-way case: no held
-            # links to police, so the free test is pure occupancy.  On a
-            # conflict, skip directly past the latest busy cycle in the
-            # candidate span: a setup is feasible only once every busy
-            # cycle of every link clears the span, so any viable start
-            # exceeds that cycle — the jump lands on the same first
-            # feasible start the cycle-by-cycle retry would find.
-            while True:
-                span = range(start, start + duration)
-                for link in path:
-                    occupied = occupancy.get(link)
-                    if occupied:
-                        busy = occupied.intersection(span)
-                        if busy:
-                            start = max(busy) + 1
-                            break
-                else:
-                    break
+            self._police_holds(path, start + duration)
         retries = start - earliest
-        span = range(start, start + duration)
-        if hold:
-            held = self._held
-            for link in path:
-                occupancy.setdefault(link, set()).update(span)
-                held[link] = start + duration
-        else:
-            for link in path:
-                occupancy.setdefault(link, set()).update(span)
-        self.control_requests += hops * (retries + 1)
-        self.total_hops += hops
-        self.total_setup_retries += retries
-        if retries == 0:
-            self.uncontended_messages += 1
+        self._reserve(path, links, start, duration, retries, hold)
         if self._event is not None:
             self._event(
                 now, "nocstar_setup",
-                src=src, dst=dst, hops=hops, retries=retries, hold=hold,
+                src=src, dst=dst, hops=len(path), retries=retries, hold=hold,
             )
-        return NocstarTraversal(
-            ready=start + duration,
-            hops=hops,
-            setup_retries=retries,
-            traversal_cycles=duration,
-            links=path,
-        )
+        return NocstarTraversal(start + duration, len(path), retries, duration, path)
+
+    #: The route-cached send's former name, still listed as a wrap
+    #: target by benchmarks/e2e/layers.py; never dispatched to.
+    _send_routed = send
 
     def _send_faulty(
         self,
@@ -265,9 +207,10 @@ class NocstarInterconnect:
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
         inj = self.faults
-        path = tuple(self.topology.xy_path(src, dst))
+        path, links, duration = (
+            self._routes.get((src, dst)) or self._route(src, dst)
+        )
         hops = len(path)
-        duration = self.traversal_cycles(hops)
         earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
             return self._fallback(src, dst, earliest, hops, attempts=1)
@@ -280,7 +223,7 @@ class NocstarInterconnect:
             if start >= deadline:
                 return self._fallback(src, dst, start, hops, attempts)
             attempts += 1
-            if not self._path_free(path, start, duration):
+            if not self._path_free(path, links, start, duration):
                 start += 1  # contention: retry next cycle, as fault-free
                 continue
             if inj.drop_setup():
@@ -290,29 +233,38 @@ class NocstarInterconnect:
                 backoff = min(backoff * 2, inj.plan.max_backoff)
                 continue
             break
-        for link in path:
-            occupied = self._occupied.setdefault(link, set())
-            occupied.update(range(start, start + duration))
-            if hold:
-                self._held[link] = start + duration
         retries = attempts - 1
-        self.control_requests += hops * attempts
-        self.total_hops += hops
-        self.total_setup_retries += retries
-        if retries == 0:
-            self.uncontended_messages += 1
+        self._reserve(path, links, start, duration, retries, hold)
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,
             drops=drops,
         )
-        return NocstarTraversal(
-            ready=start + duration,
-            hops=hops,
-            setup_retries=retries,
-            traversal_cycles=duration,
-            links=path,
-        )
+        return NocstarTraversal(start + duration, hops, retries, duration, path)
+
+    def _reserve(
+        self,
+        path: Tuple[Link, ...],
+        links: FrozenSet[Link],
+        start: int,
+        duration: int,
+        retries: int,
+        hold: bool,
+    ) -> None:
+        """Book a won setup's span and charge its attempts."""
+        end = start + duration
+        busy = self._busy
+        for cycle in range(start, end):
+            busy[cycle].update(links)
+        if hold:
+            self._held.update(dict.fromkeys(path, end))
+        hops = len(path)
+        # Every setup attempt broadcasts a request to all path arbiters.
+        self.control_requests += hops * (retries + 1)
+        self.total_hops += hops
+        self.total_setup_retries += retries
+        if retries == 0:
+            self.uncontended_messages += 1
 
     def _fallback(
         self, src: int, dst: int, giveup: int, xy_hops: int, attempts: int
@@ -346,8 +298,25 @@ class NocstarInterconnect:
             links=(),
         )
 
-    def _path_free(self, path: Tuple[Link, ...], start: int, duration: int) -> bool:
-        """True if every link is free for [start, start+duration).
+    def _path_free(
+        self,
+        path: Tuple[Link, ...],
+        links: FrozenSet[Link],
+        start: int,
+        duration: int,
+    ) -> bool:
+        """True if every link is free for [start, start+duration)."""
+        if self._held:
+            self._police_holds(path, start + duration)
+        busy_at = self._busy.get
+        for cycle in range(start, start + duration):
+            busy = busy_at(cycle)
+            if busy is not None and not links.isdisjoint(busy):
+                return False
+        return True
+
+    def _police_holds(self, path: Tuple[Link, ...], end: int) -> None:
+        """Raise if a setup ending at ``end`` would cross a held link.
 
         Arbitrating over a link that is currently *held* (round-trip
         acquisition in flight) is a protocol error: the holder releases
@@ -356,28 +325,14 @@ class NocstarInterconnect:
         waiting for it would never terminate (the release time is not
         yet known).
         """
-        cycles = range(start, start + duration)
         held = self._held
-        occupancy = self._occupied
-        if held:
-            for link in path:
-                held_from = held.get(link)
-                if held_from is not None and start + duration > held_from:
-                    raise RuntimeError(
-                        f"link {link} is held by an unreleased round-trip "
-                        "acquisition; release() it before arbitrating again"
-                    )
-                occupied = occupancy.get(link)
-                if occupied and not occupied.isdisjoint(cycles):
-                    return False
-            return True
-        # One-way acquisition never holds links; skip the per-link
-        # held-map probes on this (dominant) path.
         for link in path:
-            occupied = occupancy.get(link)
-            if occupied and not occupied.isdisjoint(cycles):
-                return False
-        return True
+            held_from = held.get(link)
+            if held_from is not None and end > held_from:
+                raise RuntimeError(
+                    f"link {link} is held by an unreleased round-trip "
+                    "acquisition; release() it before arbitrating again"
+                )
 
     def release(self, links: Tuple[Link, ...], at: int) -> None:
         """Release round-trip-held links at cycle ``at``.
@@ -385,12 +340,15 @@ class NocstarInterconnect:
         The held window is converted into explicit occupancy so that
         slightly out-of-order requests (see class docstring) still see
         the hold."""
+        windows: Dict[int, list] = {}
         for link in links:
             held_from = self._held.pop(link, None)
             if held_from is not None:
-                self._occupied.setdefault(link, set()).update(
-                    range(held_from, at)
-                )
+                windows.setdefault(held_from, []).append(link)
+        busy = self._busy
+        for held_from, released in windows.items():
+            for cycle in range(held_from, at):
+                busy[cycle].update(released)
 
     def round_trip(
         self,
@@ -431,7 +389,10 @@ class NocstarInterconnect:
         Round-trip holds still in flight are not counted; every hold is
         released before a run finishes, converting it into occupancy.
         """
-        return {link: len(cycles) for link, cycles in self._occupied.items()}
+        counts: Counter = Counter()
+        for links in self._busy.values():
+            counts.update(links)
+        return dict(counts)
 
     @property
     def mean_setup_retries(self) -> float:
@@ -448,7 +409,7 @@ class NocstarInterconnect:
         return control_fanout(self.topology.rows, self.topology.cols)
 
     def reset(self) -> None:
-        self._occupied.clear()
+        self._busy.clear()
         self._held.clear()
         self.messages = self.local_messages = 0
         self.total_hops = self.total_setup_retries = 0

@@ -49,19 +49,9 @@ class MeshTopology:
         """Directed links of the XY route from ``src`` to ``dst``."""
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
-        links: List[Link] = []
-        x, y = sx, sy
-        step = 1 if dx > x else -1
-        while x != dx:
-            nxt = x + step
-            links.append((self.tile_at(x, y), self.tile_at(nxt, y)))
-            x = nxt
-        step = 1 if dy > y else -1
-        while y != dy:
-            nxt = y + step
-            links.append((self.tile_at(x, y), self.tile_at(x, nxt)))
-            y = nxt
-        return links
+        turn = sy * self.cols + dx  # where the route leaves the X leg
+        return self._legs(src, turn, dst, 1 if dx > sx else -1,
+                          self.cols if dy > sy else -self.cols)
 
     def yx_path(self, src: int, dst: int) -> List[Link]:
         """Directed links of the YX route (Y dimension first, then X).
@@ -71,18 +61,16 @@ class MeshTopology:
         """
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
-        links: List[Link] = []
-        x, y = sx, sy
-        step = 1 if dy > y else -1
-        while y != dy:
-            nxt = y + step
-            links.append((self.tile_at(x, y), self.tile_at(x, nxt)))
-            y = nxt
-        step = 1 if dx > x else -1
-        while x != dx:
-            nxt = x + step
-            links.append((self.tile_at(x, y), self.tile_at(nxt, y)))
-            x = nxt
+        turn = dy * self.cols + sx  # where the route leaves the Y leg
+        return self._legs(src, turn, dst, self.cols if dy > sy else -self.cols,
+                          1 if dx > sx else -1)
+
+    @staticmethod
+    def _legs(src: int, turn: int, dst: int, first: int, second: int) -> List[Link]:
+        """Links of a two-leg route: ``src -> turn`` in tile-number
+        steps of ``first``, then ``turn -> dst`` in steps of ``second``."""
+        links = [(t, t + first) for t in range(src, turn, first)]
+        links += [(t, t + second) for t in range(turn, dst, second)]
         return links
 
     @property

@@ -106,6 +106,16 @@ def differential_corpus():
             "gups",
         ),
         _single("nocstar-ideal", cfg.build_config("nocstar-ideal", 8), "olio"),
+        # HPCmax 1 at 16 tiles: multi-cycle spans, so setups collide
+        # mid-span and the retry search jumps (the 8-core HPCmax-16
+        # entries only ever book single-cycle spans).
+        _single(
+            "nocstar-contended",
+            cfg.nocstar(16, config=NocstarConfig(hpc_max=1)),
+            "graph500",
+            accesses_per_core=150,
+            metrics=True,
+        ),
         _single("ideal", cfg.ideal(8), "canneal"),
         _single(
             "nocstar-observed",

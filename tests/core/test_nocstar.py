@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import NocstarConfig, ROUND_TRIP
 from repro.core.nocstar import NocstarInterconnect
+from repro.noc.route_cache import RouteCache
 from repro.noc.topology import MeshTopology
 
 
@@ -140,6 +141,120 @@ def test_reset_clears_state():
     ic.reset()
     assert ic.messages == 0
     assert ic.send(0, 3, now=0).setup_retries == 0
+
+
+def test_retry_search_checks_every_cycle_of_a_multi_cycle_span():
+    """Out-of-order bookings can collide with a span past its first
+    cycle, and after a retry jump the whole new span is tested again."""
+    ic = make(hpc_max=1)  # 3 hops -> 3-cycle spans
+    ic.send(0, 3, now=9)  # busy in cycles 10..12
+    ic.send(0, 3, now=13)  # busy in cycles 14..16
+    t = ic.send(0, 3, now=7)  # 8..10 hits cycle 10; 11..13 hits 12; ...
+    assert (t.ready, t.setup_retries) == (20, 9)  # first free span 17..19
+
+
+def test_released_hold_overlapping_a_later_reservation_counts_once():
+    """Busy cycles are a union per link: a backfilled hold window that
+    covers a cycle an out-of-order message already booked counts it once."""
+    ic = make()
+    later = ic.send(0, 1, now=5)  # link (0, 1) busy in cycle 6
+    held = ic.send(0, 1, now=0, hold=True)  # busy in cycle 1, held from 2
+    ic.release(held.links, at=10)  # backfills cycles 2..9, over cycle 6
+    assert (later.ready, held.ready) == (7, 2)
+    assert ic.link_busy_cycles() == {(0, 1): 9}  # cycles 1..9
+    ic.reset()
+    assert ic.link_busy_cycles() == {}
+    assert ic.send(0, 1, now=5).setup_retries == 0
+
+
+COUNTERS = (
+    "messages", "local_messages", "total_hops", "total_setup_retries",
+    "uncontended_messages", "control_requests",
+)
+
+
+class PerLinkOracle:
+    """Per-link ``Set[int]`` occupancy with cycle-by-cycle setup retries:
+    the straightforward model the cycle-indexed store must reproduce."""
+
+    def __init__(self, tiles, hpc_max):
+        self.topology = MeshTopology(tiles)
+        self.hpc_max = hpc_max
+        self.occupied = {}  # link -> cycles carrying data
+        self.held = {}  # link -> cycle the hold starts
+        self.counts = dict.fromkeys(COUNTERS, 0)
+
+    def send(self, src, dst, now, speculative_setup=False, hold=False):
+        counts = self.counts
+        counts["messages"] += 1
+        if src == dst:
+            counts["local_messages"] += 1
+            return (now, 0, 0, 0, ())
+        path = tuple(self.topology.xy_path(src, dst))
+        hops, duration = len(path), -(-len(path) // self.hpc_max)
+        earliest = now if speculative_setup else now + 1
+        start = earliest
+        while any(
+            self.occupied.get(link, set()) & set(range(start, start + duration))
+            for link in path
+        ):
+            start += 1
+        for link in path:
+            self.occupied.setdefault(link, set()).update(
+                range(start, start + duration)
+            )
+            if hold:
+                self.held[link] = start + duration
+        retries = start - earliest
+        counts["control_requests"] += hops * (retries + 1)
+        counts["total_hops"] += hops
+        counts["total_setup_retries"] += retries
+        counts["uncontended_messages"] += retries == 0
+        return (start + duration, hops, retries, duration, path)
+
+    def release(self, links, at):
+        for link in links:
+            self.occupied[link].update(range(self.held.pop(link), at))
+
+    def link_busy_cycles(self):
+        return {link: len(cycles) for link, cycles in self.occupied.items()}
+
+
+send_ops = st.tuples(
+    st.integers(min_value=0, max_value=63),  # src (mod tiles)
+    st.integers(min_value=0, max_value=63),  # dst (mod tiles)
+    st.integers(min_value=0, max_value=40),  # now, drawn out of order
+    st.booleans(),  # speculative_setup
+    st.one_of(st.none(), st.integers(min_value=1, max_value=30)),  # hold
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((16, 64)),
+    st.sampled_from((1, 4, 16)),
+    st.lists(send_ops, min_size=20, max_size=80),
+)
+def test_cycle_indexed_store_matches_per_link_oracle(tiles, hpc_max, ops):
+    """Random mixed traffic — out-of-order ``now``, speculative setups,
+    round-trip holds released after a service window — resolves to the
+    same traversals, counters and busy cycles as the per-link model."""
+    for routes in (None, RouteCache(MeshTopology(tiles))):
+        ic = NocstarInterconnect(
+            MeshTopology(tiles), NocstarConfig(hpc_max=hpc_max), routes=routes
+        )
+        oracle = PerLinkOracle(tiles, hpc_max)
+        for src, dst, now, speculative, service in ops:
+            src, dst = src % tiles, dst % tiles
+            hold = service is not None
+            got = ic.send(src, dst, now, speculative, hold)
+            assert tuple(got) == oracle.send(src, dst, now, speculative, hold)
+            if hold and got.links:
+                at = got.ready + service
+                ic.release(got.links, at)
+                oracle.release(got.links, at)
+        assert {name: getattr(ic, name) for name in COUNTERS} == oracle.counts
+        assert ic.link_busy_cycles() == oracle.link_busy_cycles()
 
 
 @settings(max_examples=40)
