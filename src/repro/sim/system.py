@@ -480,23 +480,28 @@ class System:
         Charges every core the IPI handler cost; the initiator
         additionally waits for the L2 invalidations to complete, which
         is where leader policy and slice-port congestion matter.
+
+        The entries are bucketed by set once per array geometry (every
+        core's L1s, every private L2, every slice), so each TLB visits
+        only the sets the entries map to and skips those holding
+        nothing; shared entries are bucketed by home slice once.
         """
-        n = self.config.num_cores
         self.sink.event(
             now, "shootdown", initiator=initiator, entries=len(entries)
         )
-        for core in range(n):
-            for asid, size, page_number in entries:
-                self.l1s[core].invalidate(asid, size, page_number)
-            self.pending_penalty[core] += IPI_CYCLES
+        pending = self.pending_penalty
+        l1_groups = self.l1s[0].group(entries)
+        for core, l1 in enumerate(self.l1s):
+            l1.invalidate_grouped(l1_groups)
+            pending[core] += IPI_CYCLES
         if self.config.scheme == cfg.PRIVATE:
-            for core in range(n):
-                for asid, size, page_number in entries:
-                    self.private_l2[core].invalidate(asid, size, page_number)
-                self.pending_penalty[core] += len(entries)
+            l2_groups = self.private_l2[0].array.group(entries)
+            for core, l2 in enumerate(self.private_l2):
+                l2.array.invalidate_grouped(l2_groups)
+                pending[core] += len(entries)
             return
-        homes = sorted({self.shared_l2.home(pn, a) for a, _, pn in entries})
-        plan = self.invalidation.plan(initiator, homes)
+        by_home = self.shared_l2.group_by_home(entries)
+        plan = self.invalidation.plan(initiator, sorted(by_home))
         self.stats.shootdown_messages += len(plan.messages)
         completion = now
         sender_done: Dict[int, int] = {}
@@ -506,10 +511,8 @@ class System:
                 dst_tile = message.dst
             arrival = self._plain_send(message.src, dst_tile, now)
             if message.kind == "invalidate":
-                per_slice = [e for e in entries
-                             if self.shared_l2.home(e[2], e[0]) == message.dst]
                 finish = self.shared_l2.write_ports[message.dst].reserve_many(
-                    arrival, max(1, len(per_slice))
+                    arrival, len(by_home[message.dst])
                 )
             else:
                 finish = arrival
@@ -522,10 +525,9 @@ class System:
             completion = max(completion, finish)
         for sender, done in sender_done.items():
             if sender != initiator:
-                self.pending_penalty[sender] += done - now
-        for asid, size, page_number in entries:
-            self.shared_l2.invalidate(asid, size, page_number)
-        self.pending_penalty[initiator] += completion - now
+                pending[sender] += done - now
+        self.shared_l2.invalidate_grouped(by_home)
+        pending[initiator] += completion - now
 
     def _plain_send(self, src: int, dst: int, now: int) -> int:
         """Deliver a shootdown relay/invalidate message.

@@ -10,9 +10,9 @@ happen in parallel in hardware), so it probes the matching array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterable, List
 
-from repro.tlb.set_assoc import SetAssociativeTLB
+from repro.tlb.set_assoc import Key, SetAssociativeTLB, SetGroups
 from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, translation_vpn
 
 
@@ -82,6 +82,24 @@ class L1Tlb:
 
     def invalidate(self, asid: int, page_size: int, page_number: int) -> bool:
         return self._arrays[page_size].invalidate(asid, page_size, page_number)
+
+    def group(self, entries: Iterable[Key]) -> Dict[int, SetGroups]:
+        """``entries`` bucketed by page-size array, then by set.  Every
+        core's L1 has one geometry, so one grouping serves the chip."""
+        by_size: Dict[int, List[Key]] = {}
+        for key in entries:
+            by_size.setdefault(key[1], []).append(key)
+        return {
+            size: self._arrays[size].group(keys)
+            for size, keys in by_size.items()
+        }
+
+    def invalidate_grouped(self, groups: Dict[int, SetGroups]) -> int:
+        arrays = self._arrays
+        return sum(
+            arrays[size].invalidate_grouped(sets)
+            for size, sets in groups.items()
+        )
 
     def flush(self) -> int:
         return sum(array.flush() for array in self._arrays.values())

@@ -19,7 +19,7 @@ port, §IV) is tracked here via per-bank/slice reservation state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.indexing import IndexFn, modulo_index
 from repro.mem import sram
@@ -80,12 +80,24 @@ class _PortSet:
         self.conflict_cycles += start - now
         return start
 
-    def reserve_many(self, now: int, count: int, klass: int = 0) -> int:
-        """Back-to-back accesses (invalidation sweeps); returns last cycle."""
-        last = now
+    def reserve_many(self, now: int, count: int) -> int:
+        """Back-to-back class-0 accesses (invalidation sweeps); returns
+        the last one's start.
+
+        Each access takes the first cycle with a free port at or after
+        the previous one's start, as ``count`` chained :meth:`reserve`
+        calls would, and the conflict cycles those calls would charge
+        telescope to the last start minus ``now``.
+        """
+        starts = self._starts
+        ports = self.num_ports
+        cycle = now
         for _ in range(count):
-            last = self.reserve(last, klass)
-        return last
+            while starts.get(cycle, 0) >= ports:
+                cycle += 1
+            starts[cycle] = starts.get(cycle, 0) + 1
+        self.conflict_cycles += cycle - now
+        return cycle
 
 
 class _ShardedTlb:
@@ -191,6 +203,23 @@ class _ShardedTlb:
     def invalidate(self, asid: int, page_size: int, page_number: int) -> bool:
         return self.shards[self.home(page_number, asid)].invalidate(
             asid, page_size, page_number
+        )
+
+    def group_by_home(self, entries: Iterable[Key]) -> Dict[int, List[Key]]:
+        """``entries`` bucketed by home shard (duplicates kept)."""
+        home = self.home
+        by_home: Dict[int, List[Key]] = {}
+        for key in entries:
+            by_home.setdefault(home(key[2], key[0]), []).append(key)
+        return by_home
+
+    def invalidate_grouped(self, by_home: Dict[int, List[Key]]) -> int:
+        """:meth:`invalidate` of every entry, shard by shard and set by
+        set; returns how many were resident."""
+        shards = self.shards
+        return sum(
+            shards[home].invalidate_grouped(shards[home].group(keys))
+            for home, keys in by_home.items()
         )
 
     def reserve_read(self, shard: int, now: int, klass: int = 0) -> int:

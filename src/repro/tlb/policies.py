@@ -24,8 +24,13 @@ set, capacity ``ways``):
 * ``remove(key)``    — invalidate: drops the resident entry *and* any
   ghost history for the key (a shot-down translation must not later
   count as a ghost hit); returns whether the key was resident.
+* ``remove_many(keys)`` — ``remove`` of every key in a set of keys;
+  returns how many were resident (one shootdown burst, set by set).
 * ``purge_asid(asid)`` / ``clear()`` — context teardown / full flush,
   both of which also forget history and adaptation state.
+* ``bool(state)``    — False only when the set is indistinguishable
+  from a fresh one: no residents and no history.  Flushes and grouped
+  shootdowns skip such sets, since clearing them changes nothing.
 
 Determinism contract: every policy is a pure function of its access
 sequence — no wall clock, no RNG, no ambient state.  This is what lets
@@ -47,7 +52,7 @@ needs the future, so it exists only as the offline bound in
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple, Type
+from typing import AbstractSet, Dict, Iterator, Optional, Tuple, Type
 
 Key = Tuple[int, int, int]  # (asid, page_size, page_number)
 
@@ -56,8 +61,7 @@ class ReplacementPolicy:
     """Abstract per-set replacement state (see the module docstring).
 
     Subclasses implement the full contract; this base only documents
-    it and provides the shared ``purge_asid`` convenience used by
-    context teardown.
+    it and provides ``remove_many`` as a loop over ``remove``.
     """
 
     #: Registry name; subclasses override.
@@ -83,6 +87,10 @@ class ReplacementPolicy:
 
     def remove(self, key: Key) -> bool:  # pragma: no cover
         raise NotImplementedError
+
+    def remove_many(self, keys: AbstractSet[Key]) -> int:
+        # Each remove touches only its own key, so order is irrelevant.
+        return sum(self.remove(key) for key in keys)
 
     def purge_asid(self, asid: int) -> int:  # pragma: no cover
         raise NotImplementedError
@@ -126,6 +134,13 @@ class LruState(OrderedDict, ReplacementPolicy):
             del self[key]
             return True
         return False
+
+    def remove_many(self, keys: AbstractSet[Key]) -> int:
+        # At most ``ways`` residents: intersect in C, then delete those.
+        stale = self.keys() & keys
+        for key in stale:
+            del self[key]
+        return len(stale)
 
     def purge_asid(self, asid: int) -> int:
         stale = [key for key in self if key[0] == asid]
@@ -171,6 +186,9 @@ class ArcState(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._t1) + len(self._t2)
+
+    def __bool__(self) -> bool:
+        return bool(self._t1 or self._t2 or self._b1 or self._b2 or self._p)
 
     def members(self) -> Iterator[Key]:
         yield from self._t1
@@ -294,6 +312,9 @@ class TwoQState(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._a1in) + len(self._am)
+
+    def __bool__(self) -> bool:
+        return bool(self._a1in or self._a1out or self._am)
 
     def members(self) -> Iterator[Key]:
         yield from self._a1in

@@ -19,11 +19,13 @@ L1 TLBs must stay on the default policy; L2 structures may run any.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.tlb.policies import POLICIES, make_policy
 
 Key = Tuple[int, int, int]  # (asid, page_size, page_number)
+#: Keys bucketed by the set they index: ``((set index, keys), ...)``.
+SetGroups = Tuple[Tuple[int, FrozenSet[Key]], ...]
 
 
 class SetAssociativeTLB:
@@ -143,6 +145,33 @@ class SetAssociativeTLB:
         """
         return self._set_for(page_number).remove((asid, page_size, page_number))
 
+    def group(self, keys: Iterable[Key]) -> SetGroups:
+        """``keys`` bucketed by the set each indexes, for
+        :meth:`invalidate_grouped` on any array of this geometry."""
+        shift, num_sets = self.index_shift, self.num_sets
+        buckets: Dict[int, Set[Key]] = {}
+        for key in keys:
+            buckets.setdefault((key[2] >> shift) % num_sets, set()).add(key)
+        return tuple(
+            (index, frozenset(bucket)) for index, bucket in buckets.items()
+        )
+
+    def invalidate_grouped(self, groups: SetGroups) -> int:
+        """:meth:`invalidate` of every grouped key, one call per set;
+        returns how many were resident.
+
+        A set that is unmaterialised or falsy (no residents, no history)
+        has nothing to drop, so it is skipped, and an unmaterialised set
+        stays so.
+        """
+        sets = self._sets
+        dropped = 0
+        for index, keys in groups:
+            cache_set = sets[index]
+            if cache_set:
+                dropped += cache_set.remove_many(keys)
+        return dropped
+
     def invalidate_asid(self, asid: int) -> int:
         """Drop every translation belonging to ``asid`` (context teardown)."""
         return sum(
@@ -152,11 +181,16 @@ class SetAssociativeTLB:
         )
 
     def flush(self) -> int:
-        """Drop everything (full-TLB flush on context switch, §V storms)."""
-        dropped = self.occupancy
-        for cache_set in self._sets:
-            if cache_set is not None:
-                cache_set.clear()
+        """Drop everything (full-TLB flush on context switch, §V storms).
+
+        One pass that clears each set in place and counts what it held.
+        ``filter`` skips unmaterialised and falsy sets in C: they already
+        equal fresh ones.
+        """
+        dropped = 0
+        for cache_set in filter(None, self._sets):
+            dropped += len(cache_set)
+            cache_set.clear()
         return dropped
 
     @property

@@ -154,6 +154,22 @@ def differential_corpus():
             "olio",
             shootdown=ShootdownTraffic(period=3000, initiators=2),
         ),
+        # Storms on private ARC L2s (fully built arrays whose flushes
+        # must reach ghost-only sets), and invalidation bursts sent by
+        # every core (naive leaders: one sweep per core per slice).
+        _single(
+            "private-arc-storm",
+            cfg.private(8, policy="arc"),
+            "canneal",
+            storm=StormConfig(period=3000, burst_entries=64),
+            metrics=True,
+        ),
+        _single(
+            "distributed-naive-storm",
+            cfg.distributed(8, leader_granularity=1),
+            "gups",
+            storm=StormConfig(period=2500, flush=False),
+        ),
         _single(
             "distributed-arc", cfg.build_config("distributed-arc", 8), "gups"
         ),

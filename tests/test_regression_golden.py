@@ -7,12 +7,15 @@ simulated behaviour: re-derive the goldens *deliberately* (run this
 file's ``print`` helper) and justify the delta in the commit.
 """
 
+import numpy as np
 import pytest
 
 from repro.sim import configs as cfg
-from repro.sim.engine import simulate
+from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
+from repro.vm.address import PAGE_2M, PAGE_4K
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
+from repro.workloads.trace import Workload
 
 GOLDEN = [
     # (config name, total cycles, shared/private L2 misses)
@@ -153,6 +156,69 @@ def test_policy_goldens_are_internally_consistent():
         # contention (class-0/uncontended identity) — a deliberate pin:
         # if this tie breaks, the arbiter changed demand-path behaviour.
         assert cycles[f"{base}-prio"] == cycles[base]
+
+
+# Write-side pins: storms and shootdown trains over a hand-built trace
+# whose 4KB pages lie where storm bursts and shootdown trains land (the
+# generated workloads' pages never do), so invalidations really drop
+# L1/L2 entries and ARC/2Q ghosts.  Derived with the same helper.
+WRITE_SIDE_TRAFFIC = {
+    "storm": dict(storm=StormConfig(period=4000, burst_entries=64)),
+    "storm-noflush": dict(
+        storm=StormConfig(period=1500, burst_entries=96, flush=False)
+    ),
+    "shootdown": dict(
+        shootdown=ShootdownTraffic(
+            period=1000, entries_per_event=24, initiators=2
+        )
+    ),
+}
+
+GOLDEN_WRITE_SIDE = [
+    # (config, policy, leader granularity, traffic,
+    #  cycles, L2 misses, shootdown messages)
+    ("private", "lru", 8, "storm", 161908, 11930, 0),
+    ("private", "arc", 8, "storm-noflush", 166869, 10070, 0),
+    ("monolithic", "arc", 8, "shootdown", 142494, 3896, 1384),
+    ("distributed", "twoq", 8, "storm-noflush", 109003, 4103, 639),
+    ("distributed", "lru", 2, "shootdown", 113905, 3896, 1920),
+    ("nocstar", "lru", 8, "storm", 159649, 11470, 346),
+    ("nocstar", "arc", 1, "shootdown", 117783, 3896, 14976),
+]
+
+
+def write_side_workload(cores=8, accesses=1500, seed=5):
+    rng = np.random.default_rng(seed)
+    traces = []
+    for _ in range(cores):
+        pages = rng.integers(100, 1600, size=accesses).tolist()
+        asids = rng.integers(0, 2, size=accesses).tolist()
+        gaps = (1 + rng.poisson(3, size=accesses)).tolist()
+        sizes = np.where(
+            rng.random(accesses) < 0.1, PAGE_2M, PAGE_4K
+        ).tolist()
+        traces.append([list(zip(gaps, asids, sizes, pages))])
+    return Workload("write-side", traces, seed=seed, superpages=True)
+
+
+@pytest.fixture(scope="module")
+def write_side():
+    return write_side_workload()
+
+
+@pytest.mark.parametrize(
+    "name,policy,leaders,traffic,cycles,misses,messages", GOLDEN_WRITE_SIDE
+)
+def test_golden_write_side(
+    write_side, name, policy, leaders, traffic, cycles, misses, messages
+):
+    config = cfg.build_config(
+        name, 8, policy=policy, leader_granularity=leaders
+    )
+    result = simulate(config, write_side, **WRITE_SIDE_TRAFFIC[traffic])
+    assert result.cycles == cycles
+    assert result.stats.l2_misses == misses
+    assert result.stats.shootdown_messages == messages
 
 
 def test_goldens_are_internally_consistent():

@@ -1,6 +1,7 @@
 """Shared L2 organisations: banked monolithic and distributed slices."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem import sram
 from repro.tlb.l2_shared import (
@@ -10,6 +11,7 @@ from repro.tlb.l2_shared import (
     WALK_CLASS,
     DistributedSharedTlb,
     MonolithicSharedTlb,
+    _PortSet,
 )
 from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 
@@ -123,6 +125,31 @@ def test_reserve_many_counts_sweep():
     tlb = DistributedSharedTlb(4, 64, ways=4)
     last = tlb.write_ports[0].reserve_many(10, 5)
     assert last == 14  # five back-to-back single-port writes
+
+
+@settings(max_examples=80)
+@given(
+    num_ports=st.integers(1, 3),
+    priority=st.booleans(),
+    busy=st.lists(st.integers(0, 40), max_size=60),
+    now=st.integers(0, 40),
+    count=st.integers(0, 12),
+)
+def test_reserve_many_equals_chained_reserves(
+    num_ports, priority, busy, now, count
+):
+    """A sweep is ``count`` class-0 reserves, each starting where the
+    last one did: same starts, same last cycle, same conflict cycles."""
+    sweep, chained = (_PortSet(num_ports, priority) for _ in range(2))
+    for cycle in busy:
+        sweep.reserve(cycle)
+        chained.reserve(cycle)
+    last = now
+    for _ in range(count):
+        last = chained.reserve(last)
+    assert sweep.reserve_many(now, count) == last
+    assert sweep._starts == chained._starts
+    assert sweep.conflict_cycles == chained.conflict_cycles
 
 
 def test_entries_must_divide():

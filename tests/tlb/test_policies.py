@@ -51,6 +51,7 @@ def test_make_policy_builds_each(name):
     state = make_policy(name, 4)
     assert state.name == name
     assert len(state) == 0
+    assert not state
     assert list(state.members()) == []
 
 
@@ -61,7 +62,7 @@ _OPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["lookup", "insert", "probe", "invalidate", "invalidate_asid",
-             "flush"]
+             "flush", "shootdown"]
         ),
         st.integers(min_value=0, max_value=3),      # asid
         st.sampled_from([PAGE_4K, PAGE_2M]),        # page size
@@ -86,6 +87,16 @@ def _drive_pair(new, seed, ops):
             )
         elif op == "invalidate_asid":
             assert new.invalidate_asid(asid) == seed.invalidate_asid(asid)
+        elif op == "shootdown":
+            # A burst over every set and ASID, with one duplicate: grouped
+            # by set on the new array, one key at a time on the seed.
+            burst = [
+                (a, size, p) for a in range(4) for p in range(page, page + 8)
+            ]
+            burst.append(burst[0])
+            assert new.invalidate_grouped(new.group(burst)) == sum(
+                seed.invalidate(*key) for key in burst
+            )
         else:
             assert new.flush() == seed.flush()
         # Byte-identity after every step: order, counters, occupancy.
@@ -155,6 +166,7 @@ _POLICY_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("access"), _KEYS),
         st.tuples(st.just("remove"), _KEYS),
+        st.tuples(st.just("remove_many"), st.frozensets(_KEYS, max_size=6)),
         st.tuples(st.just("purge"), st.integers(min_value=0, max_value=2)),
         st.tuples(st.just("clear"), st.none()),
     ),
@@ -187,6 +199,10 @@ def _assert_arc_equal(state, oracle):
     assert state._p == oracle.p
     assert list(state.members()) == oracle.residents()
     assert len(state) == len(oracle.residents())
+    # Falsy exactly when indistinguishable from a fresh set: flushes and
+    # grouped shootdowns skip falsy sets.
+    fresh = ArcOracle(oracle.c)
+    assert bool(state) == (vars(oracle) != vars(fresh))
 
 
 def _assert_twoq_equal(state, oracle):
@@ -195,6 +211,8 @@ def _assert_twoq_equal(state, oracle):
     assert list(state._am) == oracle.am
     assert list(state.members()) == oracle.residents()
     assert len(state) == len(oracle.residents())
+    fresh = TwoQOracle(oracle.c)
+    assert bool(state) == (vars(oracle) != vars(fresh))
 
 
 def _drive_policy(state, oracle, ops, purge, check):
@@ -208,6 +226,8 @@ def _drive_policy(state, oracle, ops, purge, check):
                 assert state.admit(arg) == oracle.insert(arg)
         elif op == "remove":
             assert state.remove(arg) == oracle.remove(arg)
+        elif op == "remove_many":
+            assert state.remove_many(arg) == sum(oracle.remove(k) for k in arg)
         elif op == "purge":
             assert state.purge_asid(arg) == purge(oracle, arg)
         else:

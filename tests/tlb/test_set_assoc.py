@@ -106,6 +106,32 @@ def test_flush_empties_everything():
     assert tlb.occupancy == 0
 
 
+def test_grouped_invalidation_visits_only_sets_holding_entries():
+    tlb = SetAssociativeTLB(64, 4, lazy_sets=True)  # 16 sets
+    tlb.insert(1, PAGE_4K, 3)
+    tlb.insert(1, PAGE_4K, 19)
+    tlb.insert(2, PAGE_4K, 3)
+    burst = [(1, PAGE_4K, pn) for pn in range(40)] + [(1, PAGE_4K, 3)]
+    groups = tlb.group(burst)
+    assert sorted(index for index, _ in groups) == list(range(16))
+    assert dict(groups)[3] == {(1, PAGE_4K, p) for p in (3, 19, 35)}
+    assert tlb.invalidate_grouped(groups) == 2
+    assert list(tlb.iter_keys()) == [(2, PAGE_4K, 3)]
+    # Sets the burst maps to but nothing was cached in stay unbuilt.
+    assert [i for i, s in enumerate(tlb._sets) if s is not None] == [3]
+
+
+def test_flush_clears_in_place_and_skips_unbuilt_sets():
+    tlb = SetAssociativeTLB(64, 4, lazy_sets=True)
+    for pn in (0, 1, 17):
+        tlb.insert(1, PAGE_4K, pn)
+    built = tlb._sets[1]
+    assert tlb.flush() == 3
+    assert tlb._sets[1] is built and not built  # cleared, not replaced
+    assert [i for i, s in enumerate(tlb._sets) if s is not None] == [0, 1]
+    assert tlb.flush() == 0
+
+
 def test_probe_does_not_touch_stats_or_lru():
     tlb = SetAssociativeTLB(2, 2)
     tlb.insert(1, PAGE_4K, 0)
