@@ -6,8 +6,9 @@ CACHE_DIR ?= .repro-cache
 
 .PHONY: install test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke serve-smoke bench-serve-smoke \
-        bench-regression experiments-smoke policy-smoke verify bench \
-        bench-full bench-faults examples calibrate cache-clean clean
+        bench-regression bench-e2e-selftest experiments-smoke \
+        policy-smoke verify bench bench-full bench-faults examples \
+        calibrate cache-clean clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -76,6 +77,13 @@ bench-serve-smoke:
 bench-regression:
 	$(RUN) tools/check_bench_regression.py
 
+# End-to-end benchmark self-tests: span accounting, verdicts, the
+# pinned storm-64 digests, and that every name the traced run wraps
+# still exists — so a change that deletes a wrapped function fails
+# here, not at the benchmark gate.
+bench-e2e-selftest:
+	$(RUN) -m pytest benchmarks/e2e -q
+
 # Experiments smoke: the headline campaigns at the CI-fast smoke scale,
 # gated against the pinned reference numbers (`--check` exits non-zero
 # on drift).  Artifacts land under campaigns/ (CSV/JSON; plots only
@@ -93,12 +101,12 @@ policy-smoke:
 
 # The full local gate: tests plus the parallel, observability,
 # fault-injection, engine fast-path, sweep data-plane, mega-mesh
-# scale, serving, experiment-campaign, and policy-zoo smokes, then the
-# benchmark regression gate over the artefacts the bench smokes just
-# regenerated.
+# scale, serving, experiment-campaign, and policy-zoo smokes, the
+# end-to-end benchmark's self-tests, then the benchmark regression
+# gate over the artefacts the bench smokes just regenerated.
 verify: test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke serve-smoke bench-serve-smoke \
-        experiments-smoke policy-smoke bench-regression
+        experiments-smoke policy-smoke bench-e2e-selftest bench-regression
 
 bench:
 	$(RUN) -m pytest benchmarks/ --benchmark-only

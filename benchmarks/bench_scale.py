@@ -24,8 +24,8 @@ verify``.
 For information only (not gated, not in the trend gate), each repeat
 also samples nocstar-1024 at the same operating point;
 ``nocstar_ratio`` = nocstar-1024 best / distributed-1024 best tracks how
-far the NOCSTAR arbitration model sits from the lean mesh path, as an
-in-process ratio that carries across machines.
+far the NOCSTAR arbitration model sits from the table-driven mesh
+legs, as an in-process ratio that carries across machines.
 """
 
 from __future__ import annotations

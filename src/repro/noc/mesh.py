@@ -55,6 +55,11 @@ class ContentionFreeMesh:
         self.total_hops = 0
         #: link -> messages carried; populated only when observed.
         self.link_traversals: Dict[Link, int] = {}
+        #: ``(latency, hops)`` RouteCache rows when ``send`` times every
+        #: leg from them (unobserved, no dead links), else None.  A
+        #: caller that times legs from these rows instead of calling
+        #: ``send`` counts the messages and hops itself.
+        self.flat_tables = None
         if faults is not None and faults.router.dead:
             # Fault-aware routing subsumes observation: the detour path
             # must be computed anyway, so links are always accounted.
@@ -67,6 +72,7 @@ class ContentionFreeMesh:
         elif routes is not None:
             self._hops = routes.hops
             self._latency = routes.mesh_latency(self.cycles_per_hop)
+            self.flat_tables = (self._latency, self._hops)
             self.send = self._send_cached  # type: ignore[method-assign]
 
     def send(self, src: int, dst: int, now: int) -> Traversal:

@@ -23,6 +23,11 @@ Two drive loops produce bit-identical results:
   test harness proves both paths byte-identical, which is why
   ``ENGINE_VERSION`` did not change for the fast path.
 
+The mega-mesh variant of the batched loop lives in
+:mod:`repro.sim.engine_vec`.  Every loop resolves an L1 miss through
+``System.l2_transaction`` — one table-driven transaction per
+``System`` — whether or not the run is observed.
+
 Optional pathological traffic (§V) is injected at the global frontier:
 *storms* (context-switch flushes plus superpage-promotion invalidation
 bursts) and steady *shootdown* traffic for the invalidation-policy
@@ -47,7 +52,6 @@ from repro.sim import configs as cfg
 from repro.sim.engine_vec import (
     VECTORIZED_ENV,
     bulk_fill_compile_cache,
-    make_lean_transaction,
     vectorized_wanted,
 )
 from repro.sim.results import RunResult
@@ -240,49 +244,68 @@ def simulate(
             faults = None  # exact fault-free code path
     event_trace = EventTrace() if trace else None
     sink = MetricsSink(trace=event_trace) if (metrics or trace) else NULL_SINK
-    system = System(
-        config, record_intervals=record_intervals, sink=sink, faults=faults
-    )
-    if storm is None and shootdown is None and not reference_mode():
-        # Batched fast path: with no external L1 invalidations the hit/
-        # miss sequence is stream-determined, so hit runs advance in one
-        # bisect per heap pop.  Bit-identical to the reference loop (the
-        # differential harness is the proof), so ENGINE_VERSION stays.
-        # At mega-mesh scale (or when forced via REPRO_VECTORIZED_ENGINE)
-        # the vectorized variant applies — same results, numpy compile
-        # and expiry-free scheduling (see repro.sim.engine_vec).
-        if vectorized_wanted(config, watchdog_cycles):
+    # Batched fast path: with no external L1 invalidations the hit/miss
+    # sequence is stream-determined, so hit runs advance in one bisect
+    # per heap pop.  Bit-identical to the reference loop (the
+    # differential harness is the proof), so ENGINE_VERSION stays.  At
+    # mega-mesh scale (or when forced via REPRO_VECTORIZED_ENGINE) the
+    # vectorized variant applies — same results, numpy compile and
+    # expiry-free scheduling (see repro.sim.engine_vec).
+    batched = storm is None and shootdown is None and not reference_mode()
+    vectorized = batched and vectorized_wanted(config, watchdog_cycles)
+    # A mega-mesh run allocates hundreds of thousands of long-lived
+    # simulator objects (tile structures, walk and set state) and
+    # creates no reference cycles, so generational collections would
+    # scan them all to reclaim almost nothing.  Collection is paused
+    # from System construction until the System is released, when
+    # reference counting has freed it.
+    paused = vectorized and gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        system = System(
+            config, record_intervals=record_intervals, sink=sink,
+            faults=faults,
+        )
+        if vectorized:
             finishes = _drive_vectorized(system, workload, quantum, sink)
-        else:
+        elif batched:
             finishes = _drive_batched(
                 system, workload, quantum, sink, watchdog_cycles
             )
-    else:
-        finishes = _drive_reference(
-            system, workload, quantum, storm, shootdown, sink,
-            watchdog_cycles,
+        else:
+            finishes = _drive_reference(
+                system, workload, quantum, storm, shootdown, sink,
+                watchdog_cycles,
+            )
+        cycles = max(finishes)
+        system.finalize_stats()
+        system.finalize_metrics(cycles)
+        app_cycles = {}
+        for app, cores in workload.info.get("apps", {}).items():
+            app_cycles[app] = sum(finishes[c] for c in cores) / len(cores)
+        result = RunResult(
+            config_name=config.name,
+            workload_name=workload.name,
+            cycles=cycles,
+            per_core_cycles=finishes,
+            stats=system.stats,
+            energy=system.energy_summary(cycles),
+            network=system.network_summary(),
+            walk_levels=system.walk_level_summary(),
+            intervals=system.intervals if record_intervals else None,
+            app_cycles=app_cycles,
+            metrics=sink.registry.snapshot() if sink.enabled else None,
+            trace=(
+                event_trace.to_records() if event_trace is not None else None
+            ),
+            faults=system.fault_summary(),
         )
-    cycles = max(finishes)
-    system.finalize_stats()
-    system.finalize_metrics(cycles)
-    app_cycles = {}
-    for app, cores in workload.info.get("apps", {}).items():
-        app_cycles[app] = sum(finishes[c] for c in cores) / len(cores)
-    return RunResult(
-        config_name=config.name,
-        workload_name=workload.name,
-        cycles=cycles,
-        per_core_cycles=finishes,
-        stats=system.stats,
-        energy=system.energy_summary(cycles),
-        network=system.network_summary(),
-        walk_levels=system.walk_level_summary(),
-        intervals=system.intervals if record_intervals else None,
-        app_cycles=app_cycles,
-        metrics=sink.registry.snapshot() if sink.enabled else None,
-        trace=event_trace.to_records() if event_trace is not None else None,
-        faults=system.fault_summary(),
-    )
+        del system
+    finally:
+        if paused:
+            gc.enable()
+    return result
 
 
 def _drive_reference(
@@ -621,7 +644,7 @@ def _drive_vectorized(
 ) -> List[int]:
     """Mega-mesh drive loop; bit-identical to the batched loop.
 
-    Three scalar hot spots of ``_drive_batched`` are restructured for
+    Two scalar hot spots of ``_drive_batched`` are restructured for
     256-1024 tile meshes (see :mod:`repro.sim.engine_vec`):
 
     * the compile pre-pass runs once over column-stacked ``(core,
@@ -633,11 +656,10 @@ def _drive_vectorized(
       gate) expiry pops are pure bookkeeping, so each core's next
       transaction call time is computed directly with the batched
       loop's own windowed bisect, and a numpy argmin/cohort scan over
-      the call-time vector reproduces the heap's ``(t, core)`` order;
-    * eligible mesh-distributed configs resolve each transaction
-      through an inlined flat-table path over the live slice/port/
-      walker state (``make_lean_transaction``); everything else uses
-      ``System.l2_transaction`` unchanged.
+      the call-time vector reproduces the heap's ``(t, core)`` order.
+
+    Transactions go through ``System.l2_transaction``, the same
+    table-driven closure the other loops call.
     """
     num_cores = system.config.num_cores
     bulk_fill_compile_cache(
@@ -650,10 +672,6 @@ def _drive_vectorized(
         for core, l1 in enumerate(system.l1s)
     ]
     l2_transaction = system.l2_transaction
-    finalize = None
-    lean = make_lean_transaction(system, sink)
-    if lean is not None:
-        l2_transaction, finalize = lean
     observed = sink.enabled
     observe = sink.observe
     event = sink.event
@@ -702,35 +720,21 @@ def _drive_vectorized(
         if schedule(core, compiled[core], 0):
             active += 1
 
-    # The drive loop allocates heavily (keys, port dicts, walk tuples)
-    # but creates no reference cycles, so generational collections scan
-    # hundreds of thousands of live simulator objects to reclaim almost
-    # nothing.  Pause collection for the loop; allocations are still
-    # freed by refcounting, and cycles (if any) collect on re-enable.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while active:
-            frontier = call_times.min()
-            # All transactions called at the frontier cycle, in core
-            # order — exactly the heap's (t, core) tie-break.
-            for core in np.flatnonzero(call_times == frontier).tolist():
-                cc = compiled[core]
-                t_miss = pending_time[core]
-                asid, size, page_number = pending_miss[core]
-                if observed:
-                    event(t_miss, "l1_lookup", core=core, hit=False)
-                stall = l2_transaction(core, asid, size, page_number, t_miss)
-                if observed:
-                    observe("translation.stall_cycles", stall)
-                if not schedule(core, cc, t_miss + stall):
-                    active -= 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    if finalize is not None:
-        finalize()
+    while active:
+        frontier = call_times.min()
+        # All transactions called at the frontier cycle, in core
+        # order — exactly the heap's (t, core) tie-break.
+        for core in np.flatnonzero(call_times == frontier).tolist():
+            cc = compiled[core]
+            t_miss = pending_time[core]
+            asid, size, page_number = pending_miss[core]
+            if observed:
+                event(t_miss, "l1_lookup", core=core, hit=False)
+            stall = l2_transaction(core, asid, size, page_number, t_miss)
+            if observed:
+                observe("translation.stall_cycles", stall)
+            if not schedule(core, cc, t_miss + stall):
+                active -= 1
     return [cc.finish or 0 for cc in compiled]
 
 

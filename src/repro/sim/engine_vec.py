@@ -4,9 +4,9 @@ The batched fast path (:mod:`repro.sim.engine`) still performs one
 Python-level L1 probe per trace record during its compile pre-pass and
 one Python-level heap transaction per quantum window.  At 64 cores
 that is fine; at 256-1024 tiles the per-record interpreter overhead
-dominates wall-clock.  This module supplies the three pieces the
+dominates wall-clock.  This module supplies the two pieces the
 ``_drive_vectorized`` loop composes, each proven byte-identical to the
-scalar path it replaces (the differential corpus runs all three):
+scalar path it replaces (the differential corpus runs both):
 
 * :func:`bulk_fill_compile_cache` — the numpy compile pre-pass.  All
   per-core miss streams are column-stacked into ``(cores, records)``
@@ -19,16 +19,6 @@ scalar path it replaces (the differential corpus runs all three):
   (Python-int prefix lists, miss positions, miss records, counter
   deltas), so the drive loop — and any later batched run sharing the
   workload — consumes it unchanged.
-* :func:`make_lean_transaction` — an inlined mesh-distributed L2
-  transaction for the un-observed fault-free common case, driving the
-  *real* slice/port/walker state through flattened int tables (the
-  RouteCache's compact hop arrays, raw ``_PortSet`` cycle dicts, raw
-  per-set ``LruState`` OrderedDicts) with counters accumulated in bulk
-  and folded back at the end.  Any configuration outside its gate
-  (non-mesh interconnects, priority arbitration, non-LRU slices, QoS
-  quotas, prefetch, faults, observability) falls through to the
-  ordinary ``System.l2_transaction`` — correct for every config, just
-  not flattened.
 * :func:`vectorized_wanted` — the dispatch predicate.  Auto-engages at
   ``>= 256`` cores; ``REPRO_VECTORIZED_ENGINE=1`` forces it on at any
   scale (the differential harness does this), ``=0`` disables it.
@@ -46,19 +36,18 @@ its own resume time and its compiled prefix table, so the loop computes
 it directly with the same windowed ``bisect`` the batched loop applies
 one quantum at a time, and a numpy ``argmin``/cohort scan over the
 per-core call-time vector reproduces the heap's ``(time, core)`` pop
-order exactly.
+order exactly.  Transactions go through ``System.l2_transaction``,
+the same table-driven closure every drive loop calls.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.sim import configs as cfg
-from repro.tlb.l2_shared import FIFO
-from repro.vm.address import PAGE_1G
 
 #: Environment switch for the vectorized mega-mesh path: "0" disables,
 #: any other non-empty value forces it on at every core count, unset
@@ -277,159 +266,10 @@ def bulk_fill_compile_cache(workload, l1s, cache) -> bool:
     return True
 
 
-def make_lean_transaction(
-    system, sink
-) -> Optional[Tuple[Callable[[int, int, int, int, int], int], Callable[[], None]]]:
-    """Inlined mesh-distributed transaction, or None outside its gate.
+def make_lean_transaction(system, sink) -> None:
+    """Returns None: every drive loop calls ``System.l2_transaction``.
 
-    Returns ``(transaction, finalize)``: ``transaction`` matches the
-    ``System.l2_transaction`` signature and semantics byte-for-byte for
-    the gated configuration; ``finalize`` folds the locally accumulated
-    slice/stat/network counters back into the live objects and must run
-    once after the drive loop.
+    Kept only because the end-to-end benchmark's layer map lists this
+    name as a wrap target, and its self-test fails on an absent one.
     """
-    config = system.config
-    if (
-        config.scheme != cfg.DISTRIBUTED
-        or config.interconnect != cfg.MESH
-        or config.slice_indexing != "modulo"
-        or config.policy != "lru"
-        or config.arbitration != FIFO
-        or config.qos_way_quota is not None
-        or config.ptw_policy != cfg.PTW_REQUESTER
-        or system.prefetcher.enabled
-        or system.faults is not None
-        or system.record_intervals
-        or system.timeline is not None
-        or sink.enabled
-        or system.routes is None
-    ):
-        return None
-
-    shared = system.shared_l2
-    num_slices = shared.num_shards
-    lat_rows = system.routes.mesh_latency(system.network.cycles_per_hop)
-    hop_rows = system.routes.hops
-    lookup_cycles = system.l2_lookup_cycles
-    read_ports = shared.read_ports
-    write_ports = shared.write_ports
-    read_starts = [ports._starts for ports in read_ports]
-    write_starts = [ports._starts for ports in write_ports]
-    num_read = read_ports[0].num_ports
-    num_write = write_ports[0].num_ports
-    slice_sets = [shard._sets for shard in shared.shards]
-    shard0 = shared.shards[0]
-    shard_shift = shard0.index_shift
-    shard_num_sets = shard0.num_sets
-    shard_ways = shard0.ways
-    make_set = shard0._state_cls  # materialises lazily-constructed sets
-    visible = system._visible
-    overlap_off = visible == 1.0
-    do_walk = system.walker.walk_cycles
-    from repro.sim.system import _SHIFT  # local: avoids a module cycle
-
-    shifts = dict(_SHIFT)
-    queues = system.walker_queues
-    queue_busy = [q._busy_until for q in queues]
-
-    slice_hits = [0] * num_slices
-    slice_misses = [0] * num_slices
-    slice_inserts = [0] * num_slices
-    slice_evicts = [0] * num_slices
-    # [l2_hits, l2_misses, messages, total_hops, walks]
-    totals = [0, 0, 0, 0, 0]
-
-    def transaction(
-        core: int, asid: int, size: int, page_number: int, now: int
-    ) -> int:
-        home = page_number % num_slices
-        latency = lat_rows[core][home]  # symmetric: also the return leg
-        starts = read_starts[home]
-        start = now + latency
-        arrival = start
-        while starts.get(start, 0) >= num_read:
-            start += 1
-        starts[start] = starts.get(start, 0) + 1
-        if start != arrival:
-            read_ports[home].conflict_cycles += start - arrival
-        lookup_done = start + lookup_cycles
-        hops = hop_rows[core][home]
-        if size != PAGE_1G:
-            sets = slice_sets[home]
-            set_idx = (page_number >> shard_shift) % shard_num_sets
-            cache_set = sets[set_idx]
-            if cache_set is None:
-                cache_set = sets[set_idx] = make_set(shard_ways)
-            key = (asid, size, page_number)
-            if key in cache_set:
-                cache_set.move_to_end(key)
-                slice_hits[home] += 1
-                totals[0] += 1
-                totals[2] += 2  # request + response
-                totals[3] += 2 * hops
-                access = lookup_done + latency - now
-                if overlap_off:
-                    return access
-                return int(access * visible)
-        else:
-            cache_set = None
-        # Miss: reply to the requester, walk there, fill back to home.
-        slice_misses[home] += 1
-        totals[1] += 1
-        totals[2] += 3  # request + miss reply + fill
-        totals[3] += 3 * hops
-        miss_reply = lookup_done + latency
-        # Inlined System._walk_at: latency-only walk plus the two-walker
-        # admit (ties pick walker 0, exactly WalkerQueue.admit's min).
-        cycles = do_walk(
-            core, asid, page_number << shifts[size], size, miss_reply
-        )
-        totals[4] += 1
-        busy = queue_busy[core]
-        if busy[0] <= busy[1]:
-            walker_slot = 0
-            avail = busy[0]
-        else:
-            walker_slot = 1
-            avail = busy[1]
-        if avail > miss_reply:
-            queue = queues[core]
-            queue.total_queue_cycles += avail - miss_reply
-            queue.queued_walks += 1
-        else:
-            avail = miss_reply
-        walk_done = avail + cycles
-        busy[walker_slot] = walk_done
-        wstarts = write_starts[home]
-        wstart = walk_done
-        while wstarts.get(wstart, 0) >= num_write:
-            wstart += 1
-        wstarts[wstart] = wstarts.get(wstart, 0) + 1
-        if wstart != walk_done:
-            write_ports[home].conflict_cycles += wstart - walk_done
-        if cache_set is not None:  # 1GB translations are never cached
-            if len(cache_set) >= shard_ways:
-                cache_set.popitem(last=False)
-                slice_evicts[home] += 1
-            cache_set[key] = None
-            slice_inserts[home] += 1
-        walk_cycles = walk_done - miss_reply
-        if overlap_off:
-            return miss_reply - now + walk_cycles
-        return int((miss_reply - now) * visible) + walk_cycles
-
-    def finalize() -> None:
-        for i, shard in enumerate(shared.shards):
-            shard.hits += slice_hits[i]
-            shard.misses += slice_misses[i]
-            shard.insertions += slice_inserts[i]
-            shard.evictions += slice_evicts[i]
-        stats = system.stats
-        stats.l2_hits += totals[0]
-        stats.l2_misses += totals[1]
-        stats.walks += totals[4]
-        network = system.network
-        network.messages += totals[2]
-        network.total_hops += totals[3]
-
-    return transaction, finalize
+    return None

@@ -2,11 +2,17 @@
 
 One :class:`System` instance models a whole chip for one configuration.
 The engine drives it with trace records; everything below the L1 TLB
-probe — shared-slice lookups, network traversals, port and walker
-queueing, page-table walks, shootdowns — happens in
-:meth:`System.l2_transaction` and friends, against explicit
-per-cycle reservation state (link/port occupancy maps, walker queues),
-which is how contention becomes latency.
+probe happens against explicit per-cycle reservation state (link/port
+occupancy maps, walker queues), which is how contention becomes
+latency.  An L1 miss is resolved by :meth:`System.l2_transaction`,
+which delegates to one closure built at construction (private L2s, or
+shared slices and banks): it binds the live structures into locals and
+runs the common case on tables — home by arithmetic, contention-free
+mesh legs from the mesh's RouteCache rows, set probes through the
+replacement policy state — while ports, walkers and every rarer shape
+(faults, observation, prefetch, remote walks, priority ports, QoS
+quotas, the other interconnects) are calls into their one model.
+Shootdowns and flushes are methods of their own.
 
 Timing of a remote NOCSTAR access follows Fig 10: path setup (1 cycle),
 single-cycle traversal, slice port + SRAM lookup, speculative response
@@ -174,23 +180,10 @@ class System:
                 )
                 self._network_fault_aware = not config.nocstar_ideal
 
-        # Scheme predicates, precomputed: the transaction hot paths
-        # test them per message.
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
-
-        # Cached tables used by System itself (ideal-NOCSTAR timing and
-        # shootdown delivery both reduce to pure hop-count formulas).
+        #: Hop-count table for shootdown delivery (None: reference mode).
         self._hops_table = self.routes.hops if self.routes is not None else None
-        self._ideal_cycles = None
-        if (
-            scheme == cfg.NOCSTAR
-            and config.nocstar_ideal
-            and self.routes is not None
-        ):
-            self._ideal_cycles = self.routes.nocstar_cycles(
-                config.nocstar.hpc_max
-            )
 
         # --- Walkers ------------------------------------------------------
         self.page_table = PageTable()
@@ -218,13 +211,13 @@ class System:
         self.pending_penalty = [0] * n
         #: Fraction of access latency the OoO core hides (see configs).
         self._visible = 1.0 - config.translation_overlap
-        #: Service classes the shared-port reservations tag their
-        #: traffic with; all zero under FIFO arbitration, so the FIFO
-        #: reservation arithmetic is untouched (shootdown sweeps stay
-        #: class 0 — the highest — in both modes).
-        prio = config.arbitration == PRIORITY
-        self._klass_walk = WALK_CLASS if prio else 0
-        self._klass_prefetch = PREFETCH_CLASS if prio else 0
+        #: The L2 transaction, built once over the structures above.
+        #: Its closures bind the structures, never ``self``, so a System
+        #: is freed by reference counting like any other object.
+        if scheme == cfg.PRIVATE:
+            self._transaction = self._build_private_transaction()
+        else:
+            self._transaction = self._build_shared_transaction()
 
     # ------------------------------------------------------------------
     # Translation path below the L1 probe
@@ -234,240 +227,375 @@ class System:
     ) -> int:
         """Resolve an L1 TLB miss; returns the stall in cycles.
 
-        The caller (engine fast path) has already probed the L1 and
-        inserts the translation into it afterwards.
+        The caller (a drive loop) has already probed the L1 and inserts
+        the translation into it afterwards.  The work is done by the
+        closure built at construction; every drive loop enters here.
         """
-        if self.config.scheme == cfg.PRIVATE:
-            return self._private_transaction(core, asid, size, page_number, now)
-        return self._shared_transaction(core, asid, size, page_number, now)
+        return self._transaction(core, asid, size, page_number, now)
 
-    def _charge(self, access_cycles: int, walk_cycles: int) -> int:
-        """Stall visible to the core: OoO hides part of the *access*
-        latency (SRAM + interconnect), never the walk."""
-        visible = self._visible
-        if visible == 1.0:
-            # int(x * 1.0) == x exactly for any cycle count below 2**53,
-            # so the fast path is bit-identical, not an approximation.
-            return access_cycles + walk_cycles
-        return int(access_cycles * visible) + walk_cycles
-
-    def _private_transaction(
-        self, core: int, asid: int, size: int, page_number: int, now: int
-    ) -> int:
-        l2 = self.private_l2[core]
-        lookup_done = now + self.l2_lookup_cycles
-        hit = l2.lookup_page_number(asid, size, page_number)
-        if self._event is not None:
-            self._event(
-                lookup_done, "l2_lookup", core=core, slice=core, hit=hit
-            )
-        if hit:
-            self.stats.l2_hits += 1
-            return self._charge(self.l2_lookup_cycles, 0)
-        self.stats.l2_misses += 1
-        done = self._walk_at(core, asid, size, page_number, lookup_done)
-        l2.insert_page_number(asid, size, page_number)
-        if self.prefetcher.enabled:
-            for pa, ps, pp in self.prefetcher.candidates(asid, size, page_number):
-                if l2.lookup_page_number(pa, ps, pp):
-                    continue
-                self._async_prefetch_walk(core, pa, ps, pp, done)
-                l2.insert_page_number(pa, ps, pp)
-                self.stats.prefetches += 1
-        return self._charge(self.l2_lookup_cycles, done - lookup_done)
-
-    def _shared_transaction(
-        self, core: int, asid: int, size: int, page_number: int, now: int
-    ) -> int:
-        shared = self.shared_l2
-        home = shared.home(page_number, asid)
-        dst_tile = self.mono_tile if self._is_monolithic else home
+    def _build_walk(self):
+        """A requester-side walk: ``walk(core, asid, size, page_number,
+        at)`` queues it at ``core``'s walkers and returns when it
+        completes."""
+        stats = self.stats
+        walk_cycles = self.walker.walk_cycles
         inj = self.faults
-        if inj is not None:
-            # Degrade rather than hang: a dead home slice cannot serve
-            # the lookup, and a partitioned pair cannot complete the
-            # round trip — either way the request walks locally (no
-            # shared fill: the slice would never receive it).
-            dead_slice = not self._is_monolithic and inj.slice_dead(home)
-            unreachable = (
-                core != dst_tile
-                and self._network_fault_aware
-                and not inj.router.reachable_round_trip(core, dst_tile)
+        queues = self.walker_queues
+
+        def walk(
+            core: int, asid: int, size: int, page_number: int, at: int
+        ) -> int:
+            stats.walks += 1
+            latency = walk_cycles(
+                core, asid, page_number << _SHIFT[size], size, at
             )
-            if dead_slice or unreachable:
-                self.stats.l2_misses += 1
-                inj.record_degraded_walk(now, core, dst_tile)
-                walk_done = self._walk_at(core, asid, size, page_number, now)
-                if self.timeline is not None:
-                    self.timeline.append(("walk", now, walk_done))
-                return self._charge(0, walk_done - now)
-        held_links = ()
+            if inj is not None:
+                latency = inj.walk_latency(latency)
+            return queues[core].admit(at, latency)
 
-        # Request leg.
-        if self._is_nocstar:
-            if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[core][dst_tile]
-                    dur = self._ideal_cycles[core][dst_tile]
-                else:
-                    hops = self.topology.hops(core, dst_tile)
-                    dur = self.network.traversal_cycles(hops)
-                arrival = now + (1 + dur if hops else 0)
-                self.network.messages += 1
-                self.network.total_hops += hops
-                self.network.uncontended_messages += 1 if hops else 0
-            elif self.config.nocstar.acquire == ROUND_TRIP:
-                traversal = self.network.send(core, dst_tile, now, hold=True)
-                arrival = traversal.ready
-                held_links = traversal.links
-            else:
-                traversal = self.network.send(core, dst_tile, now)
-                arrival = traversal.ready
-        elif self.network is not None:
-            arrival = self.network.send(core, dst_tile, now).arrival
-            if self._is_monolithic:
-                arrival += MonolithicSharedTlb.INGRESS_CYCLES
-        else:
-            arrival = now  # ideal zero-latency interconnect / fixed-latency
+        return walk
 
-        # Slice/bank port + SRAM lookup.
-        start = shared.reserve_read(home, arrival, self._klass_walk)
-        lookup_done = start + self.l2_lookup_cycles
-        if self.record_intervals:
-            self.intervals.append((arrival, lookup_done, home))
-        if self.timeline is not None:
-            self.timeline.append(("request-network", now, arrival))
-            self.timeline.append(("slice-lookup", start, lookup_done))
+    def _build_private_transaction(self):
+        """The transaction of per-core private L2s: probe, or walk and fill."""
+        stats = self.stats
+        arrays = [l2.array for l2 in self.private_l2]
+        # Private arrays build every set eagerly: no set is ever None.
+        sets_of = [array._sets for array in arrays]
+        shift = arrays[0].index_shift
+        num_sets = arrays[0].num_sets
+        lookup_cycles = self.l2_lookup_cycles
+        visible = self._visible
+        overlap_off = visible == 1.0
+        hit_stall = (
+            lookup_cycles if overlap_off else int(lookup_cycles * visible)
+        )
+        event = self._event
+        walk = self._build_walk()
+        prefetch = self._build_prefetch()
 
-        hit = shared.lookup_page_number(asid, size, page_number, home)
-        if self._event is not None:
-            self._event(
-                lookup_done, "l2_lookup", core=core, slice=home, hit=hit
+        def transaction(
+            core: int, asid: int, size: int, page_number: int, now: int
+        ) -> int:
+            array = arrays[core]
+            lookup_done = now + lookup_cycles
+            cache_set = None
+            hit = False
+            if size != PAGE_1G:  # 1GB translations are never cached at L2
+                cache_set = sets_of[core][(page_number >> shift) % num_sets]
+                key = (asid, size, page_number)
+                hit = key in cache_set
+            if event is not None:
+                event(lookup_done, "l2_lookup", core=core, slice=core, hit=hit)
+            if hit:
+                cache_set.touch(key)
+                array.hits += 1
+                stats.l2_hits += 1
+                return hit_stall
+            array.misses += 1
+            stats.l2_misses += 1
+            done = walk(core, asid, size, page_number, lookup_done)
+            if cache_set is not None:
+                if cache_set.admit(key) is not None:
+                    array.evictions += 1
+                array.insertions += 1
+            if prefetch is not None:
+                prefetch(core, asid, size, page_number, done)
+            if overlap_off:
+                return lookup_cycles + done - lookup_done
+            return int(lookup_cycles * visible) + done - lookup_done
+
+        return transaction
+
+    def _build_shared_transaction(self):
+        """The transaction of shared slices/banks (Fig 10's timing).
+
+        Request leg to the home slice (the monolith's edge tile), port
+        reservation and SRAM probe, then either the response leg (hit,
+        or a remote walk at the home tile) or the miss reply, a walk at
+        the requester and a fire-and-forget fill back to the slice.
+        The common case runs on tables: the modulo home by arithmetic,
+        contention-free mesh legs from the mesh's RouteCache rows, set
+        probes through the policy state.  Everything else is a guarded
+        call into its one model.
+        """
+        config = self.config
+        stats = self.stats
+        shared = self.shared_l2
+        shards = shared.shards
+        sets_of = [shard._sets for shard in shards]
+        shift = shards[0].index_shift
+        num_sets = shards[0].num_sets
+        ways = shards[0].ways
+        make_set = shards[0]._state_cls
+        num_shards = shared.num_shards
+        home_of = None if config.slice_indexing == "modulo" else shared.home
+        quota = config.qos_way_quota
+        read_ports = shared.read_ports
+        write_ports = shared.write_ports
+        klass = WALK_CLASS if config.arbitration == PRIORITY else 0
+        lookup_cycles = self.l2_lookup_cycles
+        visible = self._visible
+        overlap_off = visible == 1.0
+        event = self._event
+        timeline = self.timeline
+        intervals = self.intervals if self.record_intervals else None
+        inj = self.faults
+        fault_aware = self._network_fault_aware
+        walk = self._build_walk()
+        walker = self.walker
+        queues = self.walker_queues
+        pending = self.pending_penalty
+        prefetch = self._build_prefetch()
+        monolithic = self._is_monolithic
+        mono_tile = self.mono_tile
+        remote_walks = config.ptw_policy == cfg.PTW_REMOTE and not monolithic
+        # The monolith sits beyond the mesh edge: its legs cross the
+        # H-tree in each direction.
+        ingress = MonolithicSharedTlb.INGRESS_CYCLES if monolithic else 0
+        network = self.network
+        send = network.send if network is not None else None
+        # Contention-free mesh legs come straight from the RouteCache
+        # rows whenever the mesh itself sends from them.  Manhattan
+        # routes are symmetric, so the requester's rows give both legs;
+        # each core's pair of rows is bound here on first use.
+        flat_mesh = getattr(network, "flat_tables", None) is not None
+        if flat_mesh:
+            latency_rows, hop_rows = network.flat_tables
+            rows_of = [None] * config.num_cores
+        nocstar = self._is_nocstar
+        ideal = nocstar and config.nocstar_ideal
+        ideal_send = self._build_ideal_send() if ideal else None
+        round_trip = (
+            nocstar and not ideal and config.nocstar.acquire == ROUND_TRIP
+        )
+
+        def transaction(
+            core: int, asid: int, size: int, page_number: int, now: int
+        ) -> int:
+            home = (
+                page_number % num_shards if home_of is None
+                else home_of(page_number, asid)
             )
-        walk_cycles = 0
-        if hit:
-            self.stats.l2_hits += 1
-            response_from = lookup_done
-        else:
-            self.stats.l2_misses += 1
-            if self.config.ptw_policy == cfg.PTW_REMOTE and not self._is_monolithic:
-                walk_core = dst_tile
-                walk_done = self._walk_at(
-                    walk_core, asid, size, page_number, lookup_done
+            dst = mono_tile if monolithic else home
+            if inj is not None and (
+                (not monolithic and inj.slice_dead(home))
+                or (
+                    core != dst
+                    and fault_aware
+                    and not inj.router.reachable_round_trip(core, dst)
                 )
-                if walk_core != core and self.config.ptw_fixed is None:
-                    self.pending_penalty[walk_core] += (
-                        self._last_pollution * POLLUTION_CYCLES_PER_FILL
-                    )
-                shared.insert_page_number(asid, size, page_number)
-                shared.reserve_write(home, walk_done, self._klass_walk)
-                walk_cycles = walk_done - lookup_done
-                response_from = walk_done
+            ):
+                # Degrade rather than hang: a dead home slice cannot
+                # serve the lookup and a partitioned pair cannot finish
+                # the round trip, so the request walks locally (no
+                # shared fill: the slice would never receive it).
+                stats.l2_misses += 1
+                inj.record_degraded_walk(now, core, dst)
+                walk_done = walk(core, asid, size, page_number, now)
+                if timeline is not None:
+                    timeline.append(("walk", now, walk_done))
+                return walk_done - now
+
+            # Request leg.
+            held = ()
+            if flat_mesh:
+                rows = rows_of[core]
+                if rows is None:
+                    rows = rows_of[core] = (latency_rows[core], hop_rows[core])
+                leg = rows[0][dst] + ingress
+                arrival = now + leg
+            elif ideal_send is not None:
+                hops, cycles = ideal_send(core, dst)
+                arrival = now + 1 + cycles if hops else now
+            elif round_trip:
+                traversal = send(core, dst, now, hold=True)
+                arrival = traversal.ready
+                held = traversal.links
+            elif nocstar:
+                arrival = send(core, dst, now).ready
+            elif send is not None:
+                arrival = send(core, dst, now).arrival + ingress
             else:
-                # Miss message returns to the requester, which walks and
-                # then sends the fill back to the home slice.
-                miss_reply = self._response(core, dst_tile, lookup_done, held_links)
-                walk_done = self._walk_at(core, asid, size, page_number, miss_reply)
-                held_links = ()  # released by the miss reply
-                self._async_fill(core, dst_tile, home, walk_done)
-                shared.insert_page_number(asid, size, page_number)
-                if self.prefetcher.enabled:
-                    self._prefetch_fill(core, asid, size, page_number, walk_done)
-                if self.timeline is not None:
-                    self.timeline.append(("walk", miss_reply, walk_done))
-                return self._charge(miss_reply - now, walk_done - miss_reply)
+                arrival = now  # ideal zero-latency / fixed-latency
 
-        response_ready = self._response(core, dst_tile, response_from, held_links)
-        if self.timeline is not None:
-            self.timeline.append(("response-network", response_from, response_ready))
-        if not hit and self.prefetcher.enabled:
-            self._prefetch_fill(core, asid, size, page_number, response_ready)
-        return self._charge(response_ready - now - walk_cycles, walk_cycles)
+            # Slice/bank read port + SRAM lookup.
+            start = read_ports[home].reserve(arrival, klass)
+            lookup_done = start + lookup_cycles
+            if intervals is not None:
+                intervals.append((arrival, lookup_done, home))
+            if timeline is not None:
+                timeline.append(("request-network", now, arrival))
+                timeline.append(("slice-lookup", start, lookup_done))
+            shard = shards[home]
+            cache_set = None
+            hit = False
+            if size != PAGE_1G:  # 1GB translations are never cached at L2
+                sets = sets_of[home]
+                index = (page_number >> shift) % num_sets
+                cache_set = sets[index]
+                if cache_set is None:  # lazily built
+                    cache_set = sets[index] = make_set(ways)
+                key = (asid, size, page_number)
+                hit = key in cache_set
+            if hit:
+                cache_set.touch(key)
+                shard.hits += 1
+                stats.l2_hits += 1
+            else:
+                shard.misses += 1
+                stats.l2_misses += 1
+            if event is not None:
+                event(lookup_done, "l2_lookup", core=core, slice=home, hit=hit)
 
-    def _response(
-        self, core: int, dst_tile: int, ready_at: int, held_links
-    ) -> int:
-        """Send the response (or miss message) back to the requester."""
-        if self._is_nocstar:
-            if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[dst_tile][core]
-                    dur = self._ideal_cycles[dst_tile][core]
+            walk_cycles = 0
+            ready_at = lookup_done
+            if not hit and remote_walks:
+                # The home tile walks, polluting its own caches, and
+                # fills its slice before responding.
+                result = walker.walk(
+                    dst, asid, page_number << _SHIFT[size], size, lookup_done
+                )
+                stats.walks += 1
+                latency = result.latency
+                if inj is not None:
+                    latency = inj.walk_latency(latency)
+                walk_done = queues[dst].admit(lookup_done, latency)
+                if dst != core and config.ptw_fixed is None:
+                    pending[dst] += result.pollution * POLLUTION_CYCLES_PER_FILL
+                if cache_set is not None:
+                    shard.insert(asid, size, page_number)
+                write_ports[home].reserve(walk_done, klass)
+                walk_cycles = walk_done - lookup_done
+                ready_at = walk_done
+
+            # Response leg (or, on a requester-side miss, the miss reply).
+            if flat_mesh:
+                ready = ready_at + leg
+                hops = rows[1][dst]
+                network.messages += 2  # request and response
+                network.total_hops += 2 * hops
+            elif ideal_send is not None:
+                ready = ready_at + ideal_send(dst, core)[1]
+            elif held:
+                # Round-trip acquisition: the path is still ours.
+                ready = ready_at + network.traversal_cycles(len(held))
+                network.release(held, ready)
+                network.messages += 1
+                network.total_hops += len(held)
+            elif nocstar:
+                ready = send(dst, core, ready_at, speculative_setup=True).ready
+            elif send is not None:
+                ready = send(dst, core, ready_at).arrival + ingress
+            else:
+                ready = ready_at
+
+            if hit or remote_walks:
+                if timeline is not None:
+                    timeline.append(("response-network", ready_at, ready))
+                if prefetch is not None and not hit:
+                    prefetch(core, asid, size, page_number, ready)
+                access = ready - now - walk_cycles
+                if overlap_off:
+                    return access + walk_cycles
+                return int(access * visible) + walk_cycles
+
+            # The requester walks, then sends the fill to the home slice
+            # (on the real fabric even under NOCSTAR(ideal): DESIGN.md).
+            walk_done = walk(core, asid, size, page_number, ready)
+            if flat_mesh:
+                network.messages += 1
+                network.total_hops += hops
+            elif send is not None:
+                send(core, dst, walk_done)
+            write_ports[home].reserve(walk_done, klass)
+            if cache_set is not None:
+                if quota is not None:
+                    shard.insert(asid, size, page_number)
                 else:
-                    hops = self.topology.hops(dst_tile, core)
-                    dur = self.network.traversal_cycles(hops)
-                self.network.messages += 1
-                self.network.total_hops += hops
-                self.network.uncontended_messages += 1 if hops else 0
-                return ready_at + dur
-            if held_links:
-                # Round-trip acquisition: path still ours, no arbitration.
-                dur = self.network.traversal_cycles(len(held_links))
-                ready = ready_at + dur
-                self.network.release(held_links, ready)
-                self.network.messages += 1
-                self.network.total_hops += len(held_links)
-                return ready
-            return self.network.send(
-                dst_tile, core, ready_at, speculative_setup=True
-            ).ready
-        if self.network is not None:
-            egress = (
-                MonolithicSharedTlb.INGRESS_CYCLES if self._is_monolithic else 0
-            )
-            return self.network.send(dst_tile, core, ready_at).arrival + egress
-        return ready_at
+                    if cache_set.admit(key) is not None:
+                        shard.evictions += 1
+                    shard.insertions += 1
+            if prefetch is not None:
+                prefetch(core, asid, size, page_number, walk_done)
+            if timeline is not None:
+                timeline.append(("walk", ready, walk_done))
+            if overlap_off:
+                return walk_done - now
+            return int((ready - now) * visible) + walk_done - ready
 
-    def _async_fill(self, core: int, dst_tile: int, home: int, when: int) -> None:
-        """Fire-and-forget insert message from requester back to the slice."""
-        if self._is_nocstar and not self.config.nocstar_ideal:
-            self.network.send(core, dst_tile, when)
-        elif self.network is not None:
-            self.network.send(core, dst_tile, when)
-        self.shared_l2.reserve_write(home, when, self._klass_walk)
+        return transaction
 
-    def _prefetch_fill(
-        self, core: int, asid: int, size: int, page_number: int, when: int
-    ) -> None:
-        """Prefetch neighbour translations into their home slices.
+    def _build_ideal_send(self):
+        """NOCSTAR(ideal)'s legs: guaranteed-free links, so a message
+        is its uncontended traversal; returns ``(hops, cycles)``."""
+        network = self.network
+        if self.routes is not None:
+            hop_rows = self.routes.hops
+            cycle_rows = self.routes.nocstar_cycles(self.config.nocstar.hpc_max)
 
-        Each prefetched translation requires its own page walk, which
-        occupies (but does not stall on) the requesting core's walkers
-        — this is what makes over-aggressive distances (+/-3) pollute,
-        as the paper observed."""
-        for pa, ps, pp in self.prefetcher.candidates(asid, size, page_number):
-            if self.shared_l2.probe_page_number(pa, ps, pp):
-                continue
-            self._async_prefetch_walk(core, pa, ps, pp, when)
-            self.shared_l2.insert_page_number(pa, ps, pp)
-            self.shared_l2.reserve_write(
-                self.shared_l2.home(pp, pa), when, self._klass_prefetch
-            )
-            self.stats.prefetches += 1
+            def legs(src: int, dst: int) -> Tuple[int, int]:
+                return hop_rows[src][dst], cycle_rows[src][dst]
+        else:
+            hops_of = self.topology.hops
 
-    def _async_prefetch_walk(
-        self, core: int, asid: int, size: int, page_number: int, when: int
-    ) -> None:
-        result = self.walker.walk(core, asid, page_number << _SHIFT[size], size, when)
-        latency = result.latency
-        if self.faults is not None:
-            latency = self.faults.walk_latency(latency)
-        self.walker_queues[core].admit(when, latency)
+            def legs(src: int, dst: int) -> Tuple[int, int]:
+                hops = hops_of(src, dst)
+                return hops, network.traversal_cycles(hops)
 
-    _last_pollution = 0
+        def ideal_send(src: int, dst: int) -> Tuple[int, int]:
+            hops, cycles = legs(src, dst)
+            network.messages += 1
+            network.total_hops += hops
+            if hops:
+                network.uncontended_messages += 1
+            return hops, cycles
 
-    def _walk_at(
-        self, core: int, asid: int, size: int, page_number: int, now: int
-    ) -> int:
-        """Queue and perform a page walk at ``core``'s hardware walker."""
-        vpn = page_number << _SHIFT[size]
-        result = self.walker.walk(core, asid, vpn, size, now)
-        self._last_pollution = getattr(result, "pollution", 0)
-        self.stats.walks += 1
-        latency = result.latency
-        if self.faults is not None:
-            latency = self.faults.walk_latency(latency)
-        return self.walker_queues[core].admit(now, latency)
+        return ideal_send
+
+    def _build_prefetch(self):
+        """Sequential prefetch after an L2 miss, or None when disabled.
+
+        ``prefetch(core, asid, size, page_number, when)`` installs the
+        missing neighbour translations: in the requester's private L2
+        (probed with a counted lookup), or in their home slices (probed
+        without side effects, each fill taking a write-port slot).  Each
+        one needs its own page walk, which occupies (but does not stall
+        on) the requester's walkers — this is what makes over-aggressive
+        distances (+/-3) pollute, as the paper observed.
+        """
+        prefetcher = self.prefetcher
+        if not prefetcher.enabled:
+            return None
+        stats = self.stats
+        walk_cycles = self.walker.walk_cycles
+        inj = self.faults
+        queues = self.walker_queues
+        private_l2 = self.private_l2
+        shared = self.shared_l2
+        klass = PREFETCH_CLASS if self.config.arbitration == PRIORITY else 0
+
+        def prefetch(
+            core: int, asid: int, size: int, page_number: int, when: int
+        ) -> None:
+            for pa, ps, pp in prefetcher.candidates(asid, size, page_number):
+                if shared is None:
+                    l2 = private_l2[core]
+                    if l2.lookup_page_number(pa, ps, pp):
+                        continue
+                elif shared.probe_page_number(pa, ps, pp):
+                    continue
+                latency = walk_cycles(core, pa, pp << _SHIFT[ps], ps, when)
+                if inj is not None:
+                    latency = inj.walk_latency(latency)
+                queues[core].admit(when, latency)
+                if shared is None:
+                    l2.insert_page_number(pa, ps, pp)
+                else:
+                    shared.insert_page_number(pa, ps, pp)
+                    shared.reserve_write(shared.home(pp, pa), when, klass)
+                stats.prefetches += 1
+
+        return prefetch
 
     # ------------------------------------------------------------------
     # Shootdowns and storms

@@ -68,16 +68,18 @@ class _PortSet:
         """Return the cycle the access can start (>= now)."""
         start = now
         starts = self._starts
-        while starts.get(start, 0) >= self.num_ports:
+        ports = self.num_ports
+        while starts.get(start, 0) >= ports:
             start += 1
-        if klass and self.priority and start > now:
-            # Lower-priority traffic lost the arbitration: pay the
-            # class penalty, then take the next genuinely free cycle.
-            start += klass
-            while starts.get(start, 0) >= self.num_ports:
-                start += 1
+        if start != now:
+            if klass and self.priority:
+                # Lower-priority traffic lost the arbitration: pay the
+                # class penalty, then take the next genuinely free cycle.
+                start += klass
+                while starts.get(start, 0) >= ports:
+                    start += 1
+            self.conflict_cycles += start - now
         starts[start] = starts.get(start, 0) + 1
-        self.conflict_cycles += start - now
         return start
 
     def reserve_many(self, now: int, count: int) -> int:

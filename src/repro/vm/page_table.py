@@ -13,8 +13,7 @@ tables on a real system — are shared in the caches by every core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.vm.address import (
     PAGE_1G,
@@ -32,11 +31,21 @@ FANOUT = 512
 #: (3 node accesses) and a 1GB page at the PDPT (2 node accesses).
 LEVELS = ("pml4", "pdpt", "pd", "pt")
 _LEAF_DEPTH = {PAGE_4K: 4, PAGE_2M: 3, PAGE_1G: 2}
+#: Radix indices are 9 bits; level i's sits _INDEX_SHIFT[i] bits up a
+#: 4KB VPN, and the four of them span its low 36 bits.
+_INDEX_BITS = 9
+_INDEX_MASK = FANOUT - 1
+_INDEX_SHIFT = (27, 18, 9, 0)
+_VPN_MASK = (1 << (_INDEX_BITS * len(LEVELS))) - 1
 
 
-@dataclass(frozen=True)
-class PTE:
-    """A translation: physical page number at the mapping's granularity."""
+class PTE(NamedTuple):
+    """A translation: physical page number at the mapping's granularity.
+
+    A NamedTuple rather than a frozen dataclass: every cold walk builds
+    one, and tuple construction is several times cheaper than a frozen
+    dataclass ``__init__``.
+    """
 
     ppn: int
     page_size: int
@@ -47,8 +56,10 @@ class PageTable:
     """Radix page tables for all address spaces, plus frame allocation."""
 
     def __init__(self) -> None:
-        # (asid, level_depth, node_index_path) -> physical frame base.
-        self._nodes: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+        # (asid, level, VPN bits above the level) -> physical frame base.
+        self._nodes: Dict[Tuple[int, int, int], int] = {}
+        # Leaf node key (as in _nodes) -> _node_chain's result.
+        self._chains: Dict[Tuple[int, int, int], Tuple[tuple, int]] = {}
         self._ptes: Dict[Tuple[int, int, int], PTE] = {}
         # (asid, page_size, page_number) -> (walk addresses, PTE); see
         # walk_info.  Invalidated by unmap.
@@ -63,24 +74,6 @@ class PageTable:
         frame = self._next_frame * FRAME_BYTES
         self._next_frame += 1
         return frame
-
-    def _node_frame(self, asid: int, depth: int, path: Tuple[int, ...]) -> int:
-        key = (asid, depth, path)
-        frame = self._nodes.get(key)
-        if frame is None:
-            frame = self._nodes[key] = self._allocate_frame()
-            self.nodes_allocated += 1
-        return frame
-
-    @staticmethod
-    def _indices(vpn: int) -> Tuple[int, int, int, int]:
-        """Radix indices (PML4, PDPT, PD, PT) for a 4KB VPN."""
-        return (
-            (vpn >> 27) & (FANOUT - 1),
-            (vpn >> 18) & (FANOUT - 1),
-            (vpn >> 9) & (FANOUT - 1),
-            vpn & (FANOUT - 1),
-        )
 
     def map_page(self, asid: int, vpn: int, page_size: int) -> PTE:
         """Ensure the translation covering 4KB VPN ``vpn`` exists."""
@@ -99,20 +92,45 @@ class PageTable:
         """Return the PTE covering ``vpn`` (mapping it on first touch)."""
         return self.map_page(asid, vpn, page_size)
 
-    def walk_addresses(self, asid: int, vpn: int, page_size: int) -> List[int]:
+    def walk_addresses(
+        self, asid: int, vpn: int, page_size: int
+    ) -> Tuple[int, ...]:
         """Physical addresses of the page-table entries a walk touches.
 
         One address per radix level down to the leaf: 4 for 4KB
-        mappings, 3 for 2MB, 2 for 1GB.
+        mappings, 3 for 2MB, 2 for 1GB.  Every page under one leaf node
+        shares the entries above it, so those come from a per-node memo
+        and only the leaf entry is computed per page.
         """
-        depth = _LEAF_DEPTH[page_size]
-        indices = self._indices(vpn)
+        vpn &= _VPN_MASK
+        leaf = _LEAF_DEPTH[page_size] - 1
+        shift = _INDEX_SHIFT[leaf]
+        key = (asid, leaf, vpn >> shift >> _INDEX_BITS)
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = self._node_chain(asid, vpn, leaf)
+        upper, frame = chain
+        return upper + (frame + ((vpn >> shift) & _INDEX_MASK) * ENTRY_BYTES,)
+
+    def _node_chain(
+        self, asid: int, vpn: int, leaf: int
+    ) -> Tuple[Tuple[int, ...], int]:
+        """The entry addresses above level ``leaf`` on ``vpn``'s path
+        and the frame of its level-``leaf`` node; missing nodes are
+        allocated root first."""
+        nodes = self._nodes
         addresses = []
-        for level in range(depth):
-            path = indices[:level]  # path identifies the node
-            frame = self._node_frame(asid, level, path)
-            addresses.append(frame + indices[level] * ENTRY_BYTES)
-        return addresses
+        for level in range(leaf + 1):
+            # A node is named by the index path above it: the VPN's top
+            # 9 * level bits; the entry within it by the next 9.
+            shift = _INDEX_SHIFT[level]
+            key = (asid, level, vpn >> shift >> _INDEX_BITS)
+            frame = nodes.get(key)
+            if frame is None:
+                frame = nodes[key] = self._allocate_frame()
+                self.nodes_allocated += 1
+            addresses.append(frame + ((vpn >> shift) & _INDEX_MASK) * ENTRY_BYTES)
+        return tuple(addresses[:-1]), frame
 
     def walk_info(self, asid: int, vpn: int, page_size: int) -> Tuple[Tuple[int, ...], PTE]:
         """Walk addresses plus the PTE, memoised per translation.
@@ -129,7 +147,7 @@ class PageTable:
         key = (asid, page_size, translation_vpn(vpn, page_size))
         info = self._walk_info.get(key)
         if info is None:
-            addresses = tuple(self.walk_addresses(asid, vpn, page_size))
+            addresses = self.walk_addresses(asid, vpn, page_size)
             pte = self._ptes.get(key)
             if pte is None:
                 # map_page's body minus its node materialisation — the

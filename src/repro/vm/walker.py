@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.cache import CacheHierarchy
 from repro.obs import NULL_SINK
@@ -35,30 +35,17 @@ class WalkResult:
     pollution: int = 0
 
 
-class _PageWalkCache:
-    """Per-core cache of upper-level page-table entries (1-cycle hit)."""
+def _observe_walk(
+    sink, core: int, vpn: int, now: int, latency: int
+) -> None:
+    """One walk's latency sample and begin/end events."""
+    sink.observe("walk.latency", latency)
+    sink.event(now, "walk_begin", core=core, vpn=vpn)
+    sink.event(now + latency, "walk_end", core=core, latency=latency)
 
-    def __init__(self, entries: int = 32) -> None:
-        self.entries = entries
-        self._cache: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
-    def lookup(self, addr: int) -> bool:
-        if addr in self._cache:
-            self._cache.move_to_end(addr)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def fill(self, addr: int) -> None:
-        if addr not in self._cache and len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[addr] = None
-
-    def invalidate_all(self) -> None:
-        self._cache.clear()
+#: Walk levels that install no new line in the walking core's L1.
+_NO_POLLUTION = ("pwc", "l1")
 
 
 class PageTableWalker:
@@ -76,7 +63,12 @@ class PageTableWalker:
     ) -> None:
         self.page_table = page_table
         self.hierarchy = hierarchy
-        self.pwcs = [_PageWalkCache(pwc_entries) for _ in range(num_cores)]
+        #: Per-core PWC: upper-level entry addresses, LRU first (1-cycle
+        #: hit); walk_cycles probes and fills it.
+        self.pwcs: "List[OrderedDict[int, None]]" = [
+            OrderedDict() for _ in range(num_cores)
+        ]
+        self.pwc_entries = pwc_entries
         self.walks = 0
         self.sink = sink
         self.level_hits: Dict[str, int] = {
@@ -86,68 +78,69 @@ class PageTableWalker:
     def walk(
         self, core: int, asid: int, vpn: int, page_size: int, now: int
     ) -> WalkResult:
-        """Perform a serial walk at ``core``; returns latency and the PTE."""
-        addresses, pte = self.page_table.walk_info(asid, vpn, page_size)
-        pwc = self.pwcs[core]
-        level_hits = self.level_hits
-        access = self.hierarchy.access
-        latency = 0
-        pollution = 0
-        levels = []
-        last = len(addresses) - 1
-        for depth, addr in enumerate(addresses):
-            # Upper levels can hit the PWC; the leaf PTE never does.
-            if depth < last and pwc.lookup(addr):
-                latency += self.PWC_HIT_CYCLES
-                levels.append("pwc")
-                level_hits["pwc"] += 1
-                continue
-            level, cycles = access(core, addr, now + latency)
-            latency += cycles
-            levels.append(level)
-            level_hits[level] += 1
-            if level != "l1":
-                pollution += 1
-            if depth < last:
-                pwc.fill(addr)
-        self.walks += 1
-        if self.sink.enabled:
-            self.sink.observe("walk.latency", latency)
-            self.sink.event(now, "walk_begin", core=core, vpn=vpn)
-            self.sink.event(
-                now + latency, "walk_end", core=core, latency=latency
-            )
+        """Perform a serial walk at ``core``; returns latency and the PTE.
+
+        :meth:`walk_cycles` plus the PTE, the level trace and the
+        pollution tally (references that missed the walking core's L1).
+        """
+        levels: List[str] = []
+        latency = self.walk_cycles(core, asid, vpn, page_size, now, levels)
+        pte = self.page_table.walk_info(asid, vpn, page_size)[1]
+        pollution = sum(level not in _NO_POLLUTION for level in levels)
         return WalkResult(
             latency=latency, pte=pte, levels=tuple(levels), pollution=pollution
         )
 
     def walk_cycles(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
+        self,
+        core: int,
+        asid: int,
+        vpn: int,
+        page_size: int,
+        now: int,
+        levels: Optional[List[str]] = None,
     ) -> int:
-        """:meth:`walk` minus the per-walk result object and trace.
+        """Perform a serial walk at ``core``; returns its latency.
 
-        Identical caching/counter side effects and latency; skips the
-        ``WalkResult``/levels-tuple construction, pollution tally, and
-        sink events.  For engine fast paths that run with observability
-        disabled and never read pollution (requester-side PTW only).
+        Upper levels can hit the core's PWC; the leaf PTE never does.
+        Every other reference goes through the cache hierarchy, and an
+        upper level that missed the PWC is filled into it afterwards.
+        ``levels``, when given, collects where each reference was
+        satisfied.  Sink events are emitted only when the sink is
+        enabled.
         """
-        addresses, _ = self.page_table.walk_info(asid, vpn, page_size)
-        pwc = self.pwcs[core]
+        addresses = self.page_table.walk_info(asid, vpn, page_size)[0]
+        cached = self.pwcs[core]
         level_hits = self.level_hits
         access = self.hierarchy.access
-        latency = 0
-        last = len(addresses) - 1
-        for depth, addr in enumerate(addresses):
-            if depth < last and pwc.lookup(addr):
+        latency = hits = 0
+        for addr in addresses[:-1]:
+            if addr in cached:
+                cached.move_to_end(addr)
+                hits += 1
                 latency += self.PWC_HIT_CYCLES
-                level_hits["pwc"] += 1
+                if levels is not None:
+                    levels.append("pwc")
                 continue
             level, cycles = access(core, addr, now + latency)
             latency += cycles
             level_hits[level] += 1
-            if depth < last:
-                pwc.fill(addr)
+            if levels is not None:
+                levels.append(level)
+            # The missed address is absent: the fill is an LRU append.
+            if len(cached) >= self.pwc_entries:
+                cached.popitem(last=False)
+            cached[addr] = None
+        # The leaf PTE.
+        level, cycles = access(core, addresses[-1], now + latency)
+        latency += cycles
+        level_hits[level] += 1
+        if levels is not None:
+            levels.append(level)
+        level_hits["pwc"] += hits
         self.walks += 1
+        if self.sink.enabled:
+            _observe_walk(self.sink, core, vpn, now, latency)
         return latency
 
 
@@ -167,11 +160,7 @@ class FixedLatencyWalker:
     ) -> WalkResult:
         self.walks += 1
         pte = self.page_table.lookup(asid, vpn, page_size)
-        self.sink.observe("walk.latency", self.latency)
-        self.sink.event(now, "walk_begin", core=core, vpn=vpn)
-        self.sink.event(
-            now + self.latency, "walk_end", core=core, latency=self.latency
-        )
+        _observe_walk(self.sink, core, vpn, now, self.latency)
         return WalkResult(latency=self.latency, pte=pte, levels=("fixed",))
 
     def walk_cycles(
@@ -180,11 +169,7 @@ class FixedLatencyWalker:
         """Latency-only variant matching :meth:`PageTableWalker.walk_cycles`."""
         self.walks += 1
         self.page_table.lookup(asid, vpn, page_size)
-        self.sink.observe("walk.latency", self.latency)
-        self.sink.event(now, "walk_begin", core=core, vpn=vpn)
-        self.sink.event(
-            now + self.latency, "walk_end", core=core, latency=self.latency
-        )
+        _observe_walk(self.sink, core, vpn, now, self.latency)
         return self.latency
 
 
@@ -209,14 +194,20 @@ class WalkerQueue:
         self._busy_until = [0] * self.num_walkers
 
     def admit(self, now: int, latency: int) -> int:
-        """Start a walk of ``latency`` cycles; return its completion time."""
-        walker = min(range(self.num_walkers), key=self._busy_until.__getitem__)
-        start = max(now, self._busy_until[walker])
-        self.total_queue_cycles += start - now
+        """Start a walk of ``latency`` cycles; return its completion time.
+
+        The walk takes the earliest-free walker (ties: the lowest index).
+        """
+        busy = self._busy_until
+        start = min(busy)
+        walker = busy.index(start)
         if start > now:
+            self.total_queue_cycles += start - now
             self.queued_walks += 1
-        self._busy_until[walker] = start + latency
-        return start + latency
+        else:
+            start = now
+        done = busy[walker] = start + latency
+        return done
 
     @property
     def busy_until(self) -> int:

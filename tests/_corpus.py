@@ -190,4 +190,49 @@ def differential_corpus():
             "xsbench",
             shootdown=ShootdownTraffic(period=3000, initiators=2),
         ),
+        # The transaction's rarer branches: prefetch (private and shared
+        # loops), remote walks with pollution, QoS way quotas, the
+        # fixed-latency walker, a non-modulo home, no OoO overlap, and
+        # recorded slice intervals.
+        _single(
+            "private-prefetch",
+            cfg.private(8, prefetch_distances=(1,)),
+            "gups",
+        ),
+        _single(
+            "distributed-prefetch",
+            cfg.distributed(8, prefetch_distances=(1,)),
+            "graph500",
+        ),
+        _single(
+            "nocstar-remote-ptw",
+            cfg.nocstar(8, ptw_policy=cfg.PTW_REMOTE),
+            "canneal",
+        ),
+        _single(
+            "distributed-qos-quota",
+            cfg.distributed(8, qos_way_quota=2),
+            "olio",
+        ),
+        _single(
+            "distributed-fixed-walker",
+            cfg.distributed(8, ptw_fixed=20),
+            "xsbench",
+        ),
+        _single(
+            "distributed-xor-fold",
+            cfg.distributed(8, slice_indexing="xor-fold"),
+            "gups",
+        ),
+        _single(
+            "nocstar-overlap-0",
+            cfg.nocstar(8, translation_overlap=0.0),
+            "olio",
+        ),
+        _single(
+            "monolithic-smart-intervals",
+            cfg.build_config("monolithic-smart", 8),
+            "canneal",
+            record_intervals=True,
+        ),
     ]

@@ -7,7 +7,18 @@ corpus scenario (all interconnects, faults on/off, observability
 on/off, storm/shootdown traffic) must produce byte-identical
 ``RunResult`` snapshots and trace exports under both engines, across
 serial, parallel, and cache-replayed execution.
+
+Engines agreeing with each other is not enough once they share one
+transaction, so every corpus entry's ``sha256(canonical_json(result))``
+is also pinned in ``corpus_pins.json``.  The pins were derived before
+the L2 transaction became one table-driven closure, from the method
+chain it replaced (all three engines agreed there); a pin that moves
+means the simulated behaviour moved.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +40,11 @@ from tests._corpus import (
 )
 
 CORPUS = differential_corpus()
+PINS = json.loads((Path(__file__).parent / "corpus_pins.json").read_text())
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
 
 
 def _execute(scenario, monkeypatch, reference):
@@ -45,6 +61,7 @@ def _execute(scenario, monkeypatch, reference):
 def test_engines_byte_identical(name, scenario, monkeypatch, tmp_path):
     batched = _execute(scenario, monkeypatch, reference=False)
     reference = _execute(scenario, monkeypatch, reference=True)
+    assert _digest(batched) == PINS[name]
     assert canonical_json(batched) == canonical_json(reference)
     if scenario.trace:
         # The exported artefact (runs + events) must match byte for
@@ -87,6 +104,10 @@ def test_vectorized_engine_byte_identical(name, scenario, monkeypatch, tmp_path)
             )
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_every_corpus_entry_is_pinned():
+    assert sorted(PINS) == sorted(name for name, _ in CORPUS)
 
 
 def test_fast_path_engages_and_reference_env_disables_it(monkeypatch):

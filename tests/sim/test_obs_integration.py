@@ -5,9 +5,19 @@ The overhead contract (ISSUE satellite): a metrics-disabled run must be
 ``trace`` None — and an observed run must not perturb timing.
 """
 
+from dataclasses import replace
+
+import pytest
+
+from repro.exec.cache import canonical_json
+from repro.noc.mesh import ContentionFreeMesh
+from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
+from repro.sim import engine
 from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
+from repro.sim.engine_vec import VECTORIZED_ENV, VECTORIZED_MIN_CORES
 from repro.sim.scenario import Scenario
+from repro.vm.walker import PageTableWalker
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -130,3 +140,55 @@ def test_simulate_scenario_accepts_obs_overrides():
     result = simulate(scenario, metrics=True)
     assert result.metrics is not None
     assert result.trace is None
+
+
+def test_observation_changes_only_the_mesh_send(monkeypatch):
+    """Observing a mega-mesh run keeps its drive loop and walker: plain
+    and observed runs take the same loop and the same latency-only walk
+    (never ``walk()``), and their results differ only in ``metrics``
+    and ``trace``.  The one path that differs is the mesh leg: a plain
+    run times every leg from the mesh's RouteCache rows and sends
+    nothing, an observed run sends every message through
+    ``_send_observed`` for link accounting."""
+    monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
+    loops, walks, sends = [], [], []
+    for name in ("_drive_batched", "_drive_vectorized", "_drive_reference"):
+        def spy(*args, _name=name, _real=getattr(engine, name), **kwargs):
+            loops.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, spy)
+    walk_cycles = PageTableWalker.walk_cycles
+
+    def spy_walk_cycles(self, *args, **kwargs):
+        walks.append(self.sink.enabled)
+        return walk_cycles(self, *args, **kwargs)
+
+    monkeypatch.setattr(PageTableWalker, "walk_cycles", spy_walk_cycles)
+    monkeypatch.setattr(
+        PageTableWalker, "walk",
+        lambda *args, **kwargs: pytest.fail("walk() on a requester path"),
+    )
+    for name in ("send", "_send_cached", "_send_observed"):
+        def spy_send(self, *args, _name=name,
+                     _real=getattr(ContentionFreeMesh, name)):
+            sends.append((_name, self.flat_tables is None))
+            return _real(self, *args)
+
+        monkeypatch.setattr(ContentionFreeMesh, name, spy_send)
+    config = cfg.distributed(VECTORIZED_MIN_CORES)
+    workload = _workload(VECTORIZED_MIN_CORES, accesses=4, seed=1)
+    plain = simulate(config, workload)
+    assert sends == []
+    observed = simulate(config, workload, metrics=True, trace=True)
+    assert loops == ["_drive_vectorized", "_drive_vectorized"]
+    assert walks == [False] * plain.stats.walks + [True] * observed.stats.walks
+    assert sends == [("_send_observed", True)] * observed.network["messages"]
+    assert observed.metrics["counters"]["walk.count"] == observed.stats.walks
+    assert observed.trace
+
+    def unobserved(result):
+        return canonical_json(replace(result, metrics=None, trace=None))
+
+    assert unobserved(observed) == unobserved(plain)

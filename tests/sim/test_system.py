@@ -1,5 +1,8 @@
 """System model: translation paths, shootdowns, energy plumbing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import configs as cfg
@@ -90,6 +93,33 @@ def test_nocstar_ideal_never_retries():
     assert system.network.total_setup_retries == 0
 
 
+def test_nocstar_ideal_fill_arbitrates_on_the_real_fabric():
+    """NOCSTAR(ideal)'s request and response legs take the contention-
+    free formula, but the requester's fill still sets up a circuit on
+    the real fabric: it books link cycles and control requests.  Pinned
+    as the current behaviour (see DESIGN.md, "Engine fast path")."""
+    system = System(cfg.nocstar_ideal(16, translation_overlap=0.0))
+    network = system.network
+    pn = 5  # homed on tile 5, two hops from core 0
+    hops = system.topology.hops(0, pn)
+    assert hops == 2
+    stall = system.l2_transaction(0, 1, PAGE_4K, pn, now=0)  # miss
+    walk_done = stall  # no overlap: the stall ends at the walk
+    # Request and miss reply by formula, the fill by arbitration.
+    assert network.messages == 3
+    assert network.total_hops == 3 * hops
+    assert network.control_requests == hops  # one won setup, no retry
+    cycles = network.traversal_cycles(hops)
+    assert sorted(network._busy) == list(
+        range(walk_done + 1, walk_done + 1 + cycles)
+    )
+    # A hit never arbitrates: two formula legs, no booking.
+    system.l2_transaction(0, 1, PAGE_4K, pn, now=5000)
+    assert network.messages == 5
+    assert network.control_requests == hops
+    assert len(network._busy) == cycles
+
+
 def test_flush_all_tlbs():
     system = System(cfg.nocstar(4))
     system.l2_transaction(0, 1, PAGE_4K, 7, now=0)
@@ -167,3 +197,31 @@ def test_interval_recording():
     start, end, home = system.intervals[0]
     assert end > start
     assert home == system.shared_l2.home(5)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cfg.private(4, prefetch_distances=(1,)),
+        cfg.distributed(4, prefetch_distances=(1,)),
+        cfg.nocstar_ideal(4),
+        cfg.build_config("monolithic-smart", 4),
+    ],
+    ids=lambda config: config.name,
+)
+def test_system_is_freed_without_the_cycle_collector(config):
+    """The transaction closures bind the structures, never the System,
+    so a finished run's machine is freed at once rather than at the
+    next cyclic collection (which let lineups hold several 64-core
+    machines alive at a time)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = System(config)
+        system.l2_transaction(0, 1, PAGE_4K, 5, now=0)
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mem.cache import CacheHierarchy
+from repro.obs import EventTrace, MetricsSink
 from repro.vm.address import PAGE_2M, PAGE_4K
 from repro.vm.page_table import PageTable
 from repro.vm.walker import FixedLatencyWalker, PageTableWalker, WalkerQueue
@@ -47,6 +48,35 @@ def test_walks_counted():
     walker.walk(0, 1, 1, PAGE_4K, 0)
     walker.walk(0, 1, 2, PAGE_4K, 0)
     assert walker.walks == 2
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_walk_cycles_matches_walk_with_the_sink_enabled(fixed):
+    """The latency-only walk keeps every side effect of ``walk``: the
+    caches, PWCs and counters, and the sink's observation and events,
+    in the same order."""
+    walkers, sinks = [], []
+    for _ in range(2):
+        sink = MetricsSink(trace=EventTrace())
+        table = PageTable()
+        if fixed:
+            walker = FixedLatencyWalker(table, 20, sink=sink)
+        else:
+            walker = PageTableWalker(table, CacheHierarchy(2), 2, sink=sink)
+        walkers.append(walker)
+        sinks.append(sink)
+    full, lean = walkers
+    for i, (core, vpn, size) in enumerate(
+        [(0, 1000, PAGE_4K), (1, 1000, PAGE_4K), (0, 1001, PAGE_4K),
+         (0, 512 * 5, PAGE_2M), (1, 1000, PAGE_4K)]
+    ):
+        latency = full.walk(core, 1, vpn, size, now=10 * i).latency
+        assert lean.walk_cycles(core, 1, vpn, size, now=10 * i) == latency
+    assert sinks[0].trace.to_records() == sinks[1].trace.to_records()
+    assert sinks[0].registry.snapshot() == sinks[1].registry.snapshot()
+    assert full.walks == lean.walks == 5
+    if not fixed:
+        assert full.level_hits == lean.level_hits
 
 
 def test_pwc_is_per_core():
