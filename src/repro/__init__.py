@@ -8,9 +8,8 @@ Public API tour:
   :class:`~repro.exec.runner.Runner`, the run harness, configuration
   factories and registry, and the workload registry.
 * ``repro.exec`` — parallel experiment runner with content-addressed
-  result caching (the execution substrate behind every sweep).
-* ``repro.serve`` — simulation-as-a-service: the ``repro serve``
-  daemon, job manager, and :class:`~repro.serve.client.ServeClient`.
+  result caching; :class:`~repro.exec.runner.Runner` is the one
+  execution front end behind every run, sweep, and campaign.
 * ``repro.sim`` — build configurations (:func:`repro.sim.private`,
   :func:`repro.sim.nocstar`, ...) and the simulation engine; the run
   harness lives on the :mod:`repro.api` facade.
@@ -35,9 +34,9 @@ Quickstart::
     print(cmp.speedup("nocstar"))
 """
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
-from repro import analysis, api, core, energy, mem, noc, serve, sim, tlb, vm, workloads
+from repro import analysis, api, core, energy, mem, noc, sim, tlb, vm, workloads
 from repro import exec as exec_  # "exec" shadows the builtin; alias too
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "exec",
     "mem",
     "noc",
-    "serve",
     "sim",
     "tlb",
     "vm",

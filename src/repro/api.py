@@ -1,16 +1,12 @@
 """``repro.api`` — the supported public surface of this package.
 
 This facade is the stability boundary: everything in ``__all__`` below
-keeps its name and semantics across releases, with deprecation cycles
-for any change.  Internal modules (``repro.sim.engine`` internals, TLB
+keeps its name and semantics across releases; removals happen only in a
+major release.  Internal modules (``repro.sim.engine`` internals, TLB
 structures, NoC models, ...) may be imported directly for research, but
 only what is re-exported here is covered by that promise.
 :data:`VERSION` names the facade revision; bump it whenever the surface
-grows (see the migration table in DESIGN.md for what moved where).
-
-Legacy package-level entry points (``from repro.sim import simulate`` /
-``compare`` / ``run_suite``) still work but emit
-:class:`DeprecationWarning` — this module is their supported home.
+changes (see DESIGN.md for the migration and removal tables).
 
 Typical use::
 
@@ -44,7 +40,7 @@ from repro.experiments import (
     run_campaign,
     update_pins,
 )
-from repro.exec.runner import Runner, execute_unit, unit_cost
+from repro.exec.runner import Runner
 from repro.exec.trace_store import TraceStore, attach_workload
 from repro.faults import (
     ArbiterDrop,
@@ -68,7 +64,6 @@ from repro.obs import (
     Tracer,
     load_obs_records,
     load_spans,
-    render_prometheus,
     render_report,
     render_tree,
     write_obs_jsonl,
@@ -101,21 +96,6 @@ from repro.sim.run import (
     run_suite,
     summarize_speedups,
 )
-from repro.serve import (
-    SCHEMA_VERSION,
-    SERVICE_CLASSES,
-    BackgroundDaemon,
-    JobManager,
-    JobResult,
-    JobStatus,
-    SchemaError,
-    ServeClient,
-    ServeConfig,
-    ServeDaemon,
-    ServeError,
-    SubmitRequest,
-    run_daemon,
-)
 from repro.sim.scenario import RunUnit, Scenario
 from repro.tlb.opt import (
     PolicyEval,
@@ -134,17 +114,19 @@ from repro.workloads.generators import (
 from repro.workloads.registry import WORKLOAD_NAMES, WORKLOADS, get_workload
 from repro.workloads.spec import WorkloadSpec
 
-#: Facade revision.  Bumped whenever names are added to (or deprecated
-#: from) this surface; independent of the engine/telemetry versions.
-#: 1.3.0: span tracing (Tracer/Span/load_spans/write_spans/render_tree)
-#: and Prometheus exposition (render_prometheus).
+#: Facade revision.  Bumped whenever names are added to or removed
+#: from this surface; independent of the engine/telemetry versions.
+#: 1.3.0: span tracing (Tracer/Span/load_spans/write_spans/render_tree).
 #: 1.4.0: experiment campaigns (CampaignSpec/Scale/register_campaign/
 #: run_campaign/CampaignRun) and the drift gate (check_drift/
 #: DriftReport/DriftVerdict/update_pins).
 #: 1.5.0: the replacement-policy zoo (POLICY_NAMES/make_policy/
 #: ReplacementPolicy, SystemConfig.policy/.arbitration) and the offline
 #: Belady bound (offline_policy_eval/pct_of_opt/PolicyEval).
-VERSION = "1.5.0"
+#: 2.0.0: the HTTP serving tier, Prometheus exposition and the
+#: runner's wire-only helpers are removed; compare and run_suite take
+#: only a Scenario (see DESIGN.md, "Removed in api 2.0.0").
+VERSION = "2.0.0"
 
 __all__ = [
     "VERSION",
@@ -155,8 +137,6 @@ __all__ = [
     "ResultCache",
     "TraceStore",
     "attach_workload",
-    "execute_unit",
-    "unit_cost",
     "unit_key",
     "canonical_json",
     "ENGINE_VERSION",
@@ -216,21 +196,6 @@ __all__ = [
     "load_spans",
     "write_spans",
     "render_tree",
-    "render_prometheus",
-    # serving
-    "SCHEMA_VERSION",
-    "SERVICE_CLASSES",
-    "SchemaError",
-    "SubmitRequest",
-    "JobStatus",
-    "JobResult",
-    "ServeConfig",
-    "JobManager",
-    "ServeDaemon",
-    "BackgroundDaemon",
-    "run_daemon",
-    "ServeClient",
-    "ServeError",
     # experiment campaigns & drift gate
     "CampaignSpec",
     "Scale",

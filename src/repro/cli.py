@@ -10,7 +10,7 @@ Commands:
 * ``traffic``    — cycle-accurate synthetic-traffic sweep (Fig 11c);
 * ``configs``    — show the Table II configuration lineup;
 * ``export-trace`` — write a synthetic workload to a portable ``.npz``
-  trace that ``run --trace`` (or external tools) can consume;
+  trace that ``run --trace-in`` (or external tools) can consume;
 * ``report``     — render latency percentiles, per-link NoC
   utilization, and hottest-slice tables from obs/telemetry JSONL files
   (produce them with ``run``/``sweep`` ``--metrics --trace-out``);
@@ -28,25 +28,18 @@ Commands:
   references, ``check`` previously written artifacts without
   re-simulating, and ``pin`` to refresh the reference numbers after an
   intentional model change;
-* ``serve``      — run the persistent asyncio HTTP/JSON daemon
-  (:mod:`repro.serve`): scenario submissions, in-flight request
-  coalescing, per-client quotas, TTL result retention;
-* ``submit``     — submit a scenario to a running daemon and (by
-  default) wait for and print its speedup table;
-* ``status``     — job status / daemon health+metrics of a running
-  daemon (``--watch N`` polls until the job finishes);
 * ``trace``      — render a span-tree JSONL sidecar (``--span-out``)
   as an indented tree with per-layer latency attribution and a
   critical-path table.
 
-Note on flag names: ``run --trace-in PATH`` (alias ``--trace``) *loads*
-an ``.npz`` input trace; the event-trace *output* flag is
-``--trace-out`` on every command that can observe a run.
+Note on flag names: ``run --trace-in PATH`` *loads* an ``.npz`` input
+trace; the event-trace *output* flag is ``--trace-out`` on every
+command that can observe a run.
 
 Shared flag groups are defined once as argparse *parent parsers*
 (:func:`_runner_parent`, :func:`_fault_parent`, :func:`_obs_parent`,
-:func:`_scenario_parent`) so ``run``/``sweep``/``faults``/``serve``/
-``submit`` cannot drift apart in spelling, defaults, or help text.
+:func:`_scenario_parent`) so ``run``/``sweep``/``faults`` cannot drift
+apart in spelling, defaults, or help text.
 
 ``run`` and ``sweep`` execute through :class:`repro.exec.Runner`:
 ``--jobs N`` fans independent simulations out over a process pool, and
@@ -206,7 +199,7 @@ def _faults_from(args: argparse.Namespace) -> Optional[FaultSpec]:
 
 
 def _print_speedup_table(comparison) -> None:
-    """The per-config cycles/speedup table (run, submit --wait)."""
+    """The per-config cycles/speedup table of ``run``."""
     rows = []
     for name, result in comparison.results.items():
         rows.append(
@@ -260,13 +253,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     runner = _runner_from(args, tracer)
     metrics, trace = _obs_flags(args)
     faults = _faults_from(args)
-    if args.trace:
+    if args.trace_in:
         if faults is not None:
             raise SystemExit(
                 "--fault-rate/--fault-drop-prob need a synthetic workload; "
-                "they are not supported with --trace inputs"
+                "they are not supported with --trace-in inputs"
             )
-        workload = load_workload(args.trace)
+        workload = load_workload(args.trace_in)
         if workload.num_cores != args.cores:
             args.cores = workload.num_cores
         lineup = runner.run_prebuilt(
@@ -501,8 +494,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {artifacts} trace artifact(s) from {store.root}")
         return 0
     # evict: --max-bytes shrinks the trace store (artifacts are the
-    # bulk); --max-age-s applies the serving tier's TTL rule to the
-    # result cache.  At least one is required.
+    # bulk); --max-age-s drops result-cache entries older than that
+    # age.  At least one is required.
     if args.max_bytes is None and args.max_age_s is None:
         raise SystemExit("cache evict needs --max-bytes and/or --max-age-s")
     if args.max_bytes is not None:
@@ -636,173 +629,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the persistent HTTP/JSON simulation daemon."""
-    from repro.serve.daemon import run_daemon
-    from repro.serve.jobs import ServeConfig
-
-    if args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0 for serve (got {args.jobs})")
-    config = ServeConfig(
-        workers=args.jobs,
-        quota=args.quota,
-        result_ttl_s=None if args.ttl <= 0 else args.ttl,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        trace_store=_trace_store_from(args),
-    )
-    return run_daemon(config, host=args.host, port=args.port)
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a scenario to a running daemon; wait unless --no-wait."""
-    from repro.serve.client import ServeClient, ServeError
-    from repro.serve.schema import SchemaError, SubmitRequest
-    from repro.sim.run import Comparison
-
-    names = args.configs.split(",")
-    if "private" not in names:
-        names = ["private"] + names
-    metrics, trace = _obs_flags(args)
-    try:
-        request = SubmitRequest(
-            workload=args.workload,
-            configs=tuple(names),
-            cores=args.cores,
-            accesses_per_core=args.accesses,
-            seed=args.seed,
-            superpages=not args.no_superpages,
-            metrics=metrics,
-            trace=trace,
-            fault_rate=args.fault_rate,
-            fault_drop_prob=args.fault_drop_prob,
-            client_id=args.client,
-            service_class=args.service_class,
-        )
-    except SchemaError as exc:
-        raise SystemExit(str(exc))
-    tracer = _tracer_from(args)
-    client = ServeClient(args.url, timeout=args.timeout, tracer=tracer)
-    try:
-        with client.request_span(workload=args.workload):
-            info = client.submit(request)
-            job_id = info["job_id"]
-            print(
-                f"[serve] job {job_id} "
-                + ("coalesced onto an in-flight submission"
-                   if info.get("coalesced")
-                   else f"accepted ({info.get('units_cached', 0)} unit(s) "
-                        f"cached)"),
-                file=sys.stderr,
-            )
-            if args.no_wait:
-                print(job_id)
-                _export_spans(args, tracer)
-                return 0
-            status = client.wait(job_id, timeout=args.timeout)
-            if status.state == "failed":
-                raise SystemExit(f"job {job_id} failed: {status.error}")
-            result = client.result(job_id)
-    except (ServeError, TimeoutError) as exc:
-        raise SystemExit(str(exc))
-    _export_spans(args, tracer)
-    comparison = Comparison(result.workload, result.results, result.baseline)
-    _print_speedup_table(comparison)
-    _print_fault_summaries([comparison])
-    _emit_obs(args, [comparison])
-    print(
-        f"[serve] job {job_id}: queued {status.queued_s:.3f}s, "
-        f"ran {status.run_s:.3f}s, {status.units_cached}/"
-        f"{status.units_total} unit(s) from cache",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _fmt_seconds(value) -> str:
-    """``1.234`` → ``"1.234"``; missing/None (pre-schema-3 rows) → ``-``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return f"{value:.3f}"
-    return "-"
-
-
-def _print_job_status(status) -> None:
-    rows = [
-        [unit.get("config", "?"), unit.get("state", "?"),
-         unit.get("cache", "-"), _fmt_seconds(unit.get("build_s")),
-         _fmt_seconds(unit.get("sim_s"))]
-        for unit in status.telemetry.get("units", [])
-    ]
-    print(
-        f"job {status.job_id}: {status.state} "
-        f"({status.units_done}/{status.units_total} unit(s), "
-        f"{status.units_cached} cached) workload={status.workload} "
-        f"class={status.service_class} "
-        f"clients={','.join(status.clients)}"
-    )
-    if status.error:
-        print(f"error: {status.error}")
-    if rows:
-        print(
-            render_table(
-                ["config", "state", "cache", "build s", "sim s"],
-                rows,
-            )
-        )
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    """One job's status — or daemon health+metrics without a job id."""
-    from repro.serve.client import ServeClient, ServeError
-
-    client = ServeClient(args.url)
-    try:
-        if args.job_id:
-            if args.watch > 0:
-                final = None
-                for status in client.watch(
-                    args.job_id, interval_s=args.watch
-                ):
-                    final = status
-                    if not status.done:
-                        print(
-                            f"job {status.job_id}: {status.state} "
-                            f"({status.units_done}/{status.units_total} "
-                            f"unit(s) done)",
-                            file=sys.stderr,
-                        )
-                _print_job_status(final)
-                return 0
-            _print_job_status(client.status(args.job_id))
-            return 0
-        health = client.health()
-        counters = client.metrics().get("counters", {})
-        print(
-            f"daemon ok (engine {health.get('engine')}, schema "
-            f"{health.get('schema')}, {health.get('workers')} worker(s))"
-        )
-        storage = health.get("storage") or {}
-        for label, stats in (
-            ("results", storage.get("results")),
-            ("traces", storage.get("traces")),
-        ):
-            if stats:
-                entries = stats.get("entries", stats.get("artifacts", 0))
-                print(
-                    f"[storage] {label}: {entries} entr(ies), "
-                    f"{stats.get('bytes', 0)} byte(s)"
-                )
-        if counters:
-            print(
-                render_table(
-                    ["metric", "value"],
-                    [[name, counters[name]] for name in sorted(counters)],
-                )
-            )
-        return 0
-    except ServeError as exc:
-        raise SystemExit(str(exc))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1030,10 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(see `repro configs` for the registry)",
     )
     run_p.add_argument(
-        "--trace-in", "--trace", dest="trace", default="",
+        "--trace-in", default="",
         help="run a saved .npz trace instead of a synthetic workload "
-             "(--trace is the historical alias; the event-trace output "
-             "flag is --trace-out)",
+             "(the event-trace output flag is --trace-out)",
     )
     run_p.set_defaults(func=cmd_run)
 
@@ -1108,8 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_p.add_argument(
         "--max-age-s", type=float, default=None,
-        help="evict: drop cached results older than this many seconds "
-             "(the serving tier's TTL rule, applied by hand)",
+        help="evict: drop cached results older than this many seconds",
     )
     cache_p.set_defaults(func=cmd_cache)
 
@@ -1162,90 +986,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_p.set_defaults(func=cmd_experiments)
 
-    serve_p = sub.add_parser(
-        "serve", help="run the persistent HTTP/JSON simulation daemon",
-        parents=[runner],
-    )
-    serve_p.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    serve_p.add_argument(
-        "--port", type=int, default=8787,
-        help="bind port; 0 picks an ephemeral port and prints it "
-             "(default 8787)",
-    )
-    serve_p.add_argument(
-        "--quota", type=int, default=8,
-        help="max active jobs per client; 0 disables quotas (default 8)",
-    )
-    serve_p.add_argument(
-        "--ttl", type=float, default=3600.0,
-        help="retention of finished jobs and cached results in seconds; "
-             "<= 0 disables the TTL sweep (default 3600)",
-    )
-    serve_p.set_defaults(func=cmd_serve)
-
-    submit_p = sub.add_parser(
-        "submit", help="submit a scenario to a running daemon",
-        parents=[scenario, fault, obs],
-    )
-    submit_p.add_argument("--workload", default="graph500")
-    submit_p.add_argument(
-        "--configs",
-        default="monolithic,distributed,nocstar,ideal",
-        help="comma-separated configuration names "
-             "(see `repro configs` for the registry)",
-    )
-    submit_p.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="daemon base URL (default http://127.0.0.1:8787)",
-    )
-    submit_p.add_argument(
-        "--client", default="cli",
-        help="client id for quota accounting (default 'cli')",
-    )
-    submit_p.add_argument(
-        "--service-class", choices=("interactive", "batch"),
-        default="interactive",
-        help="admission priority class (default interactive)",
-    )
-    submit_p.add_argument(
-        "--no-wait", action="store_true",
-        help="print the job id and return instead of waiting for the "
-             "result (poll with `repro status JOB_ID`)",
-    )
-    submit_p.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="seconds to wait for the result (default 300)",
-    )
-    submit_p.set_defaults(func=cmd_submit)
-
-    status_p = sub.add_parser(
-        "status", help="job status / daemon health of a running daemon"
-    )
-    status_p.add_argument(
-        "job_id", nargs="?", default="",
-        help="job id from `repro submit`; omit for daemon health+metrics",
-    )
-    status_p.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="daemon base URL (default http://127.0.0.1:8787)",
-    )
-    status_p.add_argument(
-        "--watch", type=float, default=0.0, metavar="N",
-        help="poll every N seconds until the job reaches a terminal "
-             "state (needs a job id; default off)",
-    )
-    status_p.set_defaults(func=cmd_status)
-
     trace_p = sub.add_parser(
         "trace", help="render a span-tree JSONL sidecar (--span-out)"
     )
     trace_p.add_argument(
         "path",
         help="span sidecar written by --span-out (run/sweep/faults/"
-             "submit)",
+             "experiments)",
     )
     trace_p.add_argument(
         "--top", type=int, default=5,

@@ -185,11 +185,12 @@ class ResultCache:
     def evict_older_than(self, max_age_s: float, now: Optional[float] = None) -> int:
         """Delete entries last written more than ``max_age_s`` ago.
 
-        The serving tier's TTL sweep: results are content-addressed, so
-        an evicted entry costs at most one re-simulation — correctness
-        never depends on retention.  ``now`` is injectable for tests.
-        Returns how many entries were removed; races with concurrent
-        writers are benign (a vanished file is simply skipped).
+        The age rule behind ``repro cache evict --max-age-s``: results
+        are content-addressed, so an evicted entry costs at most one
+        re-simulation — correctness never depends on retention.
+        ``now`` is injectable for tests.  Returns how many entries were
+        removed; races with concurrent writers are benign (a vanished
+        file is simply skipped).
         """
         if max_age_s < 0:
             raise ValueError(f"max_age_s must be >= 0 (got {max_age_s})")

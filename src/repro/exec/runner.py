@@ -122,9 +122,7 @@ def _config_cost(
 def unit_cost(unit: RunUnit) -> float:
     """Estimated relative cost of one unit (the LPT scheduling weight).
 
-    Shared by the Runner's longest-first dispatch and the serving
-    tier's admission queue, so both layers order work by the same
-    calibrated model.
+    The Runner dispatches pending units longest-first by this model.
     """
     return _config_cost(
         unit.config,
@@ -132,10 +130,6 @@ def unit_cost(unit: RunUnit) -> float:
         unit.storm,
         unit.shootdown,
     )
-
-
-#: Backwards-compatible private alias (pre-serve name).
-_unit_cost = unit_cost
 
 
 def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
@@ -185,22 +179,6 @@ def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
     return task.index, result, built - start, time.perf_counter() - built
 
 
-def execute_unit(
-    unit: RunUnit, artifact: Optional[str] = None
-) -> Tuple[RunResult, float, float]:
-    """Execute one unit (attach-or-build) outside a Runner.
-
-    The serving tier's pool workers call this; it funnels into the same
-    :func:`_execute_task` body the Runner dispatches, which is what
-    makes an HTTP-submitted unit byte-identical to a CLI run of the
-    same unit.  Returns ``(result, build_s, sim_s)``.
-    """
-    _, result, build_s, sim_s = _execute_task(
-        _Task(index=0, cost=0.0, unit=unit, artifact=artifact, prebuilt=None)
-    )
-    return result, build_s, sim_s
-
-
 class Runner:
     """Executes scenarios over a worker pool, through a result cache.
 
@@ -232,7 +210,7 @@ class Runner:
         ``execute_units``/``run_prebuilt`` call is recorded as a
         ``runner.execute`` span whose per-unit children carry the
         schema-3 ``build_s``/``sim_s`` split (tail-anchored at each
-        unit's completion, the same synthesis the serving tier uses).
+        unit's completion).
         Pure telemetry: spans never touch cache keys or results.
     """
 
@@ -346,7 +324,7 @@ class Runner:
         tasks = [
             _Task(
                 index=i,
-                cost=_unit_cost(units[i]),
+                cost=unit_cost(units[i]),
                 unit=units[i],
                 artifact=artifacts.get(units[i].build_signature()),
                 prebuilt=None,

@@ -1,6 +1,6 @@
 """``repro.obs`` — observability: metrics, histograms, event tracing.
 
-The subsystem has three layers:
+The subsystem has four layers:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket + streaming-quantile histograms, written to
@@ -13,13 +13,10 @@ The subsystem has three layers:
 * :mod:`repro.obs.report` — text rendering of latency percentiles,
   per-link NoC utilization heatmap rows, and hottest-slice tables from
   any mix of obs files and Runner telemetry (the ``repro report`` CLI).
-* :mod:`repro.obs.spans` — span-based request tracing with propagated
-  ``trace_id``/``span_id``/``parent_id`` correlation across the serving
-  tier (client → daemon → queue → worker → build/sim), JSONL sidecars,
-  and the ``repro trace`` tree/critical-path renderer.
-* :mod:`repro.obs.prometheus` — Prometheus text exposition of any
-  registry snapshot (the daemon's ``GET /v1/metrics`` under
-  ``Accept: text/plain``).
+* :mod:`repro.obs.spans` — local span tracing of the Runner
+  (``runner.execute`` → ``unit.exec`` → ``unit.build``/``unit.sim``)
+  and campaigns, written as JSONL sidecars by ``--span-out`` and
+  rendered as a tree with a critical-path table by ``repro trace``.
 
 Everything is deterministic: metric values and event timestamps are
 simulation cycles, never wall clock, so serial, parallel, and
@@ -51,7 +48,6 @@ from repro.obs.report import (
     run_records_from,
     write_obs_jsonl,
 )
-from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.obs.spans import (
     SPAN_SCHEMA,
     Span,
@@ -60,7 +56,6 @@ from repro.obs.spans import (
     load_spans,
     render_tree,
     span_record,
-    validate_context,
     write_spans,
 )
 
@@ -82,8 +77,6 @@ __all__ = [
     "render_report",
     "run_records_from",
     "write_obs_jsonl",
-    "CONTENT_TYPE",
-    "render_prometheus",
     "SPAN_SCHEMA",
     "Span",
     "Tracer",
@@ -91,6 +84,5 @@ __all__ = [
     "load_spans",
     "render_tree",
     "span_record",
-    "validate_context",
     "write_spans",
 ]

@@ -1,36 +1,25 @@
-"""Span-based request tracing with propagated correlation IDs.
+"""Span tracing of local runs: wall-clock telemetry in JSONL sidecars.
 
-A *span* is one timed operation — a client submit, an HTTP handler, a
-queue wait, a worker execution, a trace build — identified by a
-``(trace_id, span_id, parent_id)`` triple.  Spans from every layer of
-the serving tier (ServeClient → daemon → JobManager → pool worker →
-build/sim split) share one ``trace_id``, so one request's latency can
-be decomposed across processes the way the paper decomposes a
-translation's cycles across L1 miss, interconnect traversal, slice
-lookup, and page walk.
+A *span* is one timed operation — a ``runner.execute`` dispatch, one
+unit's ``unit.exec`` with its ``unit.build``/``unit.sim`` split, a
+campaign — identified by a ``(trace_id, span_id, parent_id)`` triple.
+One run's spans share one ``trace_id``, so its latency can be
+decomposed across layers the way the paper decomposes a translation's
+cycles across L1 miss, interconnect traversal, slice lookup, and page
+walk.  ``--span-out`` writes them; ``repro trace`` renders the tree.
 
 Purity is the enforced invariant: spans are wall-clock telemetry and
-live *only* in sidecar JSONL files, ``JobStatus.telemetry``, and the
-``serve.*`` metrics namespace.  They are never part of
-:class:`~repro.sim.results.RunResult` bytes, never hashed into
-``job_id`` (``SubmitRequest.canonical()`` excludes the trace context),
-and never part of the result-cache ``unit_key`` — so tracing a run
-cannot change what it simulates or how it caches
-(``tests/obs/test_spans.py`` and ``tests/serve/test_schema.py`` assert
-this literally).
+live *only* in sidecar JSONL files.  They are never part of
+:class:`~repro.sim.results.RunResult` bytes and never part of the
+result-cache ``unit_key`` — so tracing a run cannot change what it
+simulates or how it caches (``tests/obs/test_spans.py`` asserts this
+literally).
 
-Wire form of one span (one JSONL line, ``record: "span"``)::
+Form of one span (one JSONL line, ``record: "span"``)::
 
     {"record": "span", "schema": 1, "trace_id": ..., "span_id": ...,
      "parent_id": ..., "name": ..., "start_s": ..., "end_s": ...,
      "status": "ok", "attrs": {...}}
-
-Propagation: the client puts ``{"trace_id", "parent_id"}`` into the
-optional ``trace_context`` field of :class:`SubmitRequest` (a
-serving-only field, like ``client_id``); the daemon parents its spans
-under it and returns them in ``JobStatus.telemetry["spans"]``, where
-the client merges them into its own sidecar — one file, one tree,
-rendered by ``repro trace``.
 """
 
 from __future__ import annotations
@@ -39,14 +28,10 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version of the span record layout.
 SPAN_SCHEMA = 1
-
-#: Keys a wire trace context may carry (anything else is rejected at
-#: the schema boundary so typos fail loudly, not silently detach trees).
-CONTEXT_KEYS = frozenset({"trace_id", "parent_id"})
 
 
 def new_id() -> str:
@@ -56,35 +41,6 @@ def new_id() -> str:
     they can never perturb a cache key or a simulated outcome.
     """
     return os.urandom(8).hex()
-
-
-def validate_context(context) -> Optional[Dict[str, str]]:
-    """Check a wire ``trace_context``; returns it (or None) normalised.
-
-    Raises ``ValueError`` on malformed contexts: a bad context means a
-    broken client, and silently dropping it would detach every server
-    span from the tree the client is trying to assemble.
-    """
-    if context is None:
-        return None
-    if not isinstance(context, dict):
-        raise ValueError(
-            f"trace_context must be an object (got {type(context).__name__})"
-        )
-    unknown = set(context) - CONTEXT_KEYS
-    if unknown:
-        raise ValueError(
-            f"trace_context: unknown key(s) {sorted(unknown)}; "
-            f"allowed: {sorted(CONTEXT_KEYS)}"
-        )
-    for key, value in context.items():
-        if not isinstance(value, str) or not value:
-            raise ValueError(
-                f"trace_context[{key!r}] must be a non-empty string"
-            )
-    if "trace_id" not in context:
-        raise ValueError("trace_context needs a trace_id")
-    return dict(context)
 
 
 class Span:
@@ -117,10 +73,6 @@ class Span:
         end = self.end_s if self.end_s is not None else time.time()
         return max(0.0, end - self.start_s)
 
-    def context(self) -> Dict[str, str]:
-        """The wire ``trace_context`` naming this span as the parent."""
-        return {"trace_id": self.trace_id, "parent_id": self.span_id}
-
     def finish(self, end_s: Optional[float] = None) -> None:
         if self.end_s is None:
             self.end_s = time.time() if end_s is None else end_s
@@ -151,10 +103,10 @@ def span_record(
 ) -> Dict[str, object]:
     """A finished span as a plain JSONL-ready record.
 
-    Layers that learn timings after the fact — the JobManager
-    synthesising worker ``build``/``sim`` children from the Runner's
-    schema-3 split — build records directly instead of running a live
-    :class:`Span`.
+    Layers that learn timings after the fact — the Runner synthesising
+    a unit's ``unit.build``/``unit.sim`` children from the schema-3
+    split its worker reports — build records directly instead of
+    running a live :class:`Span`.
     """
     return {
         "record": "span",
@@ -173,10 +125,8 @@ def span_record(
 class Tracer:
     """Collects one process's finished spans for one trace.
 
-    Not thread-safe by design — each request path owns its tracer the
-    way each run owns its :class:`~repro.obs.MetricsRegistry`.  Foreign
-    span records (e.g. the daemon's, returned in job telemetry) are
-    merged with :meth:`extend`.
+    Not thread-safe by design — each command owns its tracer the way
+    each run owns its :class:`~repro.obs.MetricsRegistry`.
     """
 
     def __init__(self, trace_id: Optional[str] = None) -> None:
@@ -208,15 +158,6 @@ class Tracer:
             raise
         finally:
             self.finish(span)
-
-    def extend(self, records: Iterable[Dict[str, object]]) -> int:
-        """Merge foreign span records (daemon telemetry); returns count."""
-        added = 0
-        for record in records or ():
-            if isinstance(record, dict) and record.get("record") == "span":
-                self.records.append(dict(record))
-                added += 1
-        return added
 
     def export_jsonl(self, path: str) -> int:
         return write_spans(path, self.records)
@@ -272,8 +213,7 @@ def build_tree(
     """``(roots, children_by_span_id)`` from flat span records.
 
     A span whose ``parent_id`` is absent from the record set is a root
-    (partial sidecars — e.g. ``--no-wait`` submissions that never
-    fetched the daemon's spans — still render as a forest).
+    (partial or concatenated sidecars still render as a forest).
     """
     by_id = {str(r.get("span_id")): r for r in records}
     children: Dict[str, List[Dict[str, object]]] = {}
@@ -320,7 +260,7 @@ def coverage(
     ``child_s`` is the union of the children's intervals clipped to the
     parent (concurrent children are not double-counted) and ``gap_s``
     is the uncovered remainder, so ``duration == child_s + gap_s``
-    holds exactly — the identity the serve smoke asserts end-to-end.
+    holds exactly.
     """
     duration = _duration(record)
     intervals = []

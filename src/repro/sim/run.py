@@ -3,26 +3,21 @@
 Everything the benches need: run a workload lineup and report speedups
 versus the private-L2 baseline — the paper's metric throughout §V.
 
-The supported way to call :func:`compare` and :func:`run_suite` is with
-a :class:`~repro.sim.scenario.Scenario`; execution then goes through
+:func:`compare` and :func:`run_suite` take a
+:class:`~repro.sim.scenario.Scenario`; execution goes through
 :class:`repro.exec.Runner`, which adds process-pool parallelism
-(``jobs``) and content-addressed result caching (``cache_dir``).  The
-legacy keyword-argument forms still work but are deprecated thin
-wrappers around the same machinery.
+(``jobs``) and content-addressed result caching (``cache_dir``).
+Built traces and multiprogrammed mixes go straight to
+``Runner.run_prebuilt``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Optional
 
-from repro.sim import configs as cfg
-from repro.sim.engine import ShootdownTraffic, StormConfig
-from repro.sim.results import RunResult, geometric_mean
+from repro.sim.results import RunResult
 from repro.sim.scenario import Scenario
-from repro.workloads.registry import WORKLOAD_NAMES
-from repro.workloads.trace import Workload
 
 
 @dataclass
@@ -65,7 +60,13 @@ class Comparison:
         return 100.0 * (1.0 - shared_misses / private_misses)
 
 
-def _runner(jobs, cache_dir, use_cache, telemetry_path, runner, trace_store):
+def _runner(scenario, jobs, cache_dir, use_cache, telemetry_path, runner,
+            trace_store):
+    if not isinstance(scenario, Scenario):
+        raise TypeError(
+            f"expected a Scenario, got {type(scenario).__name__}; run built "
+            "workloads with repro.exec.Runner.run_prebuilt(workload, configs)"
+        )
     if runner is not None:
         return runner
     from repro.exec.runner import Runner
@@ -80,12 +81,7 @@ def _runner(jobs, cache_dir, use_cache, telemetry_path, runner, trace_store):
 
 
 def compare(
-    workload: Union[Scenario, Workload],
-    configurations: Optional[Sequence[cfg.SystemConfig]] = None,
-    baseline_name: str = "private",
-    storm: Optional[StormConfig] = None,
-    shootdown: Optional[ShootdownTraffic] = None,
-    record_intervals: bool = False,
+    scenario: Scenario,
     *,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
@@ -94,50 +90,20 @@ def compare(
     runner=None,
     trace_store=None,
 ) -> Comparison:
-    """Run one workload on every configuration of a lineup.
+    """Run a single-workload :class:`Scenario` through its lineup.
 
-    Pass a single-workload :class:`Scenario` (supported form); the
-    scenario's own baseline/storm/shootdown fields apply and execution
-    goes through :class:`repro.exec.Runner`.  The legacy form taking a
-    built :class:`Workload` plus keyword knobs is deprecated — use a
-    Scenario, or ``Runner.run_prebuilt`` for built traces and
-    multiprogrammed mixes.
+    The scenario's own baseline/storm/shootdown fields apply and
+    execution goes through :class:`repro.exec.Runner` (``runner`` or
+    one built from the keyword knobs).
     """
-    run = _runner(jobs, cache_dir, use_cache, telemetry_path, runner, trace_store)
-    if isinstance(workload, Scenario):
-        if configurations is not None:
-            raise TypeError(
-                "a Scenario already carries its lineup; drop configurations"
-            )
-        return run.run_one(workload)
-    warnings.warn(
-        "compare(workload, configurations, ...) is deprecated; pass a "
-        "Scenario (or use repro.exec.Runner.run_prebuilt for built "
-        "workloads)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if configurations is None:
-        raise TypeError("compare(workload, ...) needs configurations")
-    return run.run_prebuilt(
-        workload,
-        configurations,
-        baseline_name=baseline_name,
-        storm=storm,
-        shootdown=shootdown,
-        record_intervals=record_intervals,
-    )
+    return _runner(
+        scenario, jobs, cache_dir, use_cache, telemetry_path, runner,
+        trace_store,
+    ).run_one(scenario)
 
 
 def run_suite(
-    configurations: Union[Scenario, Sequence[cfg.SystemConfig]],
-    num_cores: Optional[int] = None,
-    workload_names: Optional[Iterable[str]] = None,
-    accesses_per_core: int = 12_000,
-    seed: int = 1,
-    superpages: bool = True,
-    smt: int = 1,
-    baseline_name: str = "private",
+    scenario: Scenario,
     *,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
@@ -146,43 +112,16 @@ def run_suite(
     runner=None,
     trace_store=None,
 ) -> Dict[str, Comparison]:
-    """The paper's standard sweep: every workload through a lineup.
+    """The paper's standard sweep: every workload of a :class:`Scenario`
+    through its lineup.
 
-    Pass a :class:`Scenario` (supported form); the legacy keyword form
-    is a deprecated wrapper that builds the equivalent Scenario.
     ``jobs``/``cache_dir`` select parallel execution and result
     caching (see :class:`repro.exec.Runner`).
     """
-    if isinstance(configurations, Scenario):
-        scenario = configurations
-        if num_cores is not None and num_cores != scenario.num_cores:
-            raise ValueError(
-                f"num_cores={num_cores} disagrees with the scenario's "
-                f"lineup ({scenario.num_cores} cores)"
-            )
-    else:
-        warnings.warn(
-            "run_suite(configurations, num_cores, ...) is deprecated; "
-            "pass a Scenario",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        scenario = Scenario(
-            configurations=tuple(configurations),
-            workloads=tuple(workload_names or WORKLOAD_NAMES),
-            accesses_per_core=accesses_per_core,
-            seed=seed,
-            superpages=superpages,
-            smt=smt,
-            baseline_name=baseline_name,
-        )
-        if num_cores is not None and num_cores != scenario.num_cores:
-            raise ValueError(
-                f"num_cores={num_cores} disagrees with the lineup "
-                f"({scenario.num_cores} cores)"
-            )
-    run = _runner(jobs, cache_dir, use_cache, telemetry_path, runner, trace_store)
-    return run.run(scenario)
+    return _runner(
+        scenario, jobs, cache_dir, use_cache, telemetry_path, runner,
+        trace_store,
+    ).run(scenario)
 
 
 @dataclass(frozen=True)

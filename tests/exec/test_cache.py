@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -109,6 +110,32 @@ def test_clear_removes_everything(tmp_path):
     cache.put("bb" * 32, result)
     assert cache.clear() == 2
     assert len(cache) == 0
+
+
+def test_stats_counts_entries_and_bytes(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    assert cache.stats() == {"entries": 0, "bytes": 0}
+    cache.put("a" * 64, {"x": 1})
+    cache.put("b" * 64, {"x": 2})
+    stats = cache.stats()
+    assert stats["entries"] == 2
+    assert stats["bytes"] > 0
+
+
+def test_cache_evict_older_than(tmp_path):
+    import os
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.put("a" * 64, {"x": 1})
+    cache.put("b" * 64, {"x": 2})
+    old = time.time() - 1000.0
+    path = cache._path("a" * 64)
+    os.utime(path, (old, old))
+    assert cache.evict_older_than(500.0) == 1
+    assert cache.get("a" * 64) is None
+    assert cache.get("b" * 64) == {"x": 2}
+    with pytest.raises(ValueError):
+        cache.evict_older_than(-1.0)
 
 
 def test_workload_fingerprint_tracks_content():

@@ -15,7 +15,7 @@ import pytest
 from tests._corpus import differential_corpus
 
 from repro.exec.cache import canonical_json
-from repro.exec.runner import Runner, _unit_cost
+from repro.exec.runner import Runner, unit_cost
 from repro.exec.trace_store import _clear_attachments
 from repro.obs import write_obs_jsonl
 from repro.sim import configs as cfg
@@ -119,12 +119,12 @@ def test_cost_model_orders_the_obvious_cases():
         )
         return scenario.units()[0]
 
-    assert _unit_cost(unit(cfg.nocstar(8))) > _unit_cost(unit(cfg.private(8)))
-    assert _unit_cost(unit(cfg.private(8))) > _unit_cost(unit(cfg.ideal(8)))
-    assert _unit_cost(unit(cfg.private(16))) > _unit_cost(unit(cfg.private(8)))
-    assert _unit_cost(
+    assert unit_cost(unit(cfg.nocstar(8))) > unit_cost(unit(cfg.private(8)))
+    assert unit_cost(unit(cfg.private(8))) > unit_cost(unit(cfg.ideal(8)))
+    assert unit_cost(unit(cfg.private(16))) > unit_cost(unit(cfg.private(8)))
+    assert unit_cost(
         unit(cfg.private(8), storm=StormConfig(period=4000))
-    ) == pytest.approx(2.0 * _unit_cost(unit(cfg.private(8))))
+    ) == pytest.approx(2.0 * unit_cost(unit(cfg.private(8))))
 
 
 def test_telemetry_schema_3_splits_build_and_sim(tmp_path):

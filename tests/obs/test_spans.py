@@ -1,4 +1,4 @@
-"""Span tracing: contexts, tree analysis, sidecars, and purity."""
+"""Span tracing: tracers, tree analysis, sidecars, and purity."""
 
 import time
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exec.cache import unit_key
 from repro.obs.spans import (
     SPAN_SCHEMA,
-    Span,
     Tracer,
     build_tree,
     coverage,
@@ -15,7 +14,6 @@ from repro.obs.spans import (
     render_tree,
     self_times,
     span_record,
-    validate_context,
     write_spans,
 )
 from repro.sim.configs import nocstar
@@ -24,37 +22,7 @@ from repro.sim.scenario import Scenario
 
 
 # ----------------------------------------------------------------------
-# trace contexts
-
-def test_validate_context_accepts_none_and_full():
-    assert validate_context(None) is None
-    context = {"trace_id": "a" * 16, "parent_id": "b" * 16}
-    assert validate_context(context) == context
-    assert validate_context({"trace_id": "abc"}) == {"trace_id": "abc"}
-
-
-@pytest.mark.parametrize(
-    "context",
-    [
-        "not-a-dict",
-        {"trace_id": "abc", "span_id": "nope"},  # unknown key
-        {"parent_id": "abc"},                     # missing trace_id
-        {"trace_id": ""},                         # empty value
-        {"trace_id": 123},                        # non-string value
-    ],
-)
-def test_validate_context_rejects_malformed(context):
-    with pytest.raises(ValueError):
-        validate_context(context)
-
-
-# ----------------------------------------------------------------------
 # spans and tracers
-
-def test_span_context_names_span_as_parent():
-    span = Span("client.submit", trace_id="t1")
-    assert span.context() == {"trace_id": "t1", "parent_id": span.span_id}
-
 
 def test_tracer_records_nested_spans():
     tracer = Tracer()
@@ -75,19 +43,6 @@ def test_tracer_span_marks_error_status():
         with tracer.span("doomed"):
             raise ValueError("boom")
     assert tracer.records[0]["status"] == "error: ValueError"
-
-
-def test_tracer_extend_filters_non_spans():
-    tracer = Tracer()
-    foreign = [
-        span_record(name="server.submit", trace_id=tracer.trace_id,
-                    start_s=1.0, end_s=2.0),
-        {"type": "run", "cycles": 42},       # not a span
-        "garbage",
-    ]
-    assert tracer.extend(foreign) == 1
-    assert tracer.extend(None) == 0
-    assert len(tracer.records) == 1
 
 
 # ----------------------------------------------------------------------

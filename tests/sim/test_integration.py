@@ -9,9 +9,9 @@ and the pathological microbenchmarks.
 import pytest
 
 from repro.analysis.contention import concurrency_distribution
+from repro.exec.runner import Runner
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
-from repro.sim.run import compare
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.microbench import build_slice_hammer, storm_config_for
 from repro.workloads.registry import get_workload
@@ -29,7 +29,7 @@ def graph500():
 
 @pytest.fixture(scope="module")
 def lineup(graph500):
-    return compare(
+    return Runner().run_prebuilt(
         graph500,
         [
             cfg.private(CORES),

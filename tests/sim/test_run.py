@@ -4,16 +4,19 @@ import pytest
 
 from repro.sim import configs as cfg
 from repro.sim.run import compare, run_suite, summarize_speedups
-from repro.workloads.generators import build_multithreaded
-from repro.workloads.registry import get_workload
+from repro.sim.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    wl = build_multithreaded(
-        get_workload("olio"), 4, accesses_per_core=2000, seed=3
+    return compare(
+        Scenario(
+            configurations=(cfg.private(4), cfg.nocstar(4), cfg.ideal(4)),
+            workloads="olio",
+            accesses_per_core=2000,
+            seed=3,
+        )
     )
-    return compare(wl, [cfg.private(4), cfg.nocstar(4), cfg.ideal(4)])
 
 
 def test_speedups_exclude_baseline(comparison):
@@ -22,11 +25,14 @@ def test_speedups_exclude_baseline(comparison):
 
 
 def test_baseline_required():
-    wl = build_multithreaded(
-        get_workload("olio"), 4, accesses_per_core=200, seed=3
+    scenario = Scenario(
+        configurations=cfg.nocstar(4),
+        workloads="olio",
+        accesses_per_core=200,
+        seed=3,
     )
     with pytest.raises(ValueError):
-        compare(wl, [cfg.nocstar(4)])
+        compare(scenario)
 
 
 def test_misses_eliminated_positive(comparison):
@@ -35,10 +41,11 @@ def test_misses_eliminated_positive(comparison):
 
 def test_run_suite_subset():
     comparisons = run_suite(
-        [cfg.private(4), cfg.nocstar(4)],
-        num_cores=4,
-        workload_names=["olio", "gups"],
-        accesses_per_core=1000,
+        Scenario(
+            configurations=(cfg.private(4), cfg.nocstar(4)),
+            workloads=("olio", "gups"),
+            accesses_per_core=1000,
+        )
     )
     assert set(comparisons) == {"olio", "gups"}
     for c in comparisons.values():
@@ -47,10 +54,11 @@ def test_run_suite_subset():
 
 def test_summarize_speedups():
     comparisons = run_suite(
-        [cfg.private(4), cfg.nocstar(4)],
-        num_cores=4,
-        workload_names=["olio", "gups", "nutch"],
-        accesses_per_core=1000,
+        Scenario(
+            configurations=(cfg.private(4), cfg.nocstar(4)),
+            workloads=("olio", "gups", "nutch"),
+            accesses_per_core=1000,
+        )
     )
     summary = summarize_speedups(comparisons, "nocstar")
     assert summary.minimum <= summary.average <= summary.maximum

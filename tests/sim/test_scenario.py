@@ -122,40 +122,10 @@ def test_compare_scenario_plus_configs_is_an_error():
         compare(scenario, [cfg.private(4)])
 
 
-def test_run_suite_scenario_matches_deprecated_form():
-    lineup = (cfg.private(4), cfg.nocstar(4))
-    scenario = Scenario(
-        configurations=lineup,
-        workloads=("olio", "gups"),
-        accesses_per_core=400,
-        seed=2,
-    )
-    new_style = run_suite(scenario)
-    with pytest.deprecated_call():
-        old_style = run_suite(
-            lineup,
-            num_cores=4,
-            workload_names=["olio", "gups"],
-            accesses_per_core=400,
-            seed=2,
-        )
-    assert set(new_style) == set(old_style) == {"olio", "gups"}
-    for name in new_style:
-        assert new_style[name].results == old_style[name].results
-
-
-def test_run_suite_num_cores_mismatch_rejected():
-    scenario = Scenario(
-        configurations=cfg.private(4), workloads="olio", accesses_per_core=100
-    )
-    with pytest.raises(ValueError, match="disagrees"):
-        run_suite(scenario, num_cores=8)
-
-
-def test_deprecated_compare_still_works():
+@pytest.mark.parametrize("harness", [compare, run_suite])
+def test_harness_rejects_built_workloads(harness):
     workload = build_multithreaded(
-        get_workload("olio"), 4, accesses_per_core=300, seed=3
+        get_workload("olio"), 4, accesses_per_core=100, seed=3
     )
-    with pytest.deprecated_call():
-        comparison = compare(workload, [cfg.private(4), cfg.nocstar(4)])
-    assert comparison.speedup("nocstar") > 0
+    with pytest.raises(TypeError, match=r"Runner\.run_prebuilt"):
+        harness(workload)

@@ -101,7 +101,7 @@ def test_export_and_run_trace(tmp_path, capsys):
     assert code == 0
     assert trace.exists()
     code = main(
-        ["run", "--trace", str(trace), "--configs", "nocstar",
+        ["run", "--trace-in", str(trace), "--configs", "nocstar",
          "--cores", "2"]
     )
     assert code == 0
@@ -177,19 +177,18 @@ def test_run_command_metrics_off_prints_no_report(capsys):
 
 
 # ----------------------------------------------------------------------
-# shared flag groups (parent parsers) and the serving commands
+# shared flag groups (parent parsers) and removed commands/flags
 
 
 def test_shared_flag_groups_per_command_defaults():
-    """run/export-trace/submit keep the full 8k default while the
-    sweep-style commands default lighter — and a per-command override
-    must not leak through the shared parent parsers."""
+    """run/export-trace keep the full 8k default while the sweep-style
+    commands default lighter — and a per-command override must not leak
+    through the shared parent parsers."""
     parser = build_parser()
     assert parser.parse_args(["run"]).accesses == 8_000
     assert parser.parse_args(
         ["export-trace", "--out", "x.npz"]
     ).accesses == 8_000
-    assert parser.parse_args(["submit"]).accesses == 8_000
     assert parser.parse_args(["sweep"]).accesses == 6_000
     assert parser.parse_args(["faults"]).accesses == 6_000
 
@@ -198,98 +197,31 @@ def test_shared_runner_flags_everywhere():
     """The runner flag group is identical across commands by
     construction; spot-check it parses uniformly."""
     parser = build_parser()
-    for command in (["run"], ["sweep"], ["faults"], ["serve"]):
+    for command in (["run"], ["sweep"], ["faults"]):
         ns = parser.parse_args(
             command + ["--jobs", "3", "--cache-dir", "/tmp/c", "--no-cache"]
         )
         assert ns.jobs == 3 and ns.cache_dir == "/tmp/c" and ns.no_cache
 
 
-def test_run_trace_in_alias():
-    parser = build_parser()
-    assert parser.parse_args(["run", "--trace-in", "t.npz"]).trace == "t.npz"
-    assert parser.parse_args(["run", "--trace", "t.npz"]).trace == "t.npz"
+def test_run_trace_in_alias(capsys):
+    """``--trace-in`` is the one spelling; the old ``--trace`` alias is
+    now an ambiguous prefix that argparse rejects with exit 2."""
+    ns = build_parser().parse_args(["run", "--trace-in", "t.npz"])
+    assert ns.trace_in == "t.npz"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--trace", "t.npz"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --trace" in capsys.readouterr().err
 
 
-def test_serve_flag_parsing():
-    ns = build_parser().parse_args(
-        ["serve", "--port", "0", "--jobs", "0", "--quota", "2",
-         "--ttl", "60"]
-    )
-    assert ns.port == 0 and ns.jobs == 0 and ns.quota == 2 and ns.ttl == 60
-
-
-def test_submit_and_status_against_daemon(capsys):
-    from repro.serve import BackgroundDaemon, ServeConfig
-
-    with BackgroundDaemon(ServeConfig(workers=0, quota=0)) as url:
-        code = main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "speedup" in captured.out and "private" in captured.out
-        assert "[serve] job" in captured.err
-
-        # A second identical submission coalesces (and is served from
-        # the retained job), printing the same table.
-        assert main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar",
-            ]
-        ) == 0
-        second = capsys.readouterr()
-        assert second.out == captured.out
-        assert "coalesced" in second.err
-
-        # --no-wait prints the job id on stdout for scripting.
-        assert main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar", "--no-wait",
-            ]
-        ) == 0
-        job_id = capsys.readouterr().out.strip().splitlines()[-1]
-
-        assert main(["status", job_id, "--url", url]) == 0
-        status_out = capsys.readouterr().out
-        assert job_id in status_out and "nocstar" in status_out
-
-        assert main(["status", "--url", url]) == 0
-        health_out = capsys.readouterr().out
-        assert "daemon ok" in health_out
-        assert "serve.submissions" in health_out
-
-
-def test_submit_span_out_and_trace_command(tmp_path, capsys):
-    from repro.serve import BackgroundDaemon, ServeConfig
-
-    span_path = str(tmp_path / "spans.jsonl")
-    with BackgroundDaemon(ServeConfig(workers=0, quota=0)) as url:
-        assert main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar", "--span-out", span_path,
-            ]
-        ) == 0
-    captured = capsys.readouterr()
-    assert "[spans] wrote" in captured.err
-
-    assert main(["trace", span_path]) == 0
-    rendered = capsys.readouterr().out
-    assert "span trace" in rendered and "critical path" in rendered
-    # The tree spans every layer of the serving tier.
-    for name in ("client.request", "client.submit", "server.submit",
-                 "unit.exec", "unit.build", "unit.sim"):
-        assert name in rendered, name
+@pytest.mark.parametrize("command", ["serve", "submit", "status"])
+def test_removed_commands_fail_fast(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert f"invalid choice: '{command}'" in err[-1]
 
 
 def test_run_span_out_local(tmp_path, capsys):
@@ -311,46 +243,6 @@ def test_run_span_out_local(tmp_path, capsys):
 def test_trace_command_missing_file():
     with pytest.raises(SystemExit, match="cannot read"):
         main(["trace", "/nonexistent/spans.jsonl"])
-
-
-def test_status_watch(capsys):
-    from repro.serve import BackgroundDaemon, ServeConfig
-
-    with BackgroundDaemon(ServeConfig(workers=0, quota=0)) as url:
-        assert main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar", "--no-wait",
-            ]
-        ) == 0
-        job_id = capsys.readouterr().out.strip().splitlines()[-1]
-        assert main(
-            ["status", job_id, "--url", url, "--watch", "0.05"]
-        ) == 0
-        watched = capsys.readouterr()
-        assert f"job {job_id}: done" in watched.out
-        assert "nocstar" in watched.out
-
-
-def test_status_shows_storage_stats(tmp_path, capsys):
-    from repro.serve import BackgroundDaemon, ServeConfig
-
-    config = ServeConfig(
-        workers=0, quota=0, cache_dir=str(tmp_path / "cache")
-    )
-    with BackgroundDaemon(config) as url:
-        assert main(
-            [
-                "submit", "--url", url, "--workload", "olio",
-                "--cores", "4", "--accesses", "600",
-                "--configs", "nocstar",
-            ]
-        ) == 0
-        capsys.readouterr()
-        assert main(["status", "--url", url]) == 0
-        out = capsys.readouterr().out
-        assert "[storage] results: 2 entr(ies)" in out
 
 
 def test_report_degrades_on_pre_schema3_telemetry(tmp_path, capsys):
@@ -377,14 +269,6 @@ def test_report_degrades_on_pre_schema3_telemetry(tmp_path, capsys):
     assert any("0.25" in line for line in out.splitlines())
 
 
-def test_submit_unreachable_daemon():
-    with pytest.raises(SystemExit, match="unreachable"):
-        main(
-            ["submit", "--url", "http://127.0.0.1:1", "--workload", "olio",
-             "--timeout", "2"]
-        )
-
-
 def test_cache_evict_max_age(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main(
@@ -407,6 +291,28 @@ def test_cache_evict_max_age(tmp_path, capsys):
     assert "evicted 2 result(s)" in capsys.readouterr().out
     with pytest.raises(SystemExit, match="max-bytes and/or --max-age-s"):
         main(["cache", "evict", "--cache-dir", cache_dir])
+
+
+def test_cache_stats(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(
+        [
+            "run", "--workload", "olio", "--cores", "4",
+            "--accesses", "600", "--configs", "nocstar",
+            "--cache-dir", cache_dir,
+        ]
+    ) == 0
+    capsys.readouterr()
+    assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+    rows = {
+        cells[0]: cells[1:]
+        for cells in (
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+        )
+    }
+    assert rows["results"][0] == "2" and int(rows["results"][1]) > 0
+    assert rows["traces"][0] == "1" and int(rows["traces"][1]) > 0
 
 
 def test_experiments_list(capsys):

@@ -28,7 +28,8 @@ def _write(directory, basename, payload):
 
 @pytest.fixture()
 def corpus(tmp_path):
-    """Matched baseline/fresh artefact directories for all four guards."""
+    """Matched baseline/fresh artefacts for the engine, sweep and faults
+    guards."""
     baseline = tmp_path / "baseline"
     fresh = tmp_path / "fresh"
     baseline.mkdir()
@@ -36,7 +37,6 @@ def corpus(tmp_path):
     payloads = {
         "BENCH_engine.json": {"batched_seconds": 1.0, "min_speedup": 1.8},
         "BENCH_sweep.json": {"after_seconds": 2.0},
-        "BENCH_serve.json": {"p95_seconds": 0.5},
         "BENCH_faults.json": {
             "points": [{"rate": 0.0, "cycles": 50000},
                        {"rate": 0.1, "cycles": 60000}]
@@ -82,13 +82,13 @@ def test_gate_green_on_identical_metrics(corpus, capsys):
 
 def test_gate_green_within_threshold(corpus):
     baseline, fresh = corpus
-    _write(fresh, "BENCH_serve.json", {"p95_seconds": 0.55})  # +10%
+    _write(fresh, "BENCH_sweep.json", {"after_seconds": 2.2})  # +10%
     assert _run(fresh, baseline) == 0
 
 
 def test_gate_red_on_regression(corpus, capsys):
     baseline, fresh = corpus
-    _write(fresh, "BENCH_serve.json", {"p95_seconds": 1.0})  # 2x slower
+    _write(fresh, "BENCH_sweep.json", {"after_seconds": 4.0})  # 2x slower
     assert _run(fresh, baseline) == 1
     captured = capsys.readouterr()
     assert "+100.0%" in captured.out and "REGRESSION" in captured.out
@@ -104,14 +104,14 @@ def test_gate_red_on_fault_cycle_growth(corpus):
 
 def test_gate_threshold_flag(corpus):
     baseline, fresh = corpus
-    _write(fresh, "BENCH_serve.json", {"p95_seconds": 0.55})  # +10%
+    _write(fresh, "BENCH_sweep.json", {"after_seconds": 2.2})  # +10%
     assert _run(fresh, baseline, extra=("--threshold", "0.05")) == 1
     assert _run(fresh, baseline, extra=("--threshold", "0.25")) == 0
 
 
 def test_missing_baseline_passes_with_warning(corpus, capsys):
     baseline, fresh = corpus
-    os.unlink(str(baseline / "BENCH_serve.json"))
+    os.unlink(str(baseline / "BENCH_sweep.json"))
     assert _run(fresh, baseline) == 0
     captured = capsys.readouterr()
     assert "no-baseline" in captured.out

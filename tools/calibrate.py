@@ -1,7 +1,7 @@
 """Calibration sweep: per-workload metrics vs the paper's targets."""
 import sys, time
-from repro.api import private, nocstar, monolithic, distributed, ideal, nocstar_ideal, compare
-from repro.workloads import build_multithreaded, get_workload, WORKLOAD_NAMES
+from repro.api import Scenario, private, nocstar, monolithic, distributed, ideal, nocstar_ideal, compare
+from repro.workloads import WORKLOAD_NAMES
 
 cores = int(sys.argv[1]) if len(sys.argv) > 1 else 16
 acc = int(sys.argv[2]) if len(sys.argv) > 2 else 6000
@@ -12,8 +12,10 @@ print(f"cores={cores} accesses={acc} superpages={sp}")
 print(f"{'workload':15s} {'l1mr':>5s} {'pl2mr':>6s} {'elim%':>6s} {'mono':>6s} {'dist':>6s} {'nstar':>6s} {'nideal':>6s} {'ideal':>6s} {'walkcyc':>7s}")
 t0 = time.time()
 for name in names:
-    wl = build_multithreaded(get_workload(name), cores, accesses_per_core=acc, seed=11, superpages=sp)
-    cmp = compare(wl, [private(cores), monolithic(cores), distributed(cores), nocstar(cores), nocstar_ideal(cores), ideal(cores)])
+    cmp = compare(Scenario(
+        configurations=[private(cores), monolithic(cores), distributed(cores), nocstar(cores), nocstar_ideal(cores), ideal(cores)],
+        workloads=name, accesses_per_core=acc, seed=11, superpages=sp,
+    ))
     p = cmp.results['private']
     s = cmp.speedups()
     # avg walk latency proxy from private walk levels

@@ -20,8 +20,6 @@ instead of silently shifting the committed trajectory:
 * ``BENCH_scale.json``  — ``scale_ratio`` (1024-core vectorized wall
   time over the 64-core batched anchor; interleaved best-of-N, so the
   ratio cancels machine speed and only engine drift moves it);
-* ``BENCH_serve.json``  — ``p95_seconds`` (serving-tier tail latency
-  under 256 concurrent clients);
 * ``BENCH_faults.json`` — fault-free ``cycles`` (rate-0 point; the
   engine is deterministic, so any growth is a real simulation change,
   not noise).
@@ -40,12 +38,11 @@ import subprocess
 import sys
 from typing import Dict, List, Optional, Tuple
 
-#: Default artefact set (all five guards), relative to the repo root.
+#: Default artefact set (all four guards), relative to the repo root.
 DEFAULT_FILES = (
     "benchmarks/results/BENCH_engine.json",
     "benchmarks/results/BENCH_sweep.json",
     "benchmarks/results/BENCH_scale.json",
-    "benchmarks/results/BENCH_serve.json",
     "benchmarks/results/BENCH_faults.json",
 )
 
@@ -65,8 +62,6 @@ def extract_metric(basename: str, payload: Dict) -> Tuple[str, float]:
         return "after_seconds", float(payload["after_seconds"])
     if basename == "BENCH_scale.json":
         return "scale_ratio", float(payload["scale_ratio"])
-    if basename == "BENCH_serve.json":
-        return "p95_seconds", float(payload["p95_seconds"])
     if basename == "BENCH_faults.json":
         for point in payload["points"]:
             if point.get("rate") == 0.0:
@@ -160,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "files",
         nargs="*",
         default=list(DEFAULT_FILES),
-        help="fresh artefacts to check (default: all five guards)",
+        help="fresh artefacts to check (default: all four guards)",
     )
     parser.add_argument(
         "--threshold",
