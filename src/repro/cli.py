@@ -56,7 +56,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.tables import render_table
 from repro.exec.runner import Runner
@@ -82,18 +83,29 @@ from repro.workloads.registry import WORKLOAD_NAMES, WORKLOADS, get_workload
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 
 
+@contextmanager
+def _user_input() -> Iterator[None]:
+    """Exit with one line when a command's inputs are rejected.
+
+    ``SystemConfig``, ``Scenario``, the fault specs and the workload
+    registry reject a bad value with ``ValueError`` or ``KeyError``
+    while a command builds its inputs.  Errors raised later, inside a
+    simulation, keep their traceback: only input construction runs in
+    this block.
+    """
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        # args[0]: str() of a KeyError would quote its message.
+        raise SystemExit(str(exc.args[0] if exc.args else exc)) from None
+
+
 def _build_configs(
     names: Sequence[str], cores: int, policy: Optional[str] = None
 ) -> List[cfg.SystemConfig]:
     overrides = {} if policy is None else {"policy": policy}
-    configs = []
-    for name in names:
-        try:
-            configs.append(cfg.build_config(name, cores, **overrides))
-        except KeyError:
-            known = ", ".join(cfg.available_configs())
-            raise SystemExit(f"unknown config {name!r}; known: {known}")
-    return configs
+    with _user_input():
+        return [cfg.build_config(name, cores, **overrides) for name in names]
 
 
 def _policy_overrides(args: argparse.Namespace) -> dict:
@@ -193,9 +205,10 @@ def _faults_from(args: argparse.Namespace) -> Optional[FaultSpec]:
     drop = getattr(args, "fault_drop_prob", 0.0)
     if rate <= 0.0 and drop <= 0.0:
         return None
-    return FaultSpec(
-        links=LinkFailure(rate=rate), arbiter=ArbiterDrop(probability=drop)
-    )
+    with _user_input():
+        return FaultSpec(
+            links=LinkFailure(rate=rate), arbiter=ArbiterDrop(probability=drop)
+        )
 
 
 def _print_speedup_table(comparison) -> None:
@@ -267,16 +280,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             metrics=metrics, trace=trace,
         )
     else:
-        scenario = Scenario(
-            configurations=_build_configs(names, args.cores, args.policy),
-            workloads=args.workload,
-            accesses_per_core=args.accesses,
-            seed=args.seed,
-            superpages=not args.no_superpages,
-            metrics=metrics,
-            trace=trace,
-            faults=faults,
-        )
+        configs = _build_configs(names, args.cores, args.policy)
+        with _user_input():
+            scenario = Scenario(
+                configurations=configs,
+                workloads=args.workload,
+                accesses_per_core=args.accesses,
+                seed=args.seed,
+                superpages=not args.no_superpages,
+                metrics=metrics,
+                trace=trace,
+                faults=faults,
+            )
         lineup = runner.run_one(scenario)
     _print_speedup_table(lineup)
     _print_fault_summaries([lineup])
@@ -293,8 +308,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tracer = _tracer_from(args)
     runner = _runner_from(args, tracer)
     metrics, trace = _obs_flags(args)
-    comparisons = runner.run(
-        Scenario(
+    faults = _faults_from(args)
+    with _user_input():
+        scenario = Scenario(
             configurations=cfg.paper_lineup(
                 args.cores, **_policy_overrides(args)
             ),
@@ -304,9 +320,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             superpages=not args.no_superpages,
             metrics=metrics,
             trace=trace,
-            faults=_faults_from(args),
+            faults=faults,
         )
-    )
+    comparisons = runner.run(scenario)
     config_names = ["monolithic-mesh", "distributed", "nocstar", "ideal"]
     rows = [
         [name] + [comparisons[name].speedup(c) for c in config_names]
@@ -377,26 +393,29 @@ def cmd_faults(args: argparse.Namespace) -> int:
     cache_totals = {"hits": 0, "misses": 0}
     for rate in rates:
         faults = None
-        if rate > 0.0:
-            faults = FaultSpec(
-                links=LinkFailure(rate=rate),
-                arbiter=ArbiterDrop(
-                    probability=min(1.0, rate * args.drop_factor)
-                ),
-                slices=SliceFailure(rate=rate * args.slice_factor),
-                walker=WalkerSlowdown(factor=1.0 + rate * args.walker_factor),
+        with _user_input():
+            if rate > 0.0:
+                faults = FaultSpec(
+                    links=LinkFailure(rate=rate),
+                    arbiter=ArbiterDrop(
+                        probability=min(1.0, rate * args.drop_factor)
+                    ),
+                    slices=SliceFailure(rate=rate * args.slice_factor),
+                    walker=WalkerSlowdown(
+                        factor=1.0 + rate * args.walker_factor
+                    ),
+                )
+            scenario = Scenario(
+                configurations=config,
+                workloads=args.workload,
+                accesses_per_core=args.accesses,
+                seed=args.seed,
+                superpages=not args.no_superpages,
+                baseline_name=config.name,
+                metrics=metrics,
+                trace=trace,
+                faults=faults,
             )
-        scenario = Scenario(
-            configurations=config,
-            workloads=args.workload,
-            accesses_per_core=args.accesses,
-            seed=args.seed,
-            superpages=not args.no_superpages,
-            baseline_name=config.name,
-            metrics=metrics,
-            trace=trace,
-            faults=faults,
-        )
         result = runner.run_one(scenario).results[config.name]
         # Runner.stats resets per run_one(); total them over the sweep.
         cache_totals["hits"] += runner.stats["hits"]

@@ -18,20 +18,23 @@ response each arbitrate for a single traversal) and round-trip (links
 held for the whole remote access and released explicitly).
 
 Reservations live in one cycle-indexed store for the whole fabric —
-cycle -> set of links carrying data in that cycle — rather than in
-busy-until watermarks: the driving engine resolves cores' misses
+cycle -> bitmask of the links carrying data in that cycle — rather than
+in busy-until watermarks: the driving engine resolves cores' misses
 slightly out of global time order (bounded by its run-ahead quantum),
 and a watermark would make a reservation placed at cycle 5000 block an
 unrelated message at cycle 4000.  Only true same-cycle conflicts on a
 link cause retries.  Indexing by cycle mirrors the hardware's ANDed
-grants: each (src, dst) path is a memoised frozenset of links, so one
-setup attempt is one set test per traversal cycle, not one per hop.
+grants: the directed links are numbered run by run (per row an
+eastward and a westward run, per column a southward and a northward
+run, each in travel order), so every XY leg is one slice of one run.
+A route's path is then at most two tuple slices sharing the runs' link
+objects, its mask at most two contiguous bit fields, and one setup
+attempt is one integer AND per traversal cycle, not one test per hop.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import DefaultDict, Dict, FrozenSet, NamedTuple, Set, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
 from repro.core.link_arbiter import control_fanout
@@ -43,8 +46,10 @@ from repro.faults.routing import UnreachableError
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
-#: (XY path, its links as a set, uncontended traversal cycles).
-Route = Tuple[Tuple[Link, ...], FrozenSet[Link], int]
+#: (XY path, its links as a bitmask, uncontended traversal cycles).
+Route = Tuple[Tuple[Link, ...], int, int]
+#: A run of directed links in travel order, and the bit of its first.
+Run = Tuple[Tuple[Link, ...], int]
 
 
 class NocstarTraversal(NamedTuple):
@@ -74,7 +79,6 @@ class NocstarInterconnect:
         config: NocstarConfig = NocstarConfig(),
         sink=NULL_SINK,
         faults=None,
-        routes=None,
     ) -> None:
         self.topology = topology
         self.config = config
@@ -83,24 +87,44 @@ class NocstarInterconnect:
         #: paths then skip building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
-        #: Path and duration source: the precomputed fault-free
-        #: RouteCache tables, or (None, under the reference engine) the
-        #: topology and traversal_cycles.  Arbitration is always live.
-        self.routes = routes
-        if routes is not None:
-            self._cycles = routes.nocstar_cycles(config.hpc_max)
         if faults is not None and (
             faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
         ):
             # Construction-time dispatch: the fault-free hot path stays
             # branch-free and byte-identical to the pre-fault model.
             self.send = self._send_faulty
-        #: (src, dst) -> Route, filled on first use.
-        self._routes: Dict[Tuple[int, int], Route] = {}
-        #: cycle -> links carrying data during that cycle.
-        self._busy: DefaultDict[int, Set[Link]] = defaultdict(set)
-        #: link -> cycle from which the link is held (round-trip mode).
+        # Number the links run by run: each row's eastward then
+        # westward run, then each column's southward then northward
+        # run, in travel order.  Bit k is self._links[k].
+        rows, cols = topology.rows, topology.cols
+        lanes = [
+            [(t, t + 1) for t in range(y * cols, (y + 1) * cols - 1)]
+            for y in range(rows)
+        ] + [
+            [(t, t + cols) for t in range(x, (rows - 1) * cols, cols)]
+            for x in range(cols)
+        ]
+        links: List[Link] = []
+        #: Per row, then per column: its (forward, backward) runs.
+        self._lanes: List[Tuple[Run, Run]] = []
+        for forward in lanes:
+            backward = [(b, a) for a, b in reversed(forward)]
+            self._lanes.append((
+                (tuple(forward), len(links)),
+                (tuple(backward), len(links) + len(forward)),
+            ))
+            links += forward + backward
+        self._links: Tuple[Link, ...] = tuple(links)
+        self._bit = {link: k for k, link in enumerate(links)}
+        self._tiles = topology.num_tiles
+        #: src * num_tiles + dst -> Route, filled on first use.
+        self._routes: Dict[int, Route] = {}
+        #: cycle -> mask of the links carrying data during that cycle.
+        self._busy: Dict[int, int] = {}
+        #: link -> cycle from which the link is held (round-trip mode),
+        #: and the held links' mask.
         self._held: Dict[Link, int] = {}
+        self._held_mask = 0
         self.messages = 0
         self.local_messages = 0
         self.total_hops = 0
@@ -115,15 +139,30 @@ class NocstarInterconnect:
         """Cycles for the data traversal: ceil(hops / HPCmax)."""
         return -(-hops // self.config.hpc_max) if hops else 0
 
-    def _route(self, src: int, dst: int) -> Route:
-        """Build and memoise the :data:`Route` for ``src -> dst``."""
-        if self.routes is None:
-            path = tuple(self.topology.xy_path(src, dst))
-            duration = self.traversal_cycles(len(path))
-        else:
-            path = self.routes.path(src, dst)
-            duration = self._cycles[src][dst]
-        route = self._routes[src, dst] = (path, frozenset(path), duration)
+    def _route(self, key: int) -> Route:
+        """Build and memoise the :data:`Route` for ``key``, which is
+        ``src * num_tiles + dst``: each XY leg slices one run."""
+        src, dst = divmod(key, self._tiles)
+        cols, rows = self.topology.cols, self.topology.rows
+        sy, sx = divmod(src, cols)
+        dy, dx = divmod(dst, cols)
+        path: Tuple[Link, ...] = ()
+        mask = 0
+        for (forward, backward), here, there, last in (
+            (self._lanes[sy], sx, dx, cols - 1),
+            (self._lanes[rows + dx], sy, dy, rows - 1),
+        ):
+            if there > here:
+                (run, bit), a, b = forward, here, there
+            elif there < here:
+                (run, bit), a, b = backward, last - here, last - there
+            else:
+                continue
+            path += run[a:b]
+            mask |= ((1 << (b - a)) - 1) << (bit + a)
+        route = self._routes[key] = (
+            path, mask, self.traversal_cycles(len(path))
+        )
         return route
 
     def send(
@@ -147,9 +186,8 @@ class NocstarInterconnect:
             return NocstarTraversal(
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
-        path, links, duration = (
-            self._routes.get((src, dst)) or self._route(src, dst)
-        )
+        key = src * self._tiles + dst
+        path, mask, duration = self._routes.get(key) or self._route(key)
         earliest = now if speculative_setup else now + 1
         start = earliest
         # Test the candidate span latest cycle first.  On a conflict,
@@ -160,16 +198,15 @@ class NocstarInterconnect:
         busy_at = self._busy.get
         cycle = start + duration - 1
         while cycle >= start:
-            busy = busy_at(cycle)
-            if busy is not None and not links.isdisjoint(busy):
+            if busy_at(cycle, 0) & mask:
                 start = cycle + 1
                 cycle += duration
             else:
                 cycle -= 1
-        if self._held:
+        if self._held_mask & mask:
             self._police_holds(path, start + duration)
         retries = start - earliest
-        self._reserve(path, links, start, duration, retries, hold)
+        self._reserve(path, mask, start, duration, retries, hold)
         if self._event is not None:
             self._event(
                 now, "nocstar_setup",
@@ -207,9 +244,8 @@ class NocstarInterconnect:
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
         inj = self.faults
-        path, links, duration = (
-            self._routes.get((src, dst)) or self._route(src, dst)
-        )
+        key = src * self._tiles + dst
+        path, mask, duration = self._routes.get(key) or self._route(key)
         hops = len(path)
         earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
@@ -223,7 +259,7 @@ class NocstarInterconnect:
             if start >= deadline:
                 return self._fallback(src, dst, start, hops, attempts)
             attempts += 1
-            if not self._path_free(path, links, start, duration):
+            if not self._path_free(path, mask, start, duration):
                 start += 1  # contention: retry next cycle, as fault-free
                 continue
             if inj.drop_setup():
@@ -234,7 +270,7 @@ class NocstarInterconnect:
                 continue
             break
         retries = attempts - 1
-        self._reserve(path, links, start, duration, retries, hold)
+        self._reserve(path, mask, start, duration, retries, hold)
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,
@@ -245,7 +281,7 @@ class NocstarInterconnect:
     def _reserve(
         self,
         path: Tuple[Link, ...],
-        links: FrozenSet[Link],
+        mask: int,
         start: int,
         duration: int,
         retries: int,
@@ -254,10 +290,12 @@ class NocstarInterconnect:
         """Book a won setup's span and charge its attempts."""
         end = start + duration
         busy = self._busy
+        busy_at = busy.get
         for cycle in range(start, end):
-            busy[cycle].update(links)
+            busy[cycle] = busy_at(cycle, 0) | mask
         if hold:
             self._held.update(dict.fromkeys(path, end))
+            self._held_mask |= mask
         hops = len(path)
         # Every setup attempt broadcasts a request to all path arbiters.
         self.control_requests += hops * (retries + 1)
@@ -301,17 +339,16 @@ class NocstarInterconnect:
     def _path_free(
         self,
         path: Tuple[Link, ...],
-        links: FrozenSet[Link],
+        mask: int,
         start: int,
         duration: int,
     ) -> bool:
         """True if every link is free for [start, start+duration)."""
-        if self._held:
+        if self._held_mask & mask:
             self._police_holds(path, start + duration)
         busy_at = self._busy.get
         for cycle in range(start, start + duration):
-            busy = busy_at(cycle)
-            if busy is not None and not links.isdisjoint(busy):
+            if busy_at(cycle, 0) & mask:
                 return False
         return True
 
@@ -340,15 +377,19 @@ class NocstarInterconnect:
         The held window is converted into explicit occupancy so that
         slightly out-of-order requests (see class docstring) still see
         the hold."""
-        windows: Dict[int, list] = {}
+        windows: Dict[int, int] = {}  # held_from -> released links' mask
         for link in links:
             held_from = self._held.pop(link, None)
             if held_from is not None:
-                windows.setdefault(held_from, []).append(link)
+                windows[held_from] = (
+                    windows.get(held_from, 0) | 1 << self._bit[link]
+                )
         busy = self._busy
+        busy_at = busy.get
         for held_from, released in windows.items():
+            self._held_mask &= ~released
             for cycle in range(held_from, at):
-                busy[cycle].update(released)
+                busy[cycle] = busy_at(cycle, 0) | released
 
     def round_trip(
         self,
@@ -389,10 +430,13 @@ class NocstarInterconnect:
         Round-trip holds still in flight are not counted; every hold is
         released before a run finishes, converting it into occupancy.
         """
-        counts: Counter = Counter()
-        for links in self._busy.values():
-            counts.update(links)
-        return dict(counts)
+        counts = [0] * len(self._links)
+        for mask in self._busy.values():
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
+        return {link: n for link, n in zip(self._links, counts) if n}
 
     @property
     def mean_setup_retries(self) -> float:
@@ -411,6 +455,7 @@ class NocstarInterconnect:
     def reset(self) -> None:
         self._busy.clear()
         self._held.clear()
+        self._held_mask = 0
         self.messages = self.local_messages = 0
         self.total_hops = self.total_setup_retries = 0
         self.uncontended_messages = 0

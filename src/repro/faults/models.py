@@ -59,7 +59,9 @@ class LinkFailure:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("link failure rate must be in [0, 1]")
+            raise ValueError(
+                f"link failure rate must be in [0, 1] (got {self.rate})"
+            )
         object.__setattr__(
             self, "links", tuple((int(a), int(b)) for a, b in self.links)
         )
@@ -75,7 +77,10 @@ class ArbiterDrop:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("arbiter drop probability must be in [0, 1]")
+            raise ValueError(
+                "arbiter drop probability must be in [0, 1] "
+                f"(got {self.probability})"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,9 @@ class SliceFailure:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("slice failure rate must be in [0, 1]")
+            raise ValueError(
+                f"slice failure rate must be in [0, 1] (got {self.rate})"
+            )
         object.__setattr__(
             self, "slices", tuple(int(s) for s in self.slices)
         )

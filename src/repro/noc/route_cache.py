@@ -4,20 +4,21 @@ Fault-free, contention-free path properties are pure functions of
 ``(src, dst, topology)`` — the structure analytical NoC models exploit
 (Mandal et al.'s priority-class models, and bufferless GPU-scale
 simulators alike).  The discrete-event models in this package
-recomputed them on every send: ``xy_path`` walks the grid per message,
-``hops`` re-derives coordinates, and NOCSTAR's segment count is a
-division that never changes for a pair.  A :class:`RouteCache`
-precomputes all of it once per topology.
+recomputed them on every send: ``xy_path`` walks the grid per message
+and ``hops`` re-derives coordinates.  A :class:`RouteCache` precomputes
+both once per topology, for the mesh and SMART models and the L2
+transaction's hop-count legs.  NOCSTAR keeps its own route memo (a
+path plus a link bitmask, see :mod:`repro.core.nocstar`).
 
 Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
 
 * ``hops_array`` — the N x N Manhattan-distance table as a compact
   ``int16`` ndarray (2 MiB at 1024 tiles, versus ~36 MiB of nested
   Python int lists), built by broadcasting, not per-pair loops;
-* ``mesh_latency_array`` / ``nocstar_cycles_array`` — derived ``int32``
-  tables, memoised lazily per parameterisation so forked pool workers
-  only ever materialise the cycles-per-hop / HPCmax points they run;
-* ``hops`` / ``mesh_latency()`` / ``nocstar_cycles()`` — row-lazy
+* ``mesh_latency_array`` — a derived ``int32`` table, memoised lazily
+  per cycles-per-hop so forked pool workers only ever materialise the
+  points they run;
+* ``hops`` / ``mesh_latency()`` — row-lazy
   Python-int views over those arrays (see :class:`_LazyRows`) for the
   per-event models, which index ``table[src][dst]`` on scalar sends.
   Rows convert to plain lists on first touch, so scalar consumers keep
@@ -113,8 +114,6 @@ class RouteCache:
         self._paths: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self._mesh_latency: Dict[int, _LazyRows] = {}
         self._mesh_latency_arrays: Dict[int, np.ndarray] = {}
-        self._nocstar_cycles: Dict[int, _LazyRows] = {}
-        self._nocstar_cycles_arrays: Dict[int, np.ndarray] = {}
 
     def path(self, src: int, dst: int) -> Tuple[Link, ...]:
         """The XY link path ``src -> dst`` (memoised)."""
@@ -139,22 +138,6 @@ class RouteCache:
         if table is None:
             table = _LazyRows(self.mesh_latency_array(cycles_per_hop))
             self._mesh_latency[cycles_per_hop] = table
-        return table
-
-    def nocstar_cycles_array(self, hpc_max: int) -> np.ndarray:
-        """``ceil(hops / HPCmax)`` as an int32 ndarray (lazy, memoised)."""
-        table = self._nocstar_cycles_arrays.get(hpc_max)
-        if table is None:
-            table = -(-self.hops_array.astype(np.int32) // hpc_max)
-            self._nocstar_cycles_arrays[hpc_max] = table
-        return table
-
-    def nocstar_cycles(self, hpc_max: int) -> _LazyRows:
-        """Uncontended data-traversal cycles: ``ceil(hops / HPCmax)``."""
-        table = self._nocstar_cycles.get(hpc_max)
-        if table is None:
-            table = _LazyRows(self.nocstar_cycles_array(hpc_max))
-            self._nocstar_cycles[hpc_max] = table
         return table
 
 

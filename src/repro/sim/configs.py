@@ -132,7 +132,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
-            raise ValueError("need at least one core")
+            raise ValueError(f"need at least one core (got {self.num_cores})")
         if self.scheme not in (PRIVATE, MONOLITHIC, DISTRIBUTED, NOCSTAR, IDEAL):
             raise ValueError(f"unknown scheme: {self.scheme}")
         if self.ptw_policy not in (PTW_REQUESTER, PTW_REMOTE):

@@ -202,7 +202,10 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate configuration names in lineup: {names}")
         if self.accesses_per_core <= 0:
-            raise ValueError("accesses_per_core must be positive")
+            raise ValueError(
+                "accesses_per_core must be positive "
+                f"(got {self.accesses_per_core})"
+            )
         if self.smt < 1:
             raise ValueError("smt must be >= 1")
         if self.quantum < 1:

@@ -176,7 +176,7 @@ class System:
                 net_faults = None if config.nocstar_ideal else self.faults
                 self.network = NocstarInterconnect(
                     self.topology, config.nocstar, sink=sink,
-                    faults=net_faults, routes=self.routes,
+                    faults=net_faults,
                 )
                 self._network_fault_aware = not config.nocstar_ideal
 
@@ -529,26 +529,22 @@ class System:
         """NOCSTAR(ideal)'s legs: guaranteed-free links, so a message
         is its uncontended traversal; returns ``(hops, cycles)``."""
         network = self.network
-        if self.routes is not None:
-            hop_rows = self.routes.hops
-            cycle_rows = self.routes.nocstar_cycles(self.config.nocstar.hpc_max)
-
-            def legs(src: int, dst: int) -> Tuple[int, int]:
-                return hop_rows[src][dst], cycle_rows[src][dst]
-        else:
+        traversal_cycles = network.traversal_cycles
+        if self.routes is None:
             hops_of = self.topology.hops
+        else:
+            hop_rows = self.routes.hops
 
-            def legs(src: int, dst: int) -> Tuple[int, int]:
-                hops = hops_of(src, dst)
-                return hops, network.traversal_cycles(hops)
+            def hops_of(src: int, dst: int) -> int:
+                return hop_rows[src][dst]
 
         def ideal_send(src: int, dst: int) -> Tuple[int, int]:
-            hops, cycles = legs(src, dst)
+            hops = hops_of(src, dst)
             network.messages += 1
             network.total_hops += hops
             if hops:
                 network.uncontended_messages += 1
-            return hops, cycles
+            return hops, traversal_cycles(hops)
 
         return ideal_send
 

@@ -1,5 +1,7 @@
 """The NOCSTAR interconnect: timing, contention, acquisition modes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,10 @@ from repro.core.config import NocstarConfig, ROUND_TRIP
 from repro.core.nocstar import NocstarInterconnect
 from repro.noc.route_cache import RouteCache
 from repro.noc.topology import MeshTopology
+from repro.sim import configs as cfg
+from repro.sim.engine import simulate
+from repro.workloads.generators import build_multithreaded
+from repro.workloads.registry import get_workload
 
 
 def make(tiles=16, **kw):
@@ -221,8 +227,8 @@ class PerLinkOracle:
 
 
 send_ops = st.tuples(
-    st.integers(min_value=0, max_value=63),  # src (mod tiles)
-    st.integers(min_value=0, max_value=63),  # dst (mod tiles)
+    st.integers(min_value=0, max_value=127),  # src (mod tiles)
+    st.integers(min_value=0, max_value=127),  # dst (mod tiles)
     st.integers(min_value=0, max_value=40),  # now, drawn out of order
     st.booleans(),  # speculative_setup
     st.one_of(st.none(), st.integers(min_value=1, max_value=30)),  # hold
@@ -231,7 +237,7 @@ send_ops = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from((16, 64)),
+    st.sampled_from((12, 16, 64, 128)),  # 3x4 and 8x16 are not square
     st.sampled_from((1, 4, 16)),
     st.lists(send_ops, min_size=20, max_size=80),
 )
@@ -239,22 +245,89 @@ def test_cycle_indexed_store_matches_per_link_oracle(tiles, hpc_max, ops):
     """Random mixed traffic — out-of-order ``now``, speculative setups,
     round-trip holds released after a service window — resolves to the
     same traversals, counters and busy cycles as the per-link model."""
-    for routes in (None, RouteCache(MeshTopology(tiles))):
-        ic = NocstarInterconnect(
-            MeshTopology(tiles), NocstarConfig(hpc_max=hpc_max), routes=routes
-        )
-        oracle = PerLinkOracle(tiles, hpc_max)
-        for src, dst, now, speculative, service in ops:
-            src, dst = src % tiles, dst % tiles
-            hold = service is not None
-            got = ic.send(src, dst, now, speculative, hold)
-            assert tuple(got) == oracle.send(src, dst, now, speculative, hold)
-            if hold and got.links:
-                at = got.ready + service
-                ic.release(got.links, at)
-                oracle.release(got.links, at)
-        assert {name: getattr(ic, name) for name in COUNTERS} == oracle.counts
-        assert ic.link_busy_cycles() == oracle.link_busy_cycles()
+    ic = NocstarInterconnect(
+        MeshTopology(tiles), NocstarConfig(hpc_max=hpc_max)
+    )
+    oracle = PerLinkOracle(tiles, hpc_max)
+    for src, dst, now, speculative, service in ops:
+        src, dst = src % tiles, dst % tiles
+        hold = service is not None
+        got = ic.send(src, dst, now, speculative, hold)
+        assert tuple(got) == oracle.send(src, dst, now, speculative, hold)
+        if hold and got.links:
+            at = got.ready + service
+            ic.release(got.links, at)
+            oracle.release(got.links, at)
+    assert {name: getattr(ic, name) for name in COUNTERS} == oracle.counts
+    assert ic.link_busy_cycles() == oracle.link_busy_cycles()
+
+
+def _check_routes(tiles, pairs):
+    """Each pair's memoised route is its XY path, sliced from the link
+    runs, with one mask bit per hop naming exactly the path's links, and
+    the traversal ``ceil(hops / HPCmax)`` that a send then takes."""
+    topology = MeshTopology(tiles)
+    for hpc_max in (3, 16):
+        ic = NocstarInterconnect(topology, NocstarConfig(hpc_max=hpc_max))
+        assert ic.send.__func__ is NocstarInterconnect.send  # fault-free
+        for src, dst in pairs:
+            path, mask, duration = ic._route(src * tiles + dst)
+            assert path == tuple(topology.xy_path(src, dst))
+            assert bin(mask).count("1") == len(path) == topology.hops(src, dst)
+            bits, decoded = mask, set()
+            while bits:
+                low = bits & -bits
+                decoded.add(ic._links[low.bit_length() - 1])
+                bits ^= low
+            assert decoded == set(path)
+            assert duration == -(-len(path) // hpc_max)
+        src, dst = pairs[-1]
+        sent = ic.send(src, dst, now=0)
+        assert (sent.links, sent.traversal_cycles) == (path, duration)
+
+
+@pytest.mark.parametrize("tiles", [1, 2, 3, 6, 7, 12, 16, 64, 128])
+def test_every_route_is_its_xy_path_and_mask(tiles):
+    """Every pair, on 1xN, 2x3, 3x4, square and 8x16 meshes."""
+    _check_routes(tiles, [(s, d) for s in range(tiles) for d in range(tiles)])
+
+
+@pytest.mark.parametrize("tiles", [512, 1024])
+def test_sampled_mega_mesh_routes_are_xy_paths_and_masks(tiles):
+    """2,000 seeded pairs on the 16x32 and 32x32 meshes."""
+    rng = random.Random(tiles)
+    _check_routes(
+        tiles,
+        [(rng.randrange(tiles), rng.randrange(tiles)) for _ in range(2_000)],
+    )
+
+
+def test_routes_share_the_link_objects_they_cross():
+    ic = make(16)  # 4x4
+    x_leg = ic._route(0 * 16 + 3)[0]  # (0,1) (1,2) (2,3)
+    inner = ic._route(1 * 16 + 2)[0]  # (1,2)
+    corner = ic._route(0 * 16 + 15)[0]  # (0,1) (1,2) (2,3) (3,7) ...
+    y_leg = ic._route(3 * 16 + 15)[0]  # (3,7) (7,11) (11,15)
+    assert x_leg[1] is inner[0]
+    assert all(a is b for a, b in zip(x_leg, corner))
+    assert all(a is b for a, b in zip(corner[3:], y_leg))
+
+
+def test_nocstar_run_never_walks_xy_paths_or_the_route_cache(monkeypatch):
+    """A cold 64-core run slices every path from the link runs."""
+    calls = []
+    for owner, name in ((MeshTopology, "xy_path"), (RouteCache, "path")):
+        def spy(self, *args, _name=name, _real=getattr(owner, name)):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    workload = build_multithreaded(
+        get_workload("gups"), 64, accesses_per_core=100, seed=3
+    )
+    result = simulate(cfg.nocstar(64), workload)
+    assert result.network["messages"] > 0
+    assert calls == []
 
 
 @settings(max_examples=40)

@@ -8,7 +8,6 @@ router wins the construction-time dispatch).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import NocstarConfig
 from repro.core.nocstar import NocstarInterconnect
 from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
@@ -76,26 +75,6 @@ def test_cached_smart_send_equals_live_smart_send(n, data):
     assert cached == live
 
 
-@settings(max_examples=30)
-@given(tile_counts, st.integers(min_value=1, max_value=8), st.data())
-def test_cached_nocstar_send_equals_live_nocstar_send(n, hpc_max, data):
-    topo = MeshTopology(n)
-    config = NocstarConfig(hpc_max=hpc_max)
-    cache = RouteCache(topo)
-    src, dst = _pair(data, n)
-    now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    live = NocstarInterconnect(topo, config=config)
-    routed = NocstarInterconnect(topo, config=config, routes=cache)
-    # Fault-free, one send either way: the cache only swaps the route
-    # source the send memoises from.
-    assert live.send.__func__ is NocstarInterconnect.send
-    assert routed.send.__func__ is NocstarInterconnect.send
-    assert routed.send(src, dst, now) == live.send(src, dst, now)
-    # The derived cycle table is exactly the live ceil-division.
-    table = cache.nocstar_cycles(hpc_max)
-    assert table[src][dst] == live.traversal_cycles(cache.hops[src][dst])
-
-
 @settings(max_examples=25)
 @given(st.integers(min_value=4, max_value=36), st.data())
 def test_dead_links_bypass_the_cache(n, data):
@@ -114,7 +93,7 @@ def test_dead_links_bypass_the_cache(n, data):
     assert mesh.send.__func__ is ContentionFreeMesh._send_fault_routed
     smart = SmartNetwork(topo, faults=faults, routes=cache)
     assert smart._route.__func__ is SmartNetwork._fault_route
-    nocstar = NocstarInterconnect(topo, faults=faults, routes=cache)
+    nocstar = NocstarInterconnect(topo, faults=faults)
     assert nocstar.send.__func__ is NocstarInterconnect._send_faulty
 
     src, dst = _pair(data, n)

@@ -59,9 +59,9 @@ class ChainSystem(System):
             and config.nocstar_ideal
             and self.routes is not None
         ):
-            self._ideal_cycles = self.routes.nocstar_cycles(
-                config.nocstar.hpc_max
-            )
+            # ceil(hops / HPCmax) per pair, from the hop table.
+            hops = self.routes.hops_array.astype(int)
+            self._ideal_cycles = (-(-hops // config.nocstar.hpc_max)).tolist()
         prio = config.arbitration == PRIORITY
         self._klass_walk = WALK_CLASS if prio else 0
         self._klass_prefetch = PREFETCH_CLASS if prio else 0

@@ -42,6 +42,35 @@ def test_run_command_unknown_config():
               "--accesses", "100"])
 
 
+#: Inputs each command rejects while building them, and the bad value
+#: the message must name.
+BAD_INPUTS = [
+    (["run", "--cores", "0"], "(got 0)"),
+    (["run", "--accesses", "0"], "(got 0)"),
+    (["run", "--fault-rate", "1.5"], "(got 1.5)"),
+    (["run", "--fault-drop-prob", "2"], "(got 2.0)"),
+    (["run", "--workload", "nope"], "'nope'"),
+    (["sweep", "--cores", "0"], "(got 0)"),
+    (["faults", "--cores", "0"], "(got 0)"),
+    (["run", "--jobs", "0"], "(got 0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+)
+def test_bad_inputs_exit_with_one_line(argv, named, capsys):
+    """An input rejected while it is built exits non-zero with one line
+    naming the bad value, never a traceback.  A string exit code is
+    what the interpreter prints to stderr before exiting with 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-cache"])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1
+    assert named in message
+    assert capsys.readouterr().err == ""
+
+
 def test_run_command_parallel_no_cache(capsys, tmp_path):
     code = main(
         [
