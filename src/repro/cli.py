@@ -57,6 +57,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.tables import render_table
@@ -70,7 +71,11 @@ from repro.faults.models import (
 )
 from repro.obs import load_obs_records, render_report, write_obs_jsonl
 from repro.obs.spans import Tracer, load_spans, render_tree
-from repro.noc.synthetic import run_mesh_traffic, run_nocstar_traffic
+from repro.noc.synthetic import (
+    check_traffic_inputs,
+    run_mesh_traffic,
+    run_nocstar_traffic,
+)
 from repro.noc.topology import MeshTopology
 from repro.sim import configs as cfg
 from repro.sim.scenario import Scenario
@@ -87,9 +92,10 @@ DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 def _user_input() -> Iterator[None]:
     """Exit with one line when a command's inputs are rejected.
 
-    ``SystemConfig``, ``Scenario``, the fault specs and the workload
-    registry reject a bad value with ``ValueError`` or ``KeyError``
-    while a command builds its inputs.  Errors raised later, inside a
+    ``SystemConfig``, ``Scenario``, the fault specs, the workload
+    registry and generator, the mesh topology and the traffic-sweep
+    checks reject a bad value with ``ValueError`` or ``KeyError`` while
+    a command builds its inputs.  Errors raised later, inside a
     simulation, keep their traceback: only input construction runs in
     this block.
     """
@@ -176,16 +182,23 @@ def _obs_flags(args: argparse.Namespace) -> tuple:
     return (args.metrics or trace, trace)
 
 
-def _emit_obs(args: argparse.Namespace, comparisons) -> None:
-    """Write --trace-out and/or print the --metrics report."""
-    metrics, _ = _obs_flags(args)
-    if not metrics:
-        return
-    labelled = [
+def _labelled(comparisons) -> list:
+    """``(config, workload, result)`` triples of comparisons' runs."""
+    return [
         (config_name, comparison.workload_name, result)
         for comparison in comparisons
         for config_name, result in comparison.results.items()
     ]
+
+
+def _emit_obs(args: argparse.Namespace, labelled) -> None:
+    """Write --trace-out and/or print the --metrics report.
+
+    ``labelled`` holds ``(run label, workload, result)`` triples.
+    """
+    metrics, _ = _obs_flags(args)
+    if not metrics:
+        return
     if args.trace_out:
         lines = write_obs_jsonl(args.trace_out, labelled)
         print(
@@ -272,7 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "--fault-rate/--fault-drop-prob need a synthetic workload; "
                 "they are not supported with --trace-in inputs"
             )
-        workload = load_workload(args.trace_in)
+        try:
+            workload = load_workload(args.trace_in)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read {args.trace_in!r}: {exc}")
         if workload.num_cores != args.cores:
             args.cores = workload.num_cores
         lineup = runner.run_prebuilt(
@@ -295,7 +311,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         lineup = runner.run_one(scenario)
     _print_speedup_table(lineup)
     _print_fault_summaries([lineup])
-    _emit_obs(args, [lineup])
+    _emit_obs(args, _labelled([lineup]))
     _export_spans(args, tracer)
     _report_cache(runner)
     return 0
@@ -337,7 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(render_table(["workload"] + config_names, rows))
     _print_fault_summaries([comparisons[name] for name in names])
-    _emit_obs(args, [comparisons[name] for name in names])
+    _emit_obs(args, _labelled(comparisons[name] for name in names))
     _export_spans(args, tracer)
     _report_cache(runner)
     return 0
@@ -385,17 +401,21 @@ def cmd_faults(args: argparse.Namespace) -> int:
     tracer = _tracer_from(args)
     runner = _runner_from(args, tracer)
     metrics, trace = _obs_flags(args)
-
-    rows = []
-    points = []
-    labelled = []
-    baseline_cycles = None
-    cache_totals = {"hits": 0, "misses": 0}
-    for rate in rates:
-        faults = None
-        with _user_input():
-            if rate > 0.0:
-                faults = FaultSpec(
+    with _user_input():
+        anchor = Scenario(
+            configurations=config,
+            workloads=args.workload,
+            accesses_per_core=args.accesses,
+            seed=args.seed,
+            superpages=not args.no_superpages,
+            baseline_name=config.name,
+            metrics=metrics,
+            trace=trace,
+        ).units()[0]
+        units = [anchor] + [
+            replace(
+                anchor,
+                faults=FaultSpec(
                     links=LinkFailure(rate=rate),
                     arbiter=ArbiterDrop(
                         probability=min(1.0, rate * args.drop_factor)
@@ -404,24 +424,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
                     walker=WalkerSlowdown(
                         factor=1.0 + rate * args.walker_factor
                     ),
-                )
-            scenario = Scenario(
-                configurations=config,
-                workloads=args.workload,
-                accesses_per_core=args.accesses,
-                seed=args.seed,
-                superpages=not args.no_superpages,
-                baseline_name=config.name,
-                metrics=metrics,
-                trace=trace,
-                faults=faults,
+                ),
             )
-        result = runner.run_one(scenario).results[config.name]
-        # Runner.stats resets per run_one(); total them over the sweep.
-        cache_totals["hits"] += runner.stats["hits"]
-        cache_totals["misses"] += runner.stats["misses"]
-        if baseline_cycles is None:
-            baseline_cycles = result.cycles  # rate 0 runs first
+            for rate in rates[1:]
+        ]
+    results = runner.execute_units(units)
+
+    rows = []
+    points = []
+    labelled = []
+    baseline_cycles = results[0].cycles  # the fault-free anchor
+    for rate, result in zip(rates, results):
         speedup = baseline_cycles / result.cycles if result.cycles else 0.0
         summary = result.faults or {}
         rows.append(
@@ -472,20 +485,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"[faults] wrote {len(points)} point(s) to {args.out}",
               file=sys.stderr)
-    if metrics:
-        from repro.obs.report import event_records_from, run_records_from
-
-        if args.trace_out:
-            lines = write_obs_jsonl(args.trace_out, labelled)
-            print(
-                f"[obs] wrote {lines} record(s) to {args.trace_out}",
-                file=sys.stderr,
-            )
-        print()
-        print(render_report(run_records_from(labelled),
-                            event_records_from(labelled)))
+    _emit_obs(args, labelled)
     _export_spans(args, tracer)
-    runner.stats = cache_totals
     _report_cache(runner)
     return 0
 
@@ -684,7 +685,9 @@ def cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
-    topology = MeshTopology(args.tiles)
+    with _user_input():
+        topology = MeshTopology(args.tiles)
+        check_traffic_inputs(args.cycles, args.hpc_max)
     rows = []
     for rate in (0.01, 0.05, 0.1, 0.15, 0.2):
         nocstar = run_nocstar_traffic(
@@ -710,21 +713,24 @@ def cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def cmd_export_trace(args: argparse.Namespace) -> int:
-    workload = build_multithreaded(
-        get_workload(args.workload),
-        args.cores,
-        accesses_per_core=args.accesses,
-        seed=args.seed,
-        superpages=not args.no_superpages,
-    )
+    with _user_input():
+        workload = build_multithreaded(
+            get_workload(args.workload),
+            args.cores,
+            accesses_per_core=args.accesses,
+            seed=args.seed,
+            superpages=not args.no_superpages,
+        )
     path = save_workload(workload, args.out)
     print(f"wrote {workload.total_accesses} records to {path}")
     return 0
 
 
 def cmd_configs(args: argparse.Namespace) -> int:
+    with _user_input():
+        lineup = cfg.paper_lineup(args.cores)
     rows = []
-    for config in cfg.paper_lineup(args.cores):
+    for config in lineup:
         rows.append(
             [
                 config.name,

@@ -391,36 +391,6 @@ class NocstarInterconnect:
             for cycle in range(held_from, at):
                 busy[cycle] = busy_at(cycle, 0) | released
 
-    def round_trip(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        service_cycles: int,
-    ) -> Tuple[int, int]:
-        """Complete remote transaction; returns (response_ready, retries).
-
-        Dispatches on the configured acquisition mode: one-way arbitrates
-        separately for request and response (response setup speculative,
-        §III-C); round-trip holds the request path's links until the
-        response lands.
-        """
-        if self.config.acquire == ROUND_TRIP:
-            request = self.send(src, dst, now, hold=True)
-            lookup_done = request.ready + service_cycles
-            # The response reuses the held path: no second arbitration.
-            response_ready = lookup_done + request.traversal_cycles
-            self.release(request.links, response_ready)
-            if request.links:
-                self.messages += 1  # the response is still a message
-                self.total_hops += request.hops
-                self.uncontended_messages += 1
-            return response_ready, request.setup_retries
-        request = self.send(src, dst, now)
-        lookup_done = request.ready + service_cycles
-        response = self.send(dst, src, lookup_done, speculative_setup=True)
-        return response.ready, request.setup_retries + response.setup_retries
-
     # ------------------------------------------------------------------
     # Introspection
 

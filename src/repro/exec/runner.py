@@ -1,7 +1,9 @@
 """Parallel experiment runner with content-addressed result caching.
 
-The :class:`Runner` executes the independent :class:`RunUnit` grains of
-a :class:`~repro.sim.scenario.Scenario`:
+The :class:`Runner` executes independent run units — the
+:class:`RunUnit` grains of a :class:`~repro.sim.scenario.Scenario`, or
+the prebuilt units of a ``run_prebuilt`` lineup (:class:`PrebuiltUnit`)
+— through one pipeline that never asks which kind of unit it holds:
 
 * **fan-out** — with ``jobs=N`` the units are mapped over a
   ``multiprocessing`` pool (``jobs=1`` is a pure in-process serial
@@ -42,12 +44,7 @@ import os
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.exec.cache import (
-    ResultCache,
-    canonicalize,
-    unit_key,
-    workload_fingerprint,
-)
+from repro.exec.cache import ResultCache, unit_key, workload_fingerprint
 from repro.exec.trace_store import TraceStore, attach_workload
 from repro.obs.spans import Span, Tracer, span_record
 from repro.sim import configs as cfg
@@ -56,11 +53,10 @@ from repro.sim.engine import (
     ENGINE_VERSION,
     ShootdownTraffic,
     StormConfig,
-    simulate,
 )
 from repro.sim.results import RunResult
 from repro.sim.run import Comparison
-from repro.sim.scenario import RunUnit, Scenario
+from repro.sim.scenario import RunUnit, Scenario, simulate_unit
 from repro.workloads.trace import Workload
 
 #: Telemetry file dropped next to the cache when none is specified.
@@ -90,46 +86,94 @@ _SCHEME_COST = {
 _REFERENCE_LOOP_COST = 2.0
 
 
+class PrebuiltUnit(NamedTuple):
+    """One configuration of a ``run_prebuilt`` lineup.
+
+    The prebuilt counterpart of :class:`RunUnit`, answering the same
+    questions (cache identity, build signature and staging, trace
+    length, workload) from a built :class:`Workload` instead of a spec:
+    its cache identity hashes the trace records (``fingerprint``), its
+    artifact lives under ``TraceStore.prebuilt_key(fingerprint)``, and
+    it injects no faults.
+    """
+
+    config: cfg.SystemConfig
+    workload: Optional[Workload]
+    fingerprint: Optional[str]
+    storm: Optional[StormConfig]
+    shootdown: Optional[ShootdownTraffic]
+    record_intervals: bool
+    quantum: int
+    metrics: bool
+    trace: bool
+
+    @property
+    def seed(self) -> int:
+        return self.workload.seed
+
+    @property
+    def trace_length(self) -> float:
+        records = sum(len(s) for core in self.workload.traces for s in core)
+        return records / self.config.num_cores
+
+    def cache_identity(self) -> Dict:
+        return {
+            "workload_fingerprint": self.fingerprint,
+            "config": self.config,
+            "storm": self.storm,
+            "shootdown": self.shootdown,
+            "record_intervals": self.record_intervals,
+            "quantum": self.quantum,
+            "metrics": self.metrics,
+            "trace": self.trace,
+        }
+
+    def build_signature(self) -> Optional[str]:
+        return self.fingerprint
+
+    def stage(self, store: TraceStore) -> Tuple[str, bool]:
+        return store.ensure_prebuilt(self.fingerprint, self.workload)
+
+    def detached(self) -> "PrebuiltUnit":
+        """Without its records: the worker attaches the staged artifact,
+        so the workload is never pickled per task."""
+        return self._replace(workload=None)
+
+    def build_workload(self) -> Optional[Workload]:
+        return self.workload
+
+    def fault_plan(self) -> None:
+        return None
+
+
+_Unit = Union[RunUnit, PrebuiltUnit]
+
+
 class _Task(NamedTuple):
     """One schedulable simulation, self-contained for a pool worker.
 
-    Exactly one of ``unit`` / ``prebuilt`` is set.  ``artifact`` (when
-    not ``None``) points at a packed trace to attach in place of
-    building — for prebuilt tasks it also replaces the pickled
-    workload, which is the zero-copy half of the data plane.
+    ``artifact`` (when not ``None``) points at a packed trace the worker
+    attaches in place of building, and ``unit`` is then detached: it
+    carries no records, which is the zero-copy half of the data plane.
     """
 
     index: int
     cost: float
-    unit: Optional[RunUnit]
+    unit: _Unit
     artifact: Optional[str]
-    prebuilt: Optional[tuple]
 
 
-def _config_cost(
-    config: cfg.SystemConfig,
-    trace_length: int,
-    storm: Optional[StormConfig],
-    shootdown: Optional[ShootdownTraffic],
-) -> float:
-    cost = float(config.num_cores) * trace_length
-    cost *= _SCHEME_COST.get(config.scheme, 1.0)
-    if storm is not None or shootdown is not None:
-        cost *= _REFERENCE_LOOP_COST
-    return cost
-
-
-def unit_cost(unit: RunUnit) -> float:
+def unit_cost(unit: _Unit) -> float:
     """Estimated relative cost of one unit (the LPT scheduling weight).
 
     The Runner dispatches pending units longest-first by this model.
     """
-    return _config_cost(
-        unit.config,
-        unit.accesses_per_core * unit.smt,
-        unit.storm,
-        unit.shootdown,
-    )
+    config = unit.config
+    cost = float(config.num_cores) * unit.trace_length
+    cost *= _SCHEME_COST.get(config.scheme, 1.0)
+    if unit.storm is not None or unit.shootdown is not None:
+        cost *= _REFERENCE_LOOP_COST
+    return cost
 
 
 def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
@@ -140,42 +184,12 @@ def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
     the parent reassembles by submission index.
     """
     start = time.perf_counter()
-    if task.unit is not None:
-        unit = task.unit
-        if task.artifact is not None:
-            workload = attach_workload(task.artifact)
-        else:
-            workload = unit.build_workload()
-        built = time.perf_counter()
-        result = simulate(
-            unit.config,
-            workload,
-            quantum=unit.quantum,
-            storm=unit.storm,
-            shootdown=unit.shootdown,
-            record_intervals=unit.record_intervals,
-            metrics=unit.metrics,
-            trace=unit.trace,
-            faults=unit.fault_plan(),
-        )
+    if task.artifact is not None:
+        workload = attach_workload(task.artifact)
     else:
-        (
-            config, workload, storm, shootdown, record_intervals, quantum,
-            metrics, trace,
-        ) = task.prebuilt
-        if task.artifact is not None:
-            workload = attach_workload(task.artifact)
-        built = time.perf_counter()
-        result = simulate(
-            config,
-            workload,
-            quantum=quantum,
-            storm=storm,
-            shootdown=shootdown,
-            record_intervals=record_intervals,
-            metrics=metrics,
-            trace=trace,
-        )
+        workload = task.unit.build_workload()
+    built = time.perf_counter()
+    result = simulate_unit(task.unit, workload)
     return task.index, result, built - start, time.perf_counter() - built
 
 
@@ -206,11 +220,11 @@ class Runner:
         build signature and attached zero-copy by every worker; when
         ``None`` (default) units build their own traces as before.
     tracer:
-        A :class:`~repro.obs.spans.Tracer`.  When set, each
-        ``execute_units``/``run_prebuilt`` call is recorded as a
-        ``runner.execute`` span whose per-unit children carry the
-        schema-3 ``build_s``/``sim_s`` split (tail-anchored at each
-        unit's completion).
+        A :class:`~repro.obs.spans.Tracer`.  When set, each call —
+        ``run``, ``run_one``, ``run_prebuilt`` or ``execute_units`` —
+        is recorded as one ``runner.execute`` span whose per-unit
+        children carry the schema-3 ``build_s``/``sim_s`` split
+        (tail-anchored at each unit's completion).
         Pure telemetry: spans never touch cache keys or results.
     """
 
@@ -249,7 +263,7 @@ class Runner:
         self._span: Optional[Span] = None
 
     # ------------------------------------------------------------------
-    # scenario execution
+    # execution
 
     def run(self, scenario: Scenario) -> Dict[str, Comparison]:
         """Run a full scenario; one :class:`Comparison` per workload."""
@@ -280,7 +294,45 @@ class Runner:
             )
         return self.run(scenario)[scenario.workloads[0].name]
 
-    def execute_units(self, units: Sequence[RunUnit]) -> List[RunResult]:
+    def run_prebuilt(
+        self,
+        workload: Workload,
+        configurations: Sequence[cfg.SystemConfig],
+        baseline_name: str = "private",
+        storm: Optional[StormConfig] = None,
+        shootdown: Optional[ShootdownTraffic] = None,
+        record_intervals: bool = False,
+        quantum: int = DEFAULT_QUANTUM,
+        metrics: bool = False,
+        trace: bool = False,
+    ) -> Comparison:
+        """Run an already-built workload through a lineup.
+
+        Each configuration becomes one :class:`PrebuiltUnit` and the
+        lineup goes through :meth:`execute_units`, like any other.  The
+        cache key hashes the workload's trace records (there is no spec
+        to canonicalise), so loaded ``.npz`` traces and multiprogrammed
+        mixes cache just as scenario units do.  With a trace store the
+        workload is materialized once under that same fingerprint and
+        attached by every worker — never pickled per task.
+        """
+        configurations = list(configurations)
+        names = [config.name for config in configurations]
+        if baseline_name not in names:
+            raise ValueError(f"no baseline {baseline_name!r} in the lineup")
+        keyed = self.cache is not None or self.trace_store is not None
+        fingerprint = workload_fingerprint(workload) if keyed else None
+        units = [
+            PrebuiltUnit(
+                config, workload, fingerprint, storm, shootdown,
+                record_intervals, quantum, metrics, trace,
+            )
+            for config in configurations
+        ]
+        results = self.execute_units(units)
+        return Comparison(workload.name, dict(zip(names, results)), baseline_name)
+
+    def execute_units(self, units: Sequence[_Unit]) -> List[RunResult]:
         """Execute units (cache, then pool); results in unit order."""
         if self.tracer is None:
             return self._execute_units(units)
@@ -296,7 +348,7 @@ class Runner:
             span.attrs["misses"] = self.stats["misses"]
             return results
 
-    def _execute_units(self, units: Sequence[RunUnit]) -> List[RunResult]:
+    def _execute_units(self, units: Sequence[_Unit]) -> List[RunResult]:
         self.stats = {"hits": 0, "misses": 0}
         self.trace_stats = {"builds": 0, "build_s": 0.0}
         keys: List[Optional[str]] = [None] * len(units)
@@ -307,30 +359,24 @@ class Runner:
                 # Hit wall_s = key computation + cache read, so warm-run
                 # telemetry reflects real lookup cost rather than 0.0.
                 start = time.perf_counter()
-                keys[i] = unit_key(unit, self.engine_version)
+                keys[i] = unit_key(unit.cache_identity(), self.engine_version)
                 hit = self.cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit
                     self.stats["hits"] += 1
                     self._telemetry(
-                        keys[i], unit.config.name, unit.workload.name,
-                        unit.config.num_cores, unit.seed, "hit",
+                        keys[i], unit, "hit",
                         time.perf_counter() - start, 0.0, 0.0, hit,
                     )
                     continue
             pending.append(i)
 
         artifacts = self._stage_signatures(units, pending)
-        tasks = [
-            _Task(
-                index=i,
-                cost=unit_cost(units[i]),
-                unit=units[i],
-                artifact=artifacts.get(units[i].build_signature()),
-                prebuilt=None,
-            )
-            for i in pending
-        ]
+        tasks = []
+        for i in pending:
+            artifact = artifacts.get(units[i].build_signature())
+            unit = units[i] if artifact is None else units[i].detached()
+            tasks.append(_Task(i, unit_cost(units[i]), unit, artifact))
         for index, result, build_s, sim_s in self._dispatch(tasks):
             results[index] = result
             self.stats["misses"] += 1
@@ -339,161 +385,18 @@ class Runner:
             unit = units[index]
             self._unit_spans(index, unit.config.name, build_s, sim_s)
             self._telemetry(
-                keys[index], unit.config.name, unit.workload.name,
-                unit.config.num_cores, unit.seed,
+                keys[index], unit,
                 "miss" if self.cache is not None else "off",
                 build_s + sim_s, build_s, sim_s, result,
             )
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # prebuilt workloads (loaded traces, multiprogrammed mixes)
-
-    def run_prebuilt(
-        self,
-        workload: Workload,
-        configurations: Sequence[cfg.SystemConfig],
-        baseline_name: str = "private",
-        storm: Optional[StormConfig] = None,
-        shootdown: Optional[ShootdownTraffic] = None,
-        record_intervals: bool = False,
-        quantum: int = DEFAULT_QUANTUM,
-        metrics: bool = False,
-        trace: bool = False,
-    ) -> Comparison:
-        """Run an already-built workload through a lineup.
-
-        The cache key hashes the workload's trace records (there is no
-        spec to canonicalise), so loaded ``.npz`` traces and
-        multiprogrammed mixes cache just as scenario units do.  With a
-        trace store the workload is materialized once under that same
-        fingerprint and attached by every worker — never pickled per
-        task.
-        """
-        if self.tracer is None:
-            return self._run_prebuilt(
-                workload, configurations, baseline_name, storm, shootdown,
-                record_intervals, quantum, metrics, trace,
-            )
-        with self.tracer.span(
-            "runner.execute", workload=workload.name, jobs=self.jobs
-        ) as span:
-            self._span = span
-            try:
-                comparison = self._run_prebuilt(
-                    workload, configurations, baseline_name, storm,
-                    shootdown, record_intervals, quantum, metrics, trace,
-                )
-            finally:
-                self._span = None
-            span.attrs["cache_hits"] = self.stats["hits"]
-            span.attrs["misses"] = self.stats["misses"]
-            return comparison
-
-    def _run_prebuilt(
-        self,
-        workload: Workload,
-        configurations: Sequence[cfg.SystemConfig],
-        baseline_name: str,
-        storm: Optional[StormConfig],
-        shootdown: Optional[ShootdownTraffic],
-        record_intervals: bool,
-        quantum: int,
-        metrics: bool,
-        trace: bool,
-    ) -> Comparison:
-        configurations = list(configurations)
-        names = [config.name for config in configurations]
-        if baseline_name not in names:
-            raise ValueError(f"no baseline {baseline_name!r} in the lineup")
-        self.stats = {"hits": 0, "misses": 0}
-        self.trace_stats = {"builds": 0, "build_s": 0.0}
-        keys: List[Optional[str]] = [None] * len(configurations)
-        results: List[Optional[RunResult]] = [None] * len(configurations)
-        pending: List[int] = []
-        fingerprint = (
-            workload_fingerprint(workload)
-            if self.cache is not None or self.trace_store is not None
-            else None
-        )
-        for i, config in enumerate(configurations):
-            if self.cache is not None:
-                start = time.perf_counter()
-                payload = {
-                    "workload_fingerprint": fingerprint,
-                    "config": canonicalize(config),
-                    "storm": canonicalize(storm),
-                    "shootdown": canonicalize(shootdown),
-                    "record_intervals": record_intervals,
-                    "quantum": quantum,
-                    "metrics": metrics,
-                    "trace": trace,
-                }
-                keys[i] = unit_key(payload, self.engine_version)
-                hit = self.cache.get(keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    self.stats["hits"] += 1
-                    self._telemetry(
-                        keys[i], config.name, workload.name,
-                        config.num_cores, workload.seed, "hit",
-                        time.perf_counter() - start, 0.0, 0.0, hit,
-                    )
-                    continue
-            pending.append(i)
-
-        artifact: Optional[str] = None
-        if self.trace_store is not None and pending:
-            start = time.perf_counter()
-            artifact, built = self.trace_store.ensure_prebuilt(
-                fingerprint, workload
-            )
-            if built:
-                self.trace_stats["builds"] += 1
-                self.trace_stats["build_s"] += time.perf_counter() - start
-            self._store_telemetry()
-        trace_length = sum(
-            len(stream) for core in workload.traces for stream in core
-        )
-        tasks = [
-            _Task(
-                index=i,
-                cost=_config_cost(
-                    configurations[i], trace_length, storm, shootdown
-                ),
-                unit=None,
-                artifact=artifact,
-                prebuilt=(
-                    configurations[i],
-                    None if artifact is not None else workload,
-                    storm, shootdown, record_intervals, quantum, metrics,
-                    trace,
-                ),
-            )
-            for i in pending
-        ]
-        for index, result, build_s, sim_s in self._dispatch(tasks):
-            results[index] = result
-            self.stats["misses"] += 1
-            if self.cache is not None:
-                self.cache.put(keys[index], result)
-            self._unit_spans(
-                index, configurations[index].name, build_s, sim_s
-            )
-            self._telemetry(
-                keys[index], configurations[index].name, workload.name,
-                configurations[index].num_cores, workload.seed,
-                "miss" if self.cache is not None else "off",
-                build_s + sim_s, build_s, sim_s, result,
-            )
-        return Comparison(workload.name, dict(zip(names, results)), baseline_name)
-
-    # ------------------------------------------------------------------
     # internals
 
     def _stage_signatures(
-        self, units: Sequence[RunUnit], pending: Sequence[int]
-    ) -> Dict[tuple, str]:
+        self, units: Sequence[_Unit], pending: Sequence[int]
+    ) -> Dict[object, str]:
         """Materialize every distinct build signature exactly once.
 
         Runs in the parent before any fan-out — the build-once point of
@@ -501,7 +404,7 @@ class Runner:
         dispatch list; empty (build-in-worker behaviour) without a
         store.
         """
-        artifacts: Dict[tuple, str] = {}
+        artifacts: Dict[object, str] = {}
         if self.trace_store is None or not pending:
             return artifacts
         for i in pending:
@@ -509,7 +412,7 @@ class Runner:
             if signature in artifacts:
                 continue
             start = time.perf_counter()
-            path, built = self.trace_store.ensure(signature)
+            path, built = units[i].stage(self.trace_store)
             if built:
                 self.trace_stats["builds"] += 1
                 self.trace_stats["build_s"] += time.perf_counter() - start
@@ -567,43 +470,30 @@ class Runner:
             return
         sim_start = end - sim_s
         start = sim_start - build_s
-        unit_rec = span_record(
-            name="unit.exec",
-            trace_id=self.tracer.trace_id,
-            parent_id=self._span.span_id,
-            start_s=start,
-            end_s=end,
-            attrs={"config": config_name},
-        )
-        self.tracer.records.append(unit_rec)
-        self.tracer.records.append(
-            span_record(
-                name="unit.build",
+
+        def record(name, start_s, end_s, parent_id):
+            return span_record(
+                name=name,
                 trace_id=self.tracer.trace_id,
-                parent_id=unit_rec["span_id"],
-                start_s=start,
-                end_s=sim_start,
+                parent_id=parent_id,
+                start_s=start_s,
+                end_s=end_s,
                 attrs={"config": config_name},
             )
-        )
-        self.tracer.records.append(
-            span_record(
-                name="unit.sim",
-                trace_id=self.tracer.trace_id,
-                parent_id=unit_rec["span_id"],
-                start_s=sim_start,
-                end_s=end,
-                attrs={"config": config_name},
-            )
+
+        unit_rec = record("unit.exec", start, end, self._span.span_id)
+        self.tracer.records.extend(
+            [
+                unit_rec,
+                record("unit.build", start, sim_start, unit_rec["span_id"]),
+                record("unit.sim", sim_start, end, unit_rec["span_id"]),
+            ]
         )
 
     def _telemetry(
         self,
         key: Optional[str],
-        config_name: str,
-        workload_name: str,
-        cores: int,
-        seed: int,
+        unit: _Unit,
         cache_state: str,
         wall_s: float,
         build_s: float,
@@ -615,10 +505,10 @@ class Runner:
         record = {
             "schema": TELEMETRY_SCHEMA,
             "key": key,
-            "config": config_name,
-            "workload": workload_name,
-            "cores": cores,
-            "seed": seed,
+            "config": unit.config.name,
+            "workload": unit.workload.name,
+            "cores": unit.config.num_cores,
+            "seed": unit.seed,
             "engine": self.engine_version,
             "cache": cache_state,
             "wall_s": round(wall_s, 6),

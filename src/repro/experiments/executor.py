@@ -21,6 +21,7 @@ telemetry — they never touch results or cache keys.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -101,17 +102,16 @@ def _run(spec, scale_name, scale, runner, tracing, metrics):
         if tracing is not None and runner.tracer is None:
             runner.tracer = tracing[0]
         for scenario in spec.scenarios(scale_name):
+            span = nullcontext()
             if tracing is not None:
-                tracer, parent = tracing
-                with tracer.span(
+                span = tracing[0].span(
                     "campaign.scenario",
-                    parent=parent,
+                    parent=tracing[1],
                     campaign=spec.name,
                     cores=scenario.num_cores,
                     seed=scenario.seed,
-                ):
-                    per_workload = runner.run(scenario)
-            else:
+                )
+            with span:
                 per_workload = runner.run(scenario)
             stats["scenarios"] += 1
             stats["units"] += len(scenario.units())

@@ -43,6 +43,14 @@ class TrafficResult:
     mean_attempts: float
 
 
+def check_traffic_inputs(cycles: int, hpc_max: int = 1) -> None:
+    """Reject a sweep length or HPCmax that no sweep can run."""
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1 (got {cycles})")
+    if hpc_max < 1:
+        raise ValueError(f"hpc_max must be >= 1 (got {hpc_max})")
+
+
 def _generate_offered_traffic(
     topology: MeshTopology, cycles: int, rate: float, seed: int
 ) -> List[List[Tuple[int, int]]]:
@@ -76,6 +84,7 @@ def run_nocstar_traffic(
     it retries next cycle.  Ideal latency is 2 cycles: one setup, one
     traversal.
     """
+    check_traffic_inputs(cycles, hpc_max)
     offered = _generate_offered_traffic(topology, cycles, injection_rate, seed)
     arbiters: Dict[Link, LinkArbiter] = {}
     busy_until: Dict[Link, int] = {}
@@ -138,6 +147,7 @@ def run_mesh_traffic(
     seed: int = 7,
 ) -> TrafficResult:
     """Multi-hop mesh reference: per-link FIFO queueing, tr+tw per hop."""
+    check_traffic_inputs(cycles)
     offered = _generate_offered_traffic(topology, cycles, injection_rate, seed)
     per_hop = router_cycles + wire_cycles
     link_free: Dict[Link, int] = {}

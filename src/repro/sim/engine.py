@@ -41,7 +41,7 @@ import gc
 import heapq
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.models import FaultPlan, FaultSpec, derive_seed
@@ -175,9 +175,7 @@ def simulate(
     time ever exceeds it — the no-hang backstop for fault experiments.
     """
     if not isinstance(config, cfg.SystemConfig):
-        from dataclasses import replace
-
-        from repro.sim.scenario import Scenario
+        from repro.sim.scenario import Scenario, simulate_unit
 
         if isinstance(config, Scenario):
             if workload is not None:
@@ -201,20 +199,7 @@ def simulate(
                     metrics=unit.metrics or metrics,
                     trace=unit.trace or trace,
                 )
-            if watchdog_cycles is None:
-                return unit.execute()
-            return simulate(
-                unit.config,
-                unit.build_workload(),
-                quantum=unit.quantum,
-                storm=unit.storm,
-                shootdown=unit.shootdown,
-                record_intervals=unit.record_intervals,
-                metrics=unit.metrics,
-                trace=unit.trace,
-                faults=unit.fault_plan(),
-                watchdog_cycles=watchdog_cycles,
-            )
+            return simulate_unit(unit, unit.build_workload(), watchdog_cycles)
         raise TypeError(
             f"expected SystemConfig or Scenario, got {type(config).__name__}"
         )

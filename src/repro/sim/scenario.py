@@ -29,6 +29,7 @@ from repro.sim.engine import (
     DEFAULT_QUANTUM,
     ShootdownTraffic,
     StormConfig,
+    simulate,
 )
 from repro.workloads.registry import get_workload
 from repro.workloads.spec import WorkloadSpec
@@ -112,21 +113,51 @@ class RunUnit:
     def build_workload(self) -> Workload:
         return _build_workload(*self.build_signature())
 
+    # What ``repro.exec.Runner`` asks of every kind of unit:
+
+    @property
+    def trace_length(self) -> int:
+        """Trace records per core: the cost model's length weight."""
+        return self.accesses_per_core * self.smt
+
+    def cache_identity(self) -> "RunUnit":
+        """What the result cache hashes: every field of the unit."""
+        return self
+
+    def stage(self, store) -> Tuple[str, bool]:
+        """Materialize the trace in a TraceStore; ``(path, built)``."""
+        return store.ensure(self.build_signature())
+
+    def detached(self) -> "RunUnit":
+        """The unit without records (a spec carries none: itself)."""
+        return self
+
     def execute(self):
         """Build the workload and simulate it.  Deterministic."""
-        from repro.sim.engine import simulate
+        return simulate_unit(self, self.build_workload())
 
-        return simulate(
-            self.config,
-            self.build_workload(),
-            quantum=self.quantum,
-            storm=self.storm,
-            shootdown=self.shootdown,
-            record_intervals=self.record_intervals,
-            metrics=self.metrics,
-            trace=self.trace,
-            faults=self.fault_plan(),
-        )
+
+def simulate_unit(
+    unit, workload: Workload, watchdog_cycles: Optional[int] = None
+):
+    """Simulate ``workload`` with ``unit``'s configuration and run knobs.
+
+    The one mapping of any unit onto :func:`~repro.sim.engine.simulate`:
+    ``RunUnit.execute``, the Runner's pool worker and
+    ``simulate(scenario, watchdog_cycles=...)`` all call it.
+    """
+    return simulate(
+        unit.config,
+        workload,
+        quantum=unit.quantum,
+        storm=unit.storm,
+        shootdown=unit.shootdown,
+        record_intervals=unit.record_intervals,
+        metrics=unit.metrics,
+        trace=unit.trace,
+        faults=unit.fault_plan(),
+        watchdog_cycles=watchdog_cycles,
+    )
 
 
 @lru_cache(maxsize=8)

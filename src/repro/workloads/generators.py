@@ -309,6 +309,8 @@ def build_multithreaded(
     smt: int = 1,
 ) -> Workload:
     """One multi-threaded application occupying every core."""
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be >= 1 (got {num_cores})")
     rng = np.random.default_rng(seed)
     allocator = VpnAllocator()
     lib_pool, lib_sampler = build_lib_pool(allocator)

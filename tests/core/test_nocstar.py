@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import NocstarConfig, ROUND_TRIP
+from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
 from repro.core.nocstar import NocstarInterconnect
 from repro.noc.route_cache import RouteCache
 from repro.noc.topology import MeshTopology
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
+from repro.sim.system import System
+from repro.vm.address import PAGE_4K
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -101,19 +103,36 @@ def test_release_backfills_occupancy():
     assert inside.ready >= 10
 
 
+def _remote_hit(acquire):
+    """One uncontended remote L2 hit (core 0 -> slice 5) through the
+    System's transaction; returns (stall cycles, the fabric)."""
+    system = System(
+        cfg.nocstar(
+            16, config=NocstarConfig(acquire=acquire), translation_overlap=0.0
+        )
+    )
+    system.shared_l2.insert_page_number(1, PAGE_4K, 5)
+    return system.l2_transaction(0, 1, PAGE_4K, 5, now=0), system.network
+
+
 def test_round_trip_api():
-    ic = make(16, acquire=ROUND_TRIP)
-    ready, retries = ic.round_trip(0, 5, now=0, service_cycles=9)
-    # setup(1) + traverse(1) + service(9) + return traverse(1)
-    assert ready == 12
-    assert retries == 0
+    stall, network = _remote_hit(ROUND_TRIP)
+    # setup(1) + traverse(1) + lookup(9) + return traverse on the held
+    # path(1): the response needs no second arbitration, so only the
+    # request's setup sends control requests (one per link, 2 hops).
+    assert stall == 12
+    assert network.messages == 2
+    assert network.mean_setup_retries == 0
+    assert network.control_requests == 2
 
 
 def test_one_way_round_trip_api():
-    ic = make(16)
-    ready, retries = ic.round_trip(0, 5, now=0, service_cycles=9)
-    assert ready == 12  # response setup speculative during the lookup
-    assert retries == 0
+    stall, network = _remote_hit(ONE_WAY)
+    assert stall == 12  # response setup speculative during the lookup
+    assert network.messages == 2
+    assert network.mean_setup_retries == 0
+    assert network.control_requests == 4  # request and response setups
+    assert network.no_contention_fraction == 1.0
 
 
 def test_control_requests_counted_per_retry():

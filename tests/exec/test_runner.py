@@ -6,7 +6,9 @@ import time
 import pytest
 
 from repro.exec.runner import Runner
+from repro.obs.spans import Tracer
 from repro.sim import configs as cfg
+from repro.sim.engine import ENGINE_VERSION
 from repro.sim.run import run_suite
 from repro.sim.scenario import Scenario
 from repro.workloads.generators import build_multithreaded
@@ -125,6 +127,11 @@ def test_missing_baseline_rejected():
     )
     with pytest.raises(ValueError, match="baseline"):
         Runner().run(scenario)
+    workload = build_multithreaded(
+        get_workload("olio"), 4, accesses_per_core=100, seed=3
+    )
+    with pytest.raises(ValueError, match="baseline"):
+        Runner().run_prebuilt(workload, [cfg.nocstar(4)])
 
 
 def test_run_one_requires_single_workload():
@@ -147,6 +154,87 @@ def test_run_prebuilt_parallel_and_cached(tmp_path):
     second = cached.run_prebuilt(workload, configs)
     assert cached.stats == {"hits": 2, "misses": 0}
     assert first.results == second.results == plain.results
+
+
+#: Content addresses of one prebuilt lineup, computed when prebuilt
+#: lineups still ran outside the unit pipeline: a result cache or trace
+#: store written then must keep hitting.
+PREBUILT_RESULT_KEYS = {
+    "private":
+        "a41ea1300d48e09c342e6a5aaff13c2ce5ccbec3f631ae2536b6413b08e25f20",
+    "nocstar":
+        "459ce354ee14efc4d58e4f6ff506517c6981c23b504e272a142c86a9b0791357",
+}
+PREBUILT_TRACE_KEY = (
+    "b55bf6a32ae402574a9dab64966ace541de4279fc70801409017c73dab49504c"
+)
+
+
+def _prebuilt_lineup():
+    workload = build_multithreaded(
+        get_workload("olio"), 4, accesses_per_core=200, seed=3
+    )
+    return workload, [cfg.private(4), cfg.nocstar(4)]
+
+
+def test_prebuilt_cache_and_trace_store_keys_are_pinned(tmp_path):
+    assert ENGINE_VERSION == "1"
+    workload, lineup = _prebuilt_lineup()
+    runner = Runner(
+        cache_dir=str(tmp_path / "c"), trace_store=str(tmp_path / "s")
+    )
+    runner.run_prebuilt(workload, lineup)
+    telemetry = tmp_path / "c" / "telemetry.jsonl"
+    records = [json.loads(line) for line in telemetry.read_text().splitlines()]
+    keys = {rec["config"]: rec["key"] for rec in records if "key" in rec}
+    assert keys == PREBUILT_RESULT_KEYS
+    assert all(runner.cache.get(key) for key in keys.values())
+    assert list(runner.trace_store.keys()) == [PREBUILT_TRACE_KEY]
+    for rec in records:
+        if "key" in rec:
+            assert rec["workload"] == workload.name
+            assert rec["seed"] == workload.seed
+
+
+def test_run_prebuilt_records_one_runner_span():
+    tracer = Tracer()
+    workload, lineup = _prebuilt_lineup()
+    Runner(tracer=tracer).run_prebuilt(workload, lineup)
+    spans = {}
+    for rec in tracer.records:
+        spans.setdefault(rec["name"], []).append(rec)
+    (execute,) = spans["runner.execute"]
+    assert execute["attrs"]["units"] == 2
+    units = spans["unit.exec"]
+    assert sorted(rec["attrs"]["config"] for rec in units) == [
+        "nocstar", "private",
+    ]
+    assert all(rec["parent_id"] == execute["span_id"] for rec in units)
+    for child in ("unit.build", "unit.sim"):
+        assert sorted(rec["parent_id"] for rec in spans[child]) == sorted(
+            rec["span_id"] for rec in units
+        )
+
+
+def test_prebuilt_tasks_never_carry_the_workload_with_a_store(
+    tmp_path, monkeypatch
+):
+    workload, lineup = _prebuilt_lineup()
+    runner = Runner(jobs=2, trace_store=str(tmp_path / "s"))
+    dispatched = []
+    dispatch = runner._dispatch
+
+    def spy(tasks):
+        dispatched.extend(tasks)
+        return dispatch(tasks)
+
+    monkeypatch.setattr(runner, "_dispatch", spy)
+    fanned = runner.run_prebuilt(workload, lineup)
+    assert len(dispatched) == 2
+    for task in dispatched:
+        assert task.artifact is not None
+        assert task.unit.workload is None
+    assert fanned.results == Runner().run_prebuilt(workload, lineup).results
 
 
 def test_invalid_jobs_rejected():

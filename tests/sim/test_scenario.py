@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec.cache import canonical_json
 from repro.sim import configs as cfg
 from repro.sim.engine import StormConfig, simulate
 from repro.sim.run import compare, run_suite
@@ -99,6 +100,22 @@ def test_simulate_accepts_scenario_and_matches_primitive():
     )
     via_primitive = simulate(cfg.nocstar(4), workload)
     assert via_scenario == via_primitive
+
+
+def test_simulate_with_a_silent_watchdog_matches_unit_execute():
+    """Both Scenario paths map the unit onto simulate() the same way."""
+    scenario = Scenario(
+        configurations=cfg.nocstar(4),
+        workloads="olio",
+        accesses_per_core=300,
+        seed=3,
+        baseline_name="nocstar",
+        metrics=True,
+    )
+    watched = simulate(scenario, watchdog_cycles=10**12)
+    assert canonical_json(watched) == canonical_json(
+        scenario.units()[0].execute()
+    )
 
 
 def test_simulate_rejects_lineup_scenarios():

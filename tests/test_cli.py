@@ -53,21 +53,48 @@ BAD_INPUTS = [
     (["sweep", "--cores", "0"], "(got 0)"),
     (["faults", "--cores", "0"], "(got 0)"),
     (["run", "--jobs", "0"], "(got 0)"),
+    (["run", "--trace-in", "missing.npz"], "'missing.npz'"),
+    (["export-trace", "--workload", "nope", "--out", "t.npz"], "'nope'"),
+    (["export-trace", "--cores", "0", "--out", "t.npz"], "(got 0)"),
+    (["export-trace", "--accesses", "0", "--out", "t.npz"], "one access"),
+    (["traffic", "--tiles", "0"], "one tile"),
+    (["traffic", "--cycles", "0"], "(got 0)"),
+    (["traffic", "--hpc-max", "0"], "(got 0)"),
+    (["configs", "--cores", "0"], "(got 0)"),
 ]
+
+#: Commands that take the runner flags; the test runs them with
+#: ``--no-cache``.
+RUNNER_COMMANDS = {"run", "sweep", "faults"}
 
 
 @pytest.mark.parametrize(
     "argv, named", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
 )
-def test_bad_inputs_exit_with_one_line(argv, named, capsys):
+def test_bad_inputs_exit_with_one_line(argv, named, capsys, monkeypatch,
+                                       tmp_path):
     """An input rejected while it is built exits non-zero with one line
     naming the bad value, never a traceback.  A string exit code is
     what the interpreter prints to stderr before exiting with 1."""
+    monkeypatch.chdir(tmp_path)  # relative paths land in a scratch dir
+    if argv[0] in RUNNER_COMMANDS:
+        argv = argv + ["--no-cache"]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--no-cache"])
+        main(argv)
     message = exc.value.code
     assert isinstance(message, str) and len(message.splitlines()) == 1
     assert named in message
+    assert capsys.readouterr().err == ""
+
+
+def test_unreadable_trace_in_exits_with_one_line(tmp_path, capsys):
+    junk = tmp_path / "junk.npz"
+    junk.write_text("not a trace\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--trace-in", str(junk), "--no-cache"])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1
+    assert message.startswith(f"cannot read {str(junk)!r}")
     assert capsys.readouterr().err == ""
 
 
