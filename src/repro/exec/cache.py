@@ -1,22 +1,21 @@
-"""Content-addressed on-disk cache of simulation results.
+"""Content-addressed on-disk stores: one key, one commit, one layout.
 
-A cache entry is keyed by the SHA-256 of the *canonicalised* run unit:
-every field of the :class:`~repro.sim.scenario.RunUnit` (configuration,
-workload spec, seed, storm/shootdown knobs, quantum, ...) serialised to
-a stable JSON form, plus an engine-version tag that is bumped whenever
-the simulator's behaviour changes.  Two runs share a key exactly when
-the determinism contract guarantees they produce bit-identical
-:class:`~repro.sim.results.RunResult`\\ s — so a hit can simply return
-the stored value.
+:func:`content_key` is the SHA-256 of a value's canonical JSON.  A run
+unit's key (:func:`unit_key`) folds in an engine-version tag that is
+bumped whenever the simulator's behaviour changes, so two runs share a
+key exactly when the determinism contract guarantees bit-identical
+:class:`~repro.sim.results.RunResult`\\ s — a hit can simply return
+the stored value.  Prebuilt workloads (loaded traces, multiprogrammed
+mixes) have no spec to canonicalise; :func:`workload_fingerprint`
+hashes their records instead.
 
-Prebuilt workloads (loaded traces, multiprogrammed mixes) have no spec
-to canonicalise; they are fingerprinted by hashing their trace records
-instead, which preserves the same property.
-
-Values are stored with :mod:`pickle` (results are trusted local
-artefacts and must round-trip exactly, intervals and all), written
-atomically so concurrent writers — pool workers, parallel suites —
-can never expose a torn entry.
+:func:`atomic_write` commits a file through a ``.tmp-`` file and
+``os.replace``, so concurrent writers (pool workers, parallel suites)
+never expose a torn file.  :class:`EntryStore` is a directory of
+entries made of such files, shared by :class:`ResultCache` (one pickle
+per result) and :class:`~repro.exec.trace_store.TraceStore` (a packed
+``.npy`` plus a ``.json`` sidecar).  In both, a damaged entry reads as
+a miss and is rebuilt.
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ import os
 import pickle
 import tempfile
 import time
-from typing import Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.results import RunResult
+from repro.workloads.io import pack_workload
 from repro.workloads.trace import Workload
 
 
@@ -73,10 +73,14 @@ def canonical_json(obj) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
+def content_key(payload) -> str:
+    """SHA-256 content address of any canonicalisable value."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def unit_key(unit, engine_version: str) -> str:
     """SHA-256 content address of one run unit under one engine version."""
-    payload = canonical_json({"engine": engine_version, "unit": unit})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key({"engine": engine_version, "unit": unit})
 
 
 def workload_fingerprint(workload: Workload) -> str:
@@ -85,102 +89,154 @@ def workload_fingerprint(workload: Workload) -> str:
     Used when a run arrives with a built :class:`Workload` (a loaded
     ``.npz`` trace, a multiprogrammed mix) rather than a spec: hashing
     the records themselves keeps the key honest about what actually
-    ran.
+    ran.  Each stream is hashed as its ``(n, 4)`` slice of the packed
+    records.
     """
+    data, offsets, _, meta = pack_workload(workload)
     digest = hashlib.sha256()
-    header = {
-        "name": workload.name,
-        "seed": workload.seed,
-        "superpages": workload.superpages,
-        "info": workload.info,
-    }
+    header = {key: meta[key] for key in ("name", "seed", "superpages", "info")}
     digest.update(canonical_json(header).encode("utf-8"))
-    for core in workload.traces:
-        for stream in core:
-            arr = np.asarray(stream, dtype=np.int64).reshape(len(stream), -1)
-            digest.update(str(arr.shape).encode())
-            digest.update(arr.tobytes())
+    for lo, hi in zip(offsets, offsets[1:]):
+        rows = data[lo:hi]
+        digest.update(str(rows.shape).encode())
+        digest.update(rows.tobytes())
     return digest.hexdigest()
 
 
-class ResultCache:
-    """Content-addressed store of :class:`RunResult` values on disk.
+def _unlink(path: str) -> bool:
+    try:
+        os.unlink(path)
+        return True
+    except OSError:
+        return False
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` — the two-character fan-out
-    keeps directories small under big sweeps.  ``get`` treats any
-    unreadable entry as a miss (a corrupt or truncated file must never
-    poison a run).
+
+def atomic_write(path: str, write: Callable) -> None:
+    """Commit ``path`` atomically: ``write(fh)`` fills a binary ``.tmp-``
+    file in the target directory, which then replaces ``path``; on any
+    failure the temp file is unlinked and ``path`` is left as it was."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1]
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        _unlink(tmp)
+        raise
+
+
+#: What reading an absent, cut or corrupt entry can raise.  Both stores
+#: read an entry that raises one of these as a miss and rebuild it.
+UNREADABLE = (
+    OSError, EOFError, pickle.UnpicklingError, ArithmeticError,
+    AttributeError, ImportError, LookupError, TypeError, ValueError,
+)
+
+
+class EntryStore:
+    """A directory of content-addressed entries.
+
+    An entry is one file per suffix in :attr:`SUFFIXES`, laid out as
+    ``<root>/<key[:2]>/<key><suffix>`` (the two-character fan-out keeps
+    directories small under big sweeps).  Writers commit the last
+    suffix last, so it is the commit marker: an entry is a member only
+    when every file exists, and removal unlinks the marker first, so a
+    half-written or half-removed entry reads as a miss.
     """
+
+    #: The entry's files; the first holds the data, the last is the
+    #: commit marker.
+    SUFFIXES: Tuple[str, ...] = ()
+    #: The store's name for an entry in :meth:`stats`.
+    COUNT = "entries"
 
     def __init__(self, root: str) -> None:
         self.root = str(root)
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.pkl")
+    def _files(self, key: str) -> List[str]:
+        stem = os.path.join(self.root, key[:2], key)
+        return [stem + suffix for suffix in self.SUFFIXES]
 
-    def get(self, key: str) -> Optional[RunResult]:
-        try:
-            with open(self._path(key), "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-
-    def put(self, key: str, result: RunResult) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+    def path(self, key: str) -> str:
+        """The entry's data file (its first suffix)."""
+        return self._files(key)[0]
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        return all(os.path.exists(path) for path in self._files(key))
 
     def keys(self) -> Iterator[str]:
-        if not os.path.isdir(self.root):
-            return
-        for bucket in sorted(os.listdir(self.root)):
-            subdir = os.path.join(self.root, bucket)
-            if not os.path.isdir(subdir):
-                continue
-            for entry in sorted(os.listdir(subdir)):
-                if entry.endswith(".pkl") and not entry.startswith(".tmp-"):
-                    yield entry[: -len(".pkl")]
+        """Every committed entry's key, in sorted order (``glob`` skips
+        the dot-prefixed temp files of commits in flight)."""
+        import glob  # only the cold ``repro cache`` commands walk a store
+
+        data = self.SUFFIXES[0]
+        pattern = os.path.join(glob.escape(self.root), "*", "*" + data)
+        for path in sorted(glob.glob(pattern)):
+            key = os.path.basename(path)[: -len(data)]
+            if key in self:
+                yield key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
-    def stats(self) -> dict:
-        """``{"entries": count, "bytes": total_size}``."""
-        entries = 0
-        size = 0
-        for key in self.keys():
-            entries += 1
+    def _entry_bytes(self, key: str) -> int:
+        total = 0
+        for path in self._files(key):
             try:
-                size += os.path.getsize(self._path(key))
+                total += os.path.getsize(path)
             except OSError:
                 pass
-        return {"entries": entries, "bytes": size}
+        return total
+
+    def stats(self) -> Dict[str, int]:
+        """``{COUNT: entries, "bytes": total_size}`` over every entry."""
+        sizes = [self._entry_bytes(key) for key in self.keys()]
+        return {self.COUNT: len(sizes), "bytes": sum(sizes)}
+
+    def _remove(self, key: str) -> bool:
+        """Unlink one entry, commit marker first; True when this call
+        removed the marker (a concurrent remover may have won).  A
+        process that already attached an artifact keeps its live map:
+        POSIX unlink keeps mapped bytes alive until the last map closes.
+        """
+        marker, *rest = reversed(self._files(key))
+        if not _unlink(marker):
+            return False
+        for path in rest:
+            _unlink(path)
+        return True
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        for key in list(self.keys()):
-            try:
-                os.unlink(self._path(key))
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sum(self._remove(key) for key in list(self.keys()))
+
+
+class ResultCache(EntryStore):
+    """Content-addressed store of :class:`RunResult` values on disk.
+
+    Layout: ``<root>/<key[:2]>/<key>.pkl``.  ``get`` reads any unreadable
+    entry as a miss (a corrupt or truncated file must never poison a
+    run); the runner then re-simulates and ``put`` recommits it.
+    """
+
+    SUFFIXES = (".pkl",)
+
+    def get(self, key: str) -> Optional[RunResult]:
+        try:
+            with open(self.path(key), "rb") as fh:
+                return pickle.load(fh)
+        except UNREADABLE:
+            return None
+
+    def put(self, key: str, result: RunResult) -> None:
+        def write(fh) -> None:
+            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+        atomic_write(self.path(key), write)
 
     def evict_older_than(self, max_age_s: float, now: Optional[float] = None) -> int:
         """Delete entries last written more than ``max_age_s`` ago.
@@ -198,11 +254,10 @@ class ResultCache:
             now = time.time()
         removed = 0
         for key in list(self.keys()):
-            path = self._path(key)
             try:
-                if now - os.path.getmtime(path) > max_age_s:
-                    os.unlink(path)
-                    removed += 1
+                stale = now - os.path.getmtime(self.path(key)) > max_age_s
             except OSError:
-                pass
+                continue
+            if stale:
+                removed += self._remove(key)
         return removed

@@ -5,16 +5,14 @@ trace is a pure function of its build signature — workload spec, core
 count, accesses per core, seed, superpage flag, SMT width — so there is
 never a reason to construct it more than once per machine.  The
 :class:`TraceStore` materializes each signature's trace as a packed
-``.npy`` artifact (see :func:`repro.workloads.io.save_workload_packed`)
-under a SHA-256 content address, shared across lineups, sweeps, and
-sessions.
-
-Keying mirrors the result cache: the canonical JSON of the signature
-plus two version tags — :data:`~repro.workloads.generators.GENERATOR_VERSION`
-(bumped whenever trace *generation* changes) and
-:data:`~repro.workloads.io.PACKED_FORMAT_VERSION` (bumped whenever the
-artifact *layout* changes).  Either bump orphans every stale artifact
-by construction; no manual invalidation logic exists.
+artifact (:func:`save_workload_packed`) under its
+:func:`~repro.exec.cache.content_key`, shared across lineups, sweeps,
+and sessions.  The key folds in two version tags —
+:data:`~repro.workloads.generators.GENERATOR_VERSION` (bumped whenever
+trace *generation* changes) and :data:`PACKED_FORMAT_VERSION` (bumped
+whenever the artifact *layout* changes) — so either bump orphans every
+stale artifact by construction.  A damaged artifact reads as a miss and
+is rebuilt.
 
 Attachment is the zero-copy half: :func:`attach_workload` maps an
 artifact with ``np.load(..., mmap_mode="r")``, so the bytes live once
@@ -29,18 +27,21 @@ the data plane can swap builds for attaches without touching
 
 from __future__ import annotations
 
-import hashlib
+import json
 import os
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple, Union
 
-from repro.exec.cache import canonical_json
-from repro.workloads.io import (
-    PACKED_FORMAT_VERSION,
-    load_workload_packed,
-    save_workload_packed,
-)
+import numpy as np
+
+from repro.exec.cache import UNREADABLE, EntryStore, atomic_write, content_key
+from repro.workloads.io import pack_workload, unpack_workload
 from repro.workloads.trace import Workload
+
+#: Version of the packed artifact layout.  Part of every TraceStore
+#: key: bumping it orphans stale artifacts.
+PACKED_FORMAT_VERSION = 2
 
 #: Attached workloads kept resident per process.  Eviction only drops
 #: the Python-side record lists (the engine's compiled-core cache
@@ -48,6 +49,57 @@ from repro.workloads.trace import Workload
 ATTACH_CACHE_CAPACITY = 4
 
 _ATTACHED: "OrderedDict[str, Workload]" = OrderedDict()
+
+
+def save_workload_packed(workload: Workload, path: Union[str, Path]) -> Path:
+    """Write the packed (memmap-friendly) layout; returns the .npy path.
+
+    Two files, each committed atomically: ``<path>.npy`` (the packed
+    records, uncompressed so they can be attached with
+    ``mmap_mode="r"``) and then ``<path>.json``, the metadata sidecar
+    whose presence marks the artifact committed.
+    """
+    path = Path(path)
+    if path.suffix != ".npy":
+        path = path.with_suffix(path.suffix + ".npy")
+    data, _, _, meta = pack_workload(workload)
+    sidecar = json.dumps(
+        dict(meta, version=PACKED_FORMAT_VERSION), sort_keys=True
+    )
+    atomic_write(str(path), lambda fh: np.save(fh, data))
+    atomic_write(
+        str(path.with_suffix(".json")),
+        lambda fh: fh.write(sidecar.encode("utf-8")),
+    )
+    return path
+
+
+def _read_packed(path: Path, mmap: bool = True) -> Tuple[Dict, np.ndarray]:
+    """A packed artifact's sidecar and records, checked against each
+    other: the sidecar must carry this format version, and the ``.npy``
+    must hold ``(offsets[-1], 4)`` int64 rows.  With ``mmap`` no record
+    is read: ``np.load`` reads the header and maps the rest, and a file
+    cut short of its rows fails to map."""
+    with open(path.with_suffix(".json")) as fh:
+        meta = json.load(fh)
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != PACKED_FORMAT_VERSION:
+        raise ValueError(f"unsupported packed trace version {version!r}")
+    data = np.load(path, mmap_mode="r" if mmap else None)
+    if data.shape != (meta["offsets"][-1], 4) or data.dtype != np.int64:
+        raise ValueError(
+            f"packed trace {path} has shape {data.shape} / {data.dtype}; "
+            f"expected ({meta['offsets'][-1]}, 4) int64"
+        )
+    return meta, data
+
+
+def load_workload_packed(path: Union[str, Path], mmap: bool = True) -> Workload:
+    """Read a packed workload; ``mmap=True`` attaches the records
+    read-only through the page cache (zero-copy across processes) while
+    ``mmap=False`` loads them into private memory."""
+    meta, data = _read_packed(Path(path), mmap)
+    return unpack_workload(data, meta)
 
 
 def attach_workload(path: str, mmap: bool = True) -> Workload:
@@ -75,29 +127,15 @@ def _clear_attachments() -> None:
     _ATTACHED.clear()
 
 
-def trace_key(signature) -> str:
-    """SHA-256 content address of one build signature.
-
-    ``signature`` is any canonicalisable value (the store uses the
-    mapping built by :meth:`TraceStore._payload`); generator and format
-    versions must already be folded in by the caller.
-    """
-    return hashlib.sha256(
-        canonical_json(signature).encode("utf-8")
-    ).hexdigest()
-
-
-class TraceStore:
+class TraceStore(EntryStore):
     """On-disk, content-addressed trace artifacts.
 
     Layout: ``<root>/<key[:2]>/<key>.npy`` plus a ``<key>.json``
-    metadata sidecar — the same two-character fan-out as the result
-    cache.  An artifact without its sidecar is an uncommitted torn
-    write and reads as a miss.
+    metadata sidecar, the sidecar committed last.
     """
 
-    def __init__(self, root: str) -> None:
-        self.root = str(root)
+    SUFFIXES = (".npy", ".json")
+    COUNT = "artifacts"
 
     # ------------------------------------------------------------------
     # keying
@@ -122,7 +160,7 @@ class TraceStore:
 
     def key_for(self, signature: Tuple) -> str:
         """Content address of a ``RunUnit.build_signature()`` tuple."""
-        return trace_key(self._payload(*signature))
+        return content_key(self._payload(*signature))
 
     @staticmethod
     def prebuilt_key(fingerprint: str) -> str:
@@ -133,111 +171,58 @@ class TraceStore:
         is irrelevant because no generation happens — plus the packed
         format version.
         """
-        return trace_key(
+        return content_key(
             {"prebuilt": fingerprint, "format": PACKED_FORMAT_VERSION}
         )
 
     # ------------------------------------------------------------------
     # artifact lifecycle
 
-    def path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.npy")
+    def _intact(self, key: str) -> bool:
+        """Whether the committed artifact loads, judged without reading
+        a record (``_read_packed``)."""
+        try:
+            _read_packed(Path(self.path(key)))
+        except UNREADABLE:
+            return False
+        return True
 
-    def _committed(self, key: str) -> bool:
+    def _materialize(
+        self, key: str, build: Callable[[], Workload]
+    ) -> Tuple[str, bool]:
+        """The one build-if-absent path: an intact artifact is reused;
+        an absent, torn or damaged one is replaced by ``build()``'s
+        workload.  Concurrent builders race harmlessly: writes are
+        atomic and content-addressed, so the loser just overwrites
+        identical bytes."""
         path = self.path(key)
-        return os.path.exists(path) and os.path.exists(
-            os.path.splitext(path)[0] + ".json"
-        )
+        if self._intact(key):
+            return path, False
+        save_workload_packed(build(), path)
+        return path, True
 
     def ensure(self, signature: Tuple) -> Tuple[str, bool]:
         """Materialize one signature's artifact; returns (path, built).
 
         Builds the trace (via the deterministic generator path the
-        serial runner uses) only when the artifact is absent — the
-        build-once guarantee.  Concurrent builders race harmlessly:
-        writes are atomic and content-addressed, so the loser just
-        overwrites identical bytes.
+        serial runner uses) only when no intact artifact exists — the
+        build-once guarantee.
         """
-        key = self.key_for(signature)
-        path = self.path(key)
-        if self._committed(key):
-            return path, False
         from repro.workloads.generators import build_multithreaded
 
-        spec, num_cores, accesses_per_core, seed, superpages, smt = signature
-        workload = build_multithreaded(
-            spec,
-            num_cores,
-            accesses_per_core=accesses_per_core,
-            seed=seed,
-            superpages=superpages,
-            smt=smt,
-        )
-        save_workload_packed(workload, path)
-        return path, True
+        # A signature is build_multithreaded's positional parameters.
+        key = self.key_for(signature)
+        return self._materialize(key, lambda: build_multithreaded(*signature))
 
     def ensure_prebuilt(
         self, fingerprint: str, workload: Workload
     ) -> Tuple[str, bool]:
         """Materialize an already-built workload under its fingerprint."""
         key = self.prebuilt_key(fingerprint)
-        path = self.path(key)
-        if self._committed(key):
-            return path, False
-        save_workload_packed(workload, path)
-        return path, True
+        return self._materialize(key, lambda: workload)
 
     # ------------------------------------------------------------------
-    # stats & eviction
-
-    def keys(self) -> Iterator[str]:
-        if not os.path.isdir(self.root):
-            return
-        for bucket in sorted(os.listdir(self.root)):
-            subdir = os.path.join(self.root, bucket)
-            if not os.path.isdir(subdir):
-                continue
-            for entry in sorted(os.listdir(subdir)):
-                if entry.endswith(".npy") and not entry.startswith(".tmp-"):
-                    key = entry[: -len(".npy")]
-                    if self._committed(key):
-                        yield key
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self._committed(key)
-
-    def _entry_bytes(self, key: str) -> int:
-        path = self.path(key)
-        total = 0
-        for candidate in (path, os.path.splitext(path)[0] + ".json"):
-            try:
-                total += os.path.getsize(candidate)
-            except OSError:
-                pass
-        return total
-
-    def stats(self) -> Dict[str, int]:
-        """``{"artifacts": count, "bytes": total_size}``."""
-        artifacts = 0
-        size = 0
-        for key in self.keys():
-            artifacts += 1
-            size += self._entry_bytes(key)
-        return {"artifacts": artifacts, "bytes": size}
-
-    def _remove(self, key: str) -> None:
-        path = self.path(key)
-        # Sidecar first: a half-removed entry must read as a miss, and
-        # processes that already attached keep their live memmap (POSIX
-        # unlink keeps mapped bytes alive until the last map closes).
-        for candidate in (os.path.splitext(path)[0] + ".json", path):
-            try:
-                os.unlink(candidate)
-            except OSError:
-                pass
+    # eviction
 
     def evict(self, max_bytes: int) -> int:
         """Shrink the store to ``max_bytes``, oldest artifacts first.
@@ -262,13 +247,5 @@ class TraceStore:
                 break
             self._remove(key)
             total -= size
-            removed += 1
-        return removed
-
-    def clear(self) -> int:
-        """Delete every artifact; returns how many were removed."""
-        removed = 0
-        for key in list(self.keys()):
-            self._remove(key)
             removed += 1
         return removed

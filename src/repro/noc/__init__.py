@@ -12,7 +12,7 @@ from repro.noc.latency import (
 )
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
-from repro.noc.mesh import ContendedMesh, ContentionFreeMesh, Traversal
+from repro.noc.mesh import ContentionFreeMesh, Traversal
 from repro.noc.route_cache import (
     RouteCache,
     reference_mode,
@@ -38,7 +38,6 @@ __all__ = [
     "smart_params",
     "BusNetwork",
     "FlattenedButterfly",
-    "ContendedMesh",
     "ContentionFreeMesh",
     "Traversal",
     "RouteCache",

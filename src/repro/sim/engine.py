@@ -51,7 +51,7 @@ from repro.sim import configs as cfg
 from repro.sim.results import RunResult
 from repro.sim.system import System
 from repro.vm.address import PAGE_4K
-from repro.workloads.trace import Workload
+from repro.workloads.trace import Workload, interleave_streams
 
 DEFAULT_QUANTUM = 256
 
@@ -393,32 +393,6 @@ class _CompiledCore:
         self.finish: Optional[int] = None
 
 
-def _merged_stream(streams):
-    """The core's SMT streams merged in ``_CoreState.next_record`` order.
-
-    The round-robin interleave is statically deterministic (it depends
-    only on stream lengths, never on timing), so it can be materialised
-    up front.
-    """
-    if len(streams) == 1:
-        return streams[0]
-    merged = []
-    positions = [0] * len(streams)
-    n = len(streams)
-    rr = 0
-    remaining = sum(len(s) for s in streams)
-    append = merged.append
-    while remaining:
-        s = rr % n
-        rr += 1
-        pos = positions[s]
-        if pos < len(streams[s]):
-            positions[s] = pos + 1
-            append(streams[s][pos])
-            remaining -= 1
-    return merged
-
-
 def _compile_core(streams, arrays) -> _CompiledCore:
     """Replay one core's merged stream through its real L1 arrays.
 
@@ -429,7 +403,7 @@ def _compile_core(streams, arrays) -> _CompiledCore:
     Valid only while nothing else touches the L1s mid-run, which is the
     batched mode's gate (no storms, no shootdowns).
     """
-    merged = _merged_stream(streams)
+    merged = interleave_streams(streams)
     prefix = [0] * (len(merged) + 1)
     miss_pos: List[int] = []
     miss_rec: List[Tuple[int, int, int]] = []

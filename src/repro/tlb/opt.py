@@ -11,9 +11,10 @@ those into the ``%-of-OPT`` column.
 Canonical stream
 ----------------
 The offline order is the engine's statically deterministic interleave:
-each core's SMT streams are merged round-robin (the
-``_CoreState.next_record`` order the batched engine materialises in
-``_merged_stream``), then one record is taken per core per round across
+each core's SMT streams are merged round-robin
+(:func:`~repro.workloads.trace.interleave_streams`, the
+``_CoreState.next_record`` order the batched engine's compile pre-pass
+also replays), then one record is taken per core per round across
 cores.  It is *an* order, not *the* timing-dependent DES order — what
 matters for the bound is that OPT and every online policy replay the
 **same** sequence, which is what makes per-slice dominance
@@ -53,6 +54,7 @@ from repro.core.indexing import IndexFn, get_indexer
 from repro.tlb.policies import POLICY_NAMES
 from repro.tlb.set_assoc import SetAssociativeTLB
 from repro.vm.address import PAGE_1G
+from repro.workloads.trace import interleave_streams
 
 #: Name of the offline bound in evaluation results.
 OPT = "opt"
@@ -63,25 +65,7 @@ Access = Tuple[int, int, int, int]
 
 def canonical_stream(workload) -> List[Access]:
     """The workload's canonical offline order (see module docstring)."""
-    merged: List[List] = []
-    for streams in workload.traces:
-        if len(streams) == 1:
-            merged.append(streams[0])
-            continue
-        positions = [0] * len(streams)
-        rr = 0
-        out: List = []
-        remaining = sum(len(s) for s in streams)
-        while remaining:
-            s = rr % len(streams)
-            rr += 1
-            pos = positions[s]
-            if pos < len(streams[s]):
-                positions[s] = pos + 1
-                out.append(streams[s][pos])
-                remaining -= 1
-        merged.append(out)
-
+    merged = [interleave_streams(streams) for streams in workload.traces]
     stream: List[Access] = []
     positions = [0] * len(merged)
     remaining = sum(len(m) for m in merged)

@@ -1,33 +1,31 @@
 """Workload trace persistence: bring-your-own-traces support.
 
 A trace-driven simulator is only as useful as the traces you can feed
-it.  This module round-trips :class:`~repro.workloads.trace.Workload`
-objects through two on-disk layouts:
+it.  This module holds the one record codec: :func:`pack_workload`
+concatenates every stream's ``(gap, asid, page_size, page_number)``
+records, in (core, stream) order, into one ``(N, 4)`` ``int64`` array
+plus stream offsets, and :func:`unpack_traces` turns such an array back
+into tuples of Python ``int`` (never ``np.int64``), byte-identical to
+what the generators produced.  The portable ``.npz`` format below, the
+packed artifacts of :class:`~repro.exec.trace_store.TraceStore` and
+:func:`~repro.exec.cache.workload_fingerprint` all go through it.
 
-* **portable ``.npz``** (:func:`save_workload` / :func:`load_workload`)
-  — one integer array per (core, stream) holding
-  ``(gap, asid, page_size, page_number)`` rows plus a JSON metadata
-  header, compressed; the interchange format for exporting the
-  calibrated suite or importing traces captured elsewhere;
-* **packed ``.npy`` + JSON sidecar** (:func:`save_workload_packed` /
-  :func:`load_workload_packed`) — every stream concatenated into one
-  ``(N, 4)`` ``int64`` array, uncompressed, so readers can attach with
-  ``np.load(..., mmap_mode="r")`` and share the bytes through the page
-  cache instead of each materialising a private copy.  This is the
-  memmap-friendly build path the sweep data plane's
-  :class:`~repro.exec.trace_store.TraceStore` stores its artifacts in.
-
-Both layouts round-trip exactly: records come back as tuples of Python
-``int`` (never ``np.int64``), byte-identical to what the generators
-produced, which is what lets fan-out workers attach artifacts in place
-of in-process builds without perturbing a single simulated bit.
+The portable ``.npz`` (:func:`save_workload` / :func:`load_workload`)
+holds one integer array per (core, stream), each a slice of the packed
+array, plus a JSON metadata header, compressed: the interchange format
+for exporting the calibrated suite or importing traces captured
+elsewhere.  :func:`load_workload` rejects a malformed file or record
+with a ``ValueError``, checking records by the same rules
+(:func:`check_records`) as :func:`workload_from_records`.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-import os
-import tempfile
+import zipfile
+import zlib
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -38,62 +36,6 @@ from repro.workloads.trace import Record, Workload
 
 FORMAT_VERSION = 1
 
-#: Version of the packed (memmap-friendly) artifact layout.  Part of
-#: every TraceStore key: bumping it orphans stale artifacts.
-PACKED_FORMAT_VERSION = 2
-
-
-def save_workload(workload: Workload, path: Union[str, Path]) -> Path:
-    """Write a workload to ``path`` (.npz).  Returns the path written."""
-    path = Path(path)
-    arrays = {}
-    shape = []
-    for core, streams in enumerate(workload.traces):
-        shape.append(len(streams))
-        for stream_idx, stream in enumerate(streams):
-            arrays[f"c{core}_s{stream_idx}"] = np.asarray(
-                stream, dtype=np.int64
-            ).reshape(len(stream), 4)
-    meta = {
-        "version": FORMAT_VERSION,
-        "name": workload.name,
-        "seed": workload.seed,
-        "superpages": workload.superpages,
-        "streams_per_core": shape,
-        "info": workload.info,
-    }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def load_workload(path: Union[str, Path]) -> Workload:
-    """Read a workload written by :func:`save_workload`."""
-    with np.load(Path(path)) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        if meta.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {meta.get('version')!r}"
-            )
-        traces: List[List[List[Record]]] = []
-        for core, num_streams in enumerate(meta["streams_per_core"]):
-            streams = []
-            for stream_idx in range(num_streams):
-                rows = archive[f"c{core}_s{stream_idx}"]
-                streams.append([tuple(int(v) for v in row) for row in rows])
-            traces.append(streams)
-    return Workload(
-        name=meta["name"],
-        traces=traces,
-        seed=meta["seed"],
-        superpages=meta["superpages"],
-        info=meta.get("info", {}),
-    )
-
 
 def pack_workload(
     workload: Workload,
@@ -103,8 +45,8 @@ def pack_workload(
     Returns ``(data, offsets, streams_per_core, meta)``: ``data`` holds
     every stream's records concatenated in (core, stream) order,
     ``offsets`` has one entry per stream boundary (``len(streams) + 1``
-    entries), and ``meta`` carries the identity fields needed to
-    rebuild the :class:`Workload`.
+    entries), and ``meta`` carries the identity fields and layout
+    needed to rebuild the :class:`Workload` (:func:`unpack_workload`).
     """
     arrays: List[np.ndarray] = []
     offsets = [0]
@@ -122,7 +64,6 @@ def pack_workload(
         else np.empty((0, 4), dtype=np.int64)
     )
     meta = {
-        "version": PACKED_FORMAT_VERSION,
         "name": workload.name,
         "seed": workload.seed,
         "superpages": workload.superpages,
@@ -143,93 +84,116 @@ def unpack_traces(
     only copy the attach path makes: the packed array itself can be a
     read-only memmap shared by every attached process.
     """
-    if data.size:
-        columns = [data[:, i].tolist() for i in range(4)]
-        records = list(zip(*columns))
-    else:
-        records = []
-    traces: List[List[List[Record]]] = []
-    stream_index = 0
-    for num_streams in streams_per_core:
-        streams = []
-        for _ in range(num_streams):
-            lo, hi = offsets[stream_index], offsets[stream_index + 1]
-            streams.append(records[lo:hi])
-            stream_index += 1
-        traces.append(streams)
-    return traces
+    records = list(zip(*[data[:, i].tolist() for i in range(4)]))
+    spans = iter(zip(offsets, offsets[1:]))
+    return [
+        [records[lo:hi] for lo, hi in islice(spans, num_streams)]
+        for num_streams in streams_per_core
+    ]
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
-
-
-def save_workload_packed(workload: Workload, path: Union[str, Path]) -> Path:
-    """Write the packed (memmap-friendly) layout; returns the .npy path.
-
-    Two files: ``<path>.npy`` (the packed records, uncompressed so they
-    can be attached with ``mmap_mode="r"``) and ``<path>.json`` (the
-    metadata sidecar).  Both are written to temp files and committed
-    with ``os.replace``, sidecar last — the sidecar's presence is the
-    commit marker, so concurrent writers (pool workers racing on one
-    artifact) can never expose a torn entry.
-    """
-    path = Path(path)
-    if path.suffix != ".npy":
-        path = path.with_suffix(path.suffix + ".npy")
-    data, _, _, meta = pack_workload(workload)
-    directory = path.parent
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".npy")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(meta, fh, sort_keys=True)
-        os.replace(tmp, _sidecar_path(path))
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_workload_packed(path: Union[str, Path], mmap: bool = True) -> Workload:
-    """Read a packed workload; ``mmap=True`` attaches the records
-    read-only through the page cache (zero-copy across processes) while
-    ``mmap=False`` loads them into private memory."""
-    path = Path(path)
-    with open(_sidecar_path(path)) as fh:
-        meta = json.load(fh)
-    if meta.get("version") != PACKED_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported packed trace version {meta.get('version')!r}"
-        )
-    data = np.load(path, mmap_mode="r" if mmap else None)
-    if data.ndim != 2 or data.shape[1] != 4 or data.dtype != np.int64:
-        raise ValueError(
-            f"packed trace {path} has shape {data.shape} / {data.dtype}; "
-            "expected (N, 4) int64"
-        )
-    traces = unpack_traces(data, meta["offsets"], meta["streams_per_core"])
+def unpack_workload(data: np.ndarray, meta: Dict[str, object]) -> Workload:
+    """The :class:`Workload` that :func:`pack_workload` packed into
+    ``data`` and ``meta``."""
     return Workload(
         name=meta["name"],
-        traces=traces,
+        traces=unpack_traces(data, meta["offsets"], meta["streams_per_core"]),
         seed=meta["seed"],
         superpages=meta["superpages"],
         info=meta.get("info", {}),
     )
+
+
+def check_records(
+    data: np.ndarray, offsets: Sequence[int], labels: Sequence[str]
+) -> None:
+    """Reject packed records no simulation can run: gaps must be >= 1,
+    page sizes one of 4K/2M/1G, ASIDs and page numbers non-negative.
+    The ``ValueError`` names the first bad record by its stream's label
+    and its position in that stream."""
+    gap, asid, size, page = data.T
+    bad = (gap < 1) | ~np.isin(size, PAGE_SIZES) | (asid < 0) | (page < 0)
+    if not bad.any():
+        return
+    index = int(bad.argmax())
+    gap, asid, size, page = data[index].tolist()
+    if gap < 1:
+        problem = "gap must be >= 1"
+    elif size not in PAGE_SIZES:
+        problem = f"bad page size {size}"
+    else:
+        problem = "negative asid/page"
+    stream = bisect.bisect_right(offsets, index) - 1
+    raise ValueError(
+        f"{labels[stream]} record {index - offsets[stream]}: {problem}"
+    )
+
+
+def _stream_names(streams_per_core: Sequence[int]) -> List[str]:
+    """The ``.npz`` array names, in (core, stream) order."""
+    return [
+        f"c{core}_s{stream}"
+        for core, num_streams in enumerate(streams_per_core)
+        for stream in range(num_streams)
+    ]
+
+
+def save_workload(workload: Workload, path: Union[str, Path]) -> Path:
+    """Write a workload to ``path`` (.npz).  Returns the path written."""
+    path = Path(path)
+    data, offsets, streams_per_core, meta = pack_workload(workload)
+    arrays = {
+        name: data[lo:hi]
+        for name, lo, hi in zip(
+            _stream_names(streams_per_core), offsets, offsets[1:]
+        )
+    }
+    header = {"version": FORMAT_VERSION, **meta}
+    del header["offsets"]  # implied by the per-stream arrays
+    arrays["meta"] = np.frombuffer(
+        json.dumps(header).encode("utf-8"), dtype=np.uint8
+    )
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+def load_workload(path: Union[str, Path]) -> Workload:
+    """Read a workload written by :func:`save_workload`.
+
+    Raises ``ValueError`` for any file that is not a well-formed trace
+    (not an archive, a missing array, bad metadata, records that are
+    not ``(n, 4)`` integers) and for records :func:`check_records`
+    rejects; a missing file is an ``OSError``.
+    """
+    try:
+        with open(path, "rb") as fh, np.load(fh) as archive:
+            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+            if meta.get("version") != FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported trace format version {meta.get('version')!r}"
+                )
+            names = _stream_names(meta["streams_per_core"])
+            streams = [archive[name] for name in names]
+        for name, rows in zip(names, streams):
+            if rows.shape[1:] != (4,) or rows.dtype.kind not in "iu":
+                raise ValueError(
+                    f"array {name} holds {rows.shape} {rows.dtype}, "
+                    "not (n, 4) integers"
+                )
+        data = np.concatenate(streams) if streams else np.empty((0, 4))
+        data = data.astype(np.int64, copy=False)
+        offsets = np.cumsum([0] + [len(rows) for rows in streams]).tolist()
+        check_records(data, offsets, names)
+        return unpack_workload(data, dict(meta, offsets=offsets))
+    except (
+        AttributeError, EOFError, IndexError, KeyError, TypeError,
+        zipfile.BadZipFile, zlib.error,
+    ) as exc:
+        raise ValueError(
+            f"not a well-formed trace ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def workload_from_records(
@@ -240,34 +204,22 @@ def workload_from_records(
 ) -> Workload:
     """Build a Workload from raw user records (one list per core).
 
-    Each record is ``(gap, asid, page_size, page_number)``; gaps must be
-    >= 1, page sizes one of 4K/2M/1G, ASIDs and page numbers
-    non-negative.  Validation is strict — a malformed external trace
-    should fail here, not deep inside the engine.
+    Each record is ``(gap, asid, page_size, page_number)``; every core
+    needs at least one, and :func:`check_records` checks them all.
+    Validation is strict — a malformed external trace should fail here,
+    not deep inside the engine.
     """
-    traces: List[List[List[Record]]] = []
     for core, records in enumerate(per_core_records):
         if not records:
             raise ValueError(f"core {core} has an empty trace")
-        validated = []
-        for i, record in enumerate(records):
-            if len(record) != 4:
-                raise ValueError(
-                    f"core {core} record {i}: need (gap, asid, size, page)"
-                )
-            gap, asid, size, page = record
-            if gap < 1:
-                raise ValueError(f"core {core} record {i}: gap must be >= 1")
-            if size not in PAGE_SIZES:
-                raise ValueError(
-                    f"core {core} record {i}: bad page size {size}"
-                )
-            if asid < 0 or page < 0:
-                raise ValueError(
-                    f"core {core} record {i}: negative asid/page"
-                )
-            validated.append((int(gap), int(asid), int(size), int(page)))
-        traces.append([validated])
-    return Workload(
-        name=name, traces=traces, seed=seed, superpages=superpages
-    )
+    traces = [[list(records)] for records in per_core_records]
+    workload = Workload(name, traces, seed=seed, superpages=superpages)
+    try:
+        data, offsets, _, meta = pack_workload(workload)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(
+            "records need (gap, asid, size, page) integer fields"
+        ) from None
+    labels = [f"core {core}" for core in range(len(traces))]
+    check_records(data, offsets, labels)
+    return unpack_workload(data, meta)

@@ -50,6 +50,34 @@ class Workload:
         return self.traces[core]
 
 
+def interleave_streams(streams: Sequence[List[Record]]) -> List[Record]:
+    """One core's SMT streams merged round-robin, one record per stream
+    per turn, skipping streams that have run dry.
+
+    This is the order the engine's reference loop issues a core's
+    records in (``_CoreState.next_record``).  It depends only on stream
+    lengths, never on timing, so it can be materialised up front.  A
+    single stream is returned as is.
+    """
+    if len(streams) == 1:
+        return streams[0]
+    merged: List[Record] = []
+    positions = [0] * len(streams)
+    n = len(streams)
+    rr = 0
+    remaining = sum(len(s) for s in streams)
+    append = merged.append
+    while remaining:
+        s = rr % n
+        rr += 1
+        pos = positions[s]
+        if pos < len(streams[s]):
+            positions[s] = pos + 1
+            append(streams[s][pos])
+            remaining -= 1
+    return merged
+
+
 def flatten_streams(workload: Workload) -> List[List[Record]]:
     """All streams of all cores, in core-major order (analysis helper)."""
     return [stream for core in workload.traces for stream in core]

@@ -1,6 +1,8 @@
 """Content-addressed result cache: canonicalisation, keys, storage."""
 
 import json
+import multiprocessing
+import os
 import pickle
 import time
 
@@ -13,11 +15,13 @@ from repro.exec.cache import (
     unit_key,
     workload_fingerprint,
 )
+from repro.exec.runner import Runner
 from repro.sim import configs as cfg
 from repro.sim.engine import ENGINE_VERSION, StormConfig, simulate
 from repro.sim.scenario import Scenario
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
+from repro.workloads.trace import Workload
 
 
 def _unit(**overrides):
@@ -98,9 +102,46 @@ def test_corrupt_entries_read_as_misses(tmp_path):
     unit = _unit(accesses_per_core=200)
     key = unit_key(unit, ENGINE_VERSION)
     cache.put(key, unit.execute())
-    with open(cache._path(key), "wb") as fh:
+    with open(cache.path(key), "wb") as fh:
         fh.write(b"not a pickle")
     assert cache.get(key) is None
+
+
+#: Damage to a committed result pickle: a cut file, and a string the
+#: unpickler cannot decode (``UnicodeDecodeError``).
+RESULT_DAMAGE = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "invalid utf-8": lambda blob: blob.replace(b"nocstar", b"\xffocstar", 1),
+}
+
+
+@pytest.mark.parametrize("damage", list(RESULT_DAMAGE))
+def test_damaged_result_reads_as_miss_and_is_recommitted(tmp_path, damage):
+    unit = _unit(accesses_per_core=200)
+    cache_dir = str(tmp_path / "cache")
+    first = Runner(cache_dir=cache_dir).execute_units([unit])
+    path = ResultCache(cache_dir).path(unit_key(unit, ENGINE_VERSION))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert b"nocstar" in blob
+    with open(path, "wb") as fh:
+        fh.write(RESULT_DAMAGE[damage](blob))
+    rerun = Runner(cache_dir=cache_dir)
+    assert rerun.execute_units([unit]) == first
+    assert rerun.stats == {"hits": 0, "misses": 1}
+    warm = Runner(cache_dir=cache_dir)
+    assert warm.execute_units([unit]) == first
+    assert warm.stats == {"hits": 1, "misses": 0}
+
+
+def test_failed_put_keeps_the_committed_entry(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    key = "d" * 64
+    cache.put(key, {"x": 1})
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        cache.put(key, {"x": lambda: None})  # a local lambda cannot pickle
+    assert cache.get(key) == {"x": 1}
+    assert os.listdir(os.path.dirname(cache.path(key))) == [key + ".pkl"]
 
 
 def test_clear_removes_everything(tmp_path):
@@ -123,13 +164,11 @@ def test_stats_counts_entries_and_bytes(tmp_path):
 
 
 def test_cache_evict_older_than(tmp_path):
-    import os
-
     cache = ResultCache(str(tmp_path / "cache"))
     cache.put("a" * 64, {"x": 1})
     cache.put("b" * 64, {"x": 2})
     old = time.time() - 1000.0
-    path = cache._path("a" * 64)
+    path = cache.path("a" * 64)
     os.utime(path, (old, old))
     assert cache.evict_older_than(500.0) == 1
     assert cache.get("a" * 64) is None
@@ -150,3 +189,39 @@ def test_workload_fingerprint_tracks_content():
     )
     assert workload_fingerprint(wl_a) == workload_fingerprint(wl_same)
     assert workload_fingerprint(wl_a) != workload_fingerprint(wl_other_seed)
+
+
+def test_workload_fingerprint_hashes_empty_streams():
+    hollow = Workload(name="hollow", traces=[[[]]], seed=0, superpages=False)
+    assert len(workload_fingerprint(hollow)) == 64
+
+
+#: Processes racing on one key: more than a small machine has cores, so
+#: commits interleave.
+RACERS = 4
+
+
+def _put_after(barrier, root, key):
+    result = _unit(accesses_per_core=200).execute()
+    barrier.wait(timeout=120)
+    ResultCache(root).put(key, result)
+
+
+def test_racing_puts_of_one_key_leave_one_entry(tmp_path):
+    root = str(tmp_path / "cache")
+    key = "c" * 64
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(RACERS)
+    writers = [
+        ctx.Process(target=_put_after, args=(barrier, root, key))
+        for _ in range(RACERS)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(120)
+    assert [writer.exitcode for writer in writers] == [0] * RACERS
+    cache = ResultCache(root)
+    assert list(cache.keys()) == [key]
+    assert cache.get(key) == _unit(accesses_per_core=200).execute()
+    assert os.listdir(os.path.dirname(cache.path(key))) == [key + ".pkl"]

@@ -1,17 +1,23 @@
 """TraceStore: content addressing, build-once, attach identity, eviction."""
 
+import json
+import multiprocessing
 import os
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.exec.cache import workload_fingerprint
+from repro.exec.cache import canonical_json, unit_key, workload_fingerprint
+from repro.exec.runner import Runner
 from repro.exec.trace_store import (
     TraceStore,
     _clear_attachments,
     attach_workload,
 )
 from repro.sim import configs as cfg
+from repro.sim.engine import ENGINE_VERSION
 from repro.sim.scenario import Scenario
 from repro.workloads.registry import get_workload
 
@@ -102,6 +108,110 @@ def test_missing_sidecar_reads_as_miss_and_rebuilds(tmp_path):
     again, rebuilt = store.ensure(signature)
     assert rebuilt and again == path
     assert attach_workload(path).traces  # readable after the rebuild
+
+
+def _cut(path, size):
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+def _set_version(sidecar, version):
+    meta = json.loads(sidecar.read_text())
+    meta["version"] = version
+    sidecar.write_text(json.dumps(meta))
+
+
+#: Damage to a committed artifact ``(npy, sidecar)`` that must read as a
+#: miss: every kind makes an attach fail.
+DAMAGE = {
+    "npy emptied": lambda npy, sidecar: _cut(npy, 0),
+    "npy cut inside its header": lambda npy, sidecar: _cut(npy, 100),
+    "npy cut short of its data": lambda npy, sidecar: _cut(
+        npy, npy.stat().st_size - 64
+    ),
+    "corrupt sidecar": lambda npy, sidecar: sidecar.write_text("{not json"),
+    "sidecar version 99": lambda npy, sidecar: _set_version(sidecar, 99),
+    "rows disagree with the sidecar": lambda npy, sidecar: np.save(
+        npy, np.load(npy)[:-1]
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+def test_damaged_artifact_reads_as_miss_and_rebuilds(tmp_path, damage):
+    scenario = _scenario()
+    units = scenario.units()
+    store = TraceStore(str(tmp_path / "store"))
+    path, _ = store.ensure(units[0].build_signature())
+    npy = Path(path)
+    DAMAGE[damage](npy, npy.with_suffix(".json"))
+    again, built = store.ensure(units[0].build_signature())
+    assert built and again == path
+    assert attach_workload(path).traces == units[0].build_workload().traces
+
+    reference = canonical_json(Runner(jobs=1).execute_units(units))
+    for jobs in (1, 2):
+        DAMAGE[damage](npy, npy.with_suffix(".json"))
+        _clear_attachments()
+        runner = Runner(jobs=jobs, trace_store=store)
+        assert canonical_json(runner.execute_units(units)) == reference
+        assert runner.trace_stats["builds"] == 1
+
+
+#: Processes racing on one key: more than a small machine has cores, so
+#: commits interleave.
+RACERS = 4
+
+
+def _ensure_after(barrier, root, signature):
+    barrier.wait(timeout=120)
+    TraceStore(root).ensure(signature)
+
+
+def test_racing_ensures_of_one_signature_leave_one_artifact(tmp_path):
+    root = str(tmp_path / "store")
+    signature = _signature()
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(RACERS)
+    builders = [
+        ctx.Process(target=_ensure_after, args=(barrier, root, signature))
+        for _ in range(RACERS)
+    ]
+    for builder in builders:
+        builder.start()
+    for builder in builders:
+        builder.join(120)
+    assert [builder.exitcode for builder in builders] == [0] * RACERS
+    store = TraceStore(root)
+    key = store.key_for(signature)
+    assert list(store.keys()) == [key]
+    built = _scenario().units()[0].build_workload()
+    assert attach_workload(store.path(key)).traces == built.traces
+    assert sorted(os.listdir(os.path.dirname(store.path(key)))) == [
+        key + ".json", key + ".npy"
+    ]
+
+
+#: Content addresses of ``_scenario()``: a trace store or result cache
+#: written by an earlier version must keep hitting.
+SIGNATURE_KEY = (
+    "9c8a1032e2051fd2defa942157e9f95227b742e84ea6b43ac8105dbb941a14fc"
+)
+UNIT_KEYS = {
+    "private":
+        "29c3a03c9c3a076ce24f9f7e72a3dfe22fe9a771cf268d18fca2036574ddd6b2",
+    "nocstar":
+        "baaa51d70091ccef051ed49a4f539cce855ceb8a4b4e01a4451dcf8be09fbcf6",
+}
+
+
+def test_keys_are_pinned(tmp_path):
+    assert ENGINE_VERSION == "1"
+    assert TraceStore(str(tmp_path)).key_for(_signature()) == SIGNATURE_KEY
+    units = _scenario().units()
+    assert {
+        unit.config.name: unit_key(unit, ENGINE_VERSION) for unit in units
+    } == UNIT_KEYS
 
 
 def test_stats_and_clear(tmp_path):

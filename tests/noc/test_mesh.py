@@ -1,6 +1,6 @@
 """Mesh network models."""
 
-from repro.noc.mesh import ContendedMesh, ContentionFreeMesh
+from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.topology import MeshTopology
 
 
@@ -22,30 +22,3 @@ def test_contention_free_counts_traffic():
     mesh.send(0, 2, 0)
     assert mesh.messages == 2
     assert mesh.total_hops == 3
-
-
-def test_contended_single_message_matches_free():
-    free = ContentionFreeMesh(MeshTopology(16))
-    contended = ContendedMesh(MeshTopology(16))
-    assert contended.send(0, 15, 0).arrival == free.send(0, 15, 0).arrival
-
-
-def test_contended_conflicting_messages_queue():
-    mesh = ContendedMesh(MeshTopology(16))
-    a = mesh.send(0, 3, now=0)
-    b = mesh.send(0, 3, now=0)  # same path, same time
-    assert b.arrival > a.arrival
-    assert b.queue_cycles > 0
-
-
-def test_contended_disjoint_paths_do_not_interact():
-    mesh = ContendedMesh(MeshTopology(16))
-    a = mesh.send(0, 1, now=0)
-    b = mesh.send(14, 15, now=0)
-    assert a.queue_cycles == 0 and b.queue_cycles == 0
-
-
-def test_traversal_reports_links():
-    mesh = ContendedMesh(MeshTopology(16))
-    t = mesh.send(0, 5, 0)
-    assert len(t.links) == t.hops == 2

@@ -1,8 +1,14 @@
 """Command-line interface."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.generators import build_multithreaded
+from repro.workloads.io import save_workload
+from repro.workloads.registry import get_workload
 
 
 def test_parser_requires_command():
@@ -96,6 +102,67 @@ def test_unreadable_trace_in_exits_with_one_line(tmp_path, capsys):
     assert isinstance(message, str) and len(message.splitlines()) == 1
     assert message.startswith(f"cannot read {str(junk)!r}")
     assert capsys.readouterr().err == ""
+
+
+def _set_field(column, value):
+    def edit(rows):
+        rows = rows.copy()
+        rows[0, column] = value
+        return rows
+
+    return edit
+
+
+#: ``run --trace-in`` files that are not well-formed traces: how core
+#: 1's array of a valid trace is edited (``None``: cut the archive in
+#: half), and what the one-line message must name.
+MALFORMED_TRACES = [
+    ("truncated", None, "BadZipFile"),
+    ("missing c1_s0", lambda rows: None, "c1_s0"),
+    ("three columns", lambda rows: rows[:, :3], "not (n, 4) integers"),
+    ("page size 8192", _set_field(2, 8192), "bad page size 8192"),
+    ("negative page", _set_field(3, -5), "negative asid/page"),
+    ("zero gap", _set_field(0, 0), "gap must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [case[1:] for case in MALFORMED_TRACES],
+    ids=[case[0] for case in MALFORMED_TRACES],
+)
+def test_malformed_trace_in_exits_with_one_line(edit, named, tmp_path,
+                                                capsys):
+    path = tmp_path / "t.npz"
+    save_workload(
+        build_multithreaded(get_workload("olio"), 2, accesses_per_core=50),
+        path,
+    )
+    if edit is None:
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    else:
+        arrays = dict(np.load(path))
+        rows = edit(arrays.pop("c1_s0"))
+        if rows is not None:
+            arrays["c1_s0"] = rows
+        np.savez_compressed(path, **arrays)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--trace-in", str(path), "--no-cache"])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1
+    assert message.startswith(f"cannot read {str(path)!r}")
+    assert named in message
+    assert capsys.readouterr().err == ""
+
+
+def test_export_trace_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "t.npz"
+    assert main(
+        ["export-trace", "--workload", "olio", "--cores", "4",
+         "--accesses", "200", "--seed", "3", "--out", str(out)]
+    ) == 0
+    digest = hashlib.md5(out.read_bytes()).hexdigest()
+    assert digest == "956944ed2982fc88b656918472e24243"
 
 
 def test_run_command_parallel_no_cache(capsys, tmp_path):

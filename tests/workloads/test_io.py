@@ -2,20 +2,19 @@
 
 import pytest
 
+from repro.exec.trace_store import load_workload_packed, save_workload_packed
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
 from repro.vm.address import PAGE_2M, PAGE_4K
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.io import (
     load_workload,
-    load_workload_packed,
     pack_workload,
     save_workload,
-    save_workload_packed,
     unpack_traces,
     workload_from_records,
 )
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 from repro.workloads.trace import Workload
 
 
@@ -35,6 +34,17 @@ def test_round_trip_preserves_everything(tmp_path, workload):
     assert loaded.superpages == workload.superpages
     assert loaded.traces == workload.traces
     assert loaded.info == workload.info
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_registry_workload_round_trips(tmp_path, name):
+    # Every generator emits gaps of 1 + Poisson and valid page sizes, so
+    # the record check load_workload applies accepts every export.
+    workload = build_multithreaded(
+        get_workload(name), 2, accesses_per_core=100, seed=3, smt=2
+    )
+    path = save_workload(workload, tmp_path / "trace.npz")
+    assert load_workload(path).traces == workload.traces
 
 
 def test_loaded_trace_simulates_identically(tmp_path, workload):
