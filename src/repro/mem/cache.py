@@ -15,9 +15,9 @@ cycle band (validated by tests).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import DefaultDict, Optional
 
 LINE_BYTES = 64
 
@@ -39,17 +39,16 @@ class Cache:
         self.ways = ways
         self.num_sets = num_lines // ways
         self.decay_cycles = decay_cycles
-        # One OrderedDict per set: line address -> last-touch cycle.
-        self._sets: Dict[int, "OrderedDict[int, int]"] = {}
+        # One OrderedDict per set, built on first touch: line address ->
+        # last-touch cycle, least recently used first.
+        self._sets: "DefaultDict[int, OrderedDict[int, int]]" = defaultdict(
+            OrderedDict
+        )
         self.hits = 0
         self.misses = 0
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, int]":
-        index = line_addr % self.num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
-        return cache_set
+        return self._sets[line_addr % self.num_sets]
 
     def lookup(self, addr: int, now: int) -> bool:
         """Probe (and on hit, touch) the line holding ``addr``."""
@@ -119,69 +118,62 @@ class CacheHierarchy:
         self.llc = Cache("llc", llc_bytes_per_core * num_cores, 16, llc_decay_cycles)
         self.dram_accesses = 0
 
-    @staticmethod
-    def _probe(cache: Cache, line: int, now: int):
-        """Inlined Cache.lookup on a precomputed line address.
-
-        Returns the cache set on a miss (for the fill below — a missed
-        line is guaranteed absent, decayed entries having been deleted)
-        or ``None`` on a hit.  Counter/decay/LRU semantics match
-        ``Cache.lookup`` byte for byte.
-        """
-        sets = cache._sets
-        index = line % cache.num_sets
-        cache_set = sets.get(index)
-        if cache_set is None:
-            cache_set = sets[index] = OrderedDict()
-        stamp = cache_set.get(line)
-        if stamp is not None:
-            decay = cache.decay_cycles
-            if decay is not None and now - stamp > decay:
-                del cache_set[line]  # decayed: evicted by demand traffic
-            else:
-                cache_set.move_to_end(line)
-                cache_set[line] = now
-                cache.hits += 1
-                return None
-        cache.misses += 1
-        return cache_set
-
     def access(self, core: int, addr: int, now: int) -> tuple:
-        # Chained Cache.lookup/Cache.fill calls, inlined via _probe:
-        # walk traffic makes this the hottest simulator loop after the
-        # L2-TLB transaction, and the open-coded form computes the line
-        # address once and skips fill()'s membership test (a missed
-        # line is absent by _probe's contract, so a fill is a plain
-        # append with LRU eviction on a full set).
+        # Cache.lookup down the levels, then Cache.fill back up,
+        # open-coded: walk traffic makes this the hottest simulator loop
+        # after the L2-TLB transaction.  The line address is computed
+        # once, and a missed line is absent (a decayed one is deleted),
+        # so each fill is a plain append with LRU eviction on a full set.
+        # A hit moves its line rather than popping and reinserting it,
+        # which would churn the set's hash table into resizes.
         line = addr // LINE_BYTES
         lat = self.latencies
-        probe = self._probe
         l1 = self.l1[core]
-        set1 = probe(l1, line, now)
-        if set1 is None:
-            return "l1", lat.l1
+        set1 = l1._sets[line % l1.num_sets]
+        stamp = set1.get(line)
+        if stamp is not None:
+            decay = l1.decay_cycles
+            if decay is None or now - stamp <= decay:
+                set1.move_to_end(line)
+                set1[line] = now
+                l1.hits += 1
+                return "l1", lat.l1
+            del set1[line]  # decayed: evicted by demand traffic
+        l1.misses += 1
         l2 = self.l2[core]
-        set2 = probe(l2, line, now)
-        if set2 is None:
-            if len(set1) >= l1.ways:
-                set1.popitem(last=False)
-            set1[line] = now
-            return "l2", lat.l2
-        llc = self.llc
-        set3 = probe(llc, line, now)
-        if set3 is None:
-            level = "llc"
-            cycles = lat.llc
+        set2 = l2._sets[line % l2.num_sets]
+        stamp = set2.get(line)
+        decay = l2.decay_cycles
+        if stamp is not None and (decay is None or now - stamp <= decay):
+            set2.move_to_end(line)
+            set2[line] = now
+            l2.hits += 1
+            level, cycles = "l2", lat.l2
         else:
-            self.dram_accesses += 1
-            if len(set3) >= llc.ways:
-                set3.popitem(last=False)
-            set3[line] = now
-            level = "dram"
-            cycles = lat.dram
-        if len(set2) >= l2.ways:
-            set2.popitem(last=False)
-        set2[line] = now
+            if stamp is not None:
+                del set2[line]
+            l2.misses += 1
+            llc = self.llc
+            set3 = llc._sets[line % llc.num_sets]
+            stamp = set3.get(line)
+            decay = llc.decay_cycles
+            if stamp is not None and (decay is None or now - stamp <= decay):
+                set3.move_to_end(line)
+                set3[line] = now
+                llc.hits += 1
+                level, cycles = "llc", lat.llc
+            else:
+                if stamp is not None:
+                    del set3[line]
+                llc.misses += 1
+                self.dram_accesses += 1
+                if len(set3) >= llc.ways:
+                    set3.popitem(last=False)
+                set3[line] = now
+                level, cycles = "dram", lat.dram
+            if len(set2) >= l2.ways:
+                set2.popitem(last=False)
+            set2[line] = now
         if len(set1) >= l1.ways:
             set1.popitem(last=False)
         set1[line] = now

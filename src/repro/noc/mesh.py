@@ -54,10 +54,11 @@ class ContentionFreeMesh:
         self.total_hops = 0
         #: link -> messages carried; populated only when observed.
         self.link_traversals: Dict[Link, int] = {}
-        #: ``(latency, hops)`` RouteCache rows when ``send`` times every
-        #: leg from them (unobserved, no dead links), else None.  A
-        #: caller that times legs from these rows instead of calling
-        #: ``send`` counts the messages and hops itself.
+        #: The RouteCache hop rows when ``send`` times every leg from
+        #: them as hops x ``cycles_per_hop`` (unobserved, no dead
+        #: links), else None.  A caller that times legs from these rows
+        #: instead of calling ``send`` counts the messages and hops
+        #: itself.
         self.flat_tables = None
         if faults is not None and faults.router.dead:
             # Fault-aware routing subsumes observation: the detour path
@@ -69,9 +70,7 @@ class ContentionFreeMesh:
             # unobserved send never pays for XY path computation.
             self.send = self._send_observed  # type: ignore[method-assign]
         elif routes is not None:
-            self._hops = routes.hops
-            self._latency = routes.mesh_latency(self.cycles_per_hop)
-            self.flat_tables = (self._latency, self._hops)
+            self.flat_tables = routes.hops
             self.send = self._send_cached  # type: ignore[method-assign]
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
@@ -81,11 +80,11 @@ class ContentionFreeMesh:
         return Traversal(arrival=now + hops * self.cycles_per_hop, hops=hops)
 
     def _send_cached(self, src: int, dst: int, now: int) -> Traversal:
-        """send() off the precomputed fault-free hop/latency tables."""
-        hops = self._hops[src][dst]
+        """send() off the precomputed fault-free hop table."""
+        hops = self.flat_tables[src][dst]
         self.messages += 1
         self.total_hops += hops
-        return Traversal(arrival=now + self._latency[src][dst], hops=hops)
+        return Traversal(arrival=now + hops * self.cycles_per_hop, hops=hops)
 
     def _send_observed(self, src: int, dst: int, now: int) -> Traversal:
         """send() plus per-link accounting; timing is identical (the XY

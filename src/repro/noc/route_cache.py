@@ -14,17 +14,14 @@ Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
 
 * ``hops_array`` — the N x N Manhattan-distance table as a compact
   ``int16`` ndarray (2 MiB at 1024 tiles, versus ~36 MiB of nested
-  Python int lists), built by broadcasting, not per-pair loops;
-* ``mesh_latency_array`` — a derived ``int32`` table, memoised lazily
-  per cycles-per-hop so forked pool workers only ever materialise the
-  points they run;
-* ``hops`` / ``mesh_latency()`` — row-lazy
-  Python-int views over those arrays (see :class:`_LazyRows`) for the
-  per-event models, which index ``table[src][dst]`` on scalar sends.
-  Rows convert to plain lists on first touch, so scalar consumers keep
-  C-speed list indexing and native ``int`` arithmetic (no ``np.int64``
-  leaking into cycle counts) without ever paying for rows they don't
-  visit;
+  Python int lists), built by broadcasting, not per-pair loops.  int16,
+  not uint8: a 1 x 509 mesh has diameter 508;
+* ``hops`` — one row per source tile, each an ``int16`` memoryview
+  slice of that same buffer (no copy), for the per-event models, which
+  bind a row and index ``row[dst]`` on scalar sends.  A memoryview
+  indexes to a native ``int``, so no ``np.int16`` leaks into cycle
+  counts.  A contention-free mesh leg's latency is derived from it
+  (hops x cycles per hop), so there is no second latency table;
 * XY link paths, memoised per (src, dst) on first use — eager path
   tables would cost O(N^2 * diameter) tuples up front, which the large
   scalability sweeps never fully touch.
@@ -65,34 +62,8 @@ def reference_mode() -> bool:
     return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
 
 
-class _LazyRows:
-    """Row-lazy ``table[src][dst]`` view over a 2-D ndarray.
-
-    ``view[src]`` materialises (and caches) row ``src`` as a plain
-    Python list of native ints, so hot per-event loops that bind a row
-    once and index it per send keep exact list semantics while the
-    backing store stays a compact ndarray shared by every consumer.
-    """
-
-    __slots__ = ("_array", "_rows")
-
-    def __init__(self, array: "np.ndarray") -> None:
-        self._array = array
-        self._rows: Dict[int, List[int]] = {}
-
-    def __getitem__(self, src: int) -> List[int]:
-        row = self._rows.get(src)
-        if row is None:
-            row = self._array[src].tolist()
-            self._rows[src] = row
-        return row
-
-    def __len__(self) -> int:
-        return len(self._array)
-
-
 class RouteCache:
-    """Fault-free per-(src, dst) route/latency tables for one topology."""
+    """Fault-free per-(src, dst) hop and route tables for one topology."""
 
     def __init__(self, topology: MeshTopology) -> None:
         self.topology = topology
@@ -109,11 +80,13 @@ class RouteCache:
         self.hops_array: np.ndarray = (
             np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
         ).astype(np.int16)
-        #: hops[src][dst] — Python-int row view for per-event models.
-        self.hops = _LazyRows(self.hops_array)
+        #: hops[src][dst] — int16 row views of hops_array, indexing to
+        #: Python ints, for per-event models.
+        flat = memoryview(self.hops_array.reshape(-1))
+        self.hops: List[memoryview] = [
+            flat[src * n:(src + 1) * n] for src in range(n)
+        ]
         self._paths: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
-        self._mesh_latency: Dict[int, _LazyRows] = {}
-        self._mesh_latency_arrays: Dict[int, np.ndarray] = {}
 
     def path(self, src: int, dst: int) -> Tuple[Link, ...]:
         """The XY link path ``src -> dst`` (memoised)."""
@@ -124,29 +97,13 @@ class RouteCache:
             self._paths[key] = cached
         return cached
 
-    def mesh_latency_array(self, cycles_per_hop: int) -> np.ndarray:
-        """``hops * cycles_per_hop`` as an int32 ndarray (lazy, memoised)."""
-        table = self._mesh_latency_arrays.get(cycles_per_hop)
-        if table is None:
-            table = self.hops_array.astype(np.int32) * cycles_per_hop
-            self._mesh_latency_arrays[cycles_per_hop] = table
-        return table
-
-    def mesh_latency(self, cycles_per_hop: int) -> _LazyRows:
-        """``hops * cycles_per_hop`` table (the contention-free mesh)."""
-        table = self._mesh_latency.get(cycles_per_hop)
-        if table is None:
-            table = _LazyRows(self.mesh_latency_array(cycles_per_hop))
-            self._mesh_latency[cycles_per_hop] = table
-        return table
-
 
 @lru_cache(maxsize=16)
 def shared_route_cache(num_tiles: int) -> RouteCache:
     """Process-wide :class:`RouteCache` per tile count.
 
-    The cache is immutable-by-convention (path and row memoisation only
-    ever add identical entries), so every System of the same size —
+    The cache is immutable-by-convention (path memoisation only ever
+    adds identical entries), so every System of the same size —
     across runs, lineups, and pool workers — shares one instance and
     one set of precomputed tables.
     """

@@ -19,15 +19,16 @@ Two drive loops produce bit-identical results:
   pop with one bisect instead of one Python iteration per record.
 * the **reference loop** (``REPRO_REFERENCE_ENGINE=1``, and any run
   with storms or shootdowns — they invalidate L1 entries externally):
-  the original record-at-a-time loop, kept verbatim.  The differential
-  test harness proves both paths byte-identical, which is why
-  ``ENGINE_VERSION`` did not change for the fast path.
+  one L1 probe per record, read by index from the same merged stream
+  the pre-pass compiles.  The differential test harness proves both
+  paths byte-identical, which is why ``ENGINE_VERSION`` did not change
+  for the fast path.
 
 The batched loop serves every storm-free run, from 8 cores to 1024
 tiles.  Both loops resolve an L1 miss through ``System.l2_transaction``
 — one table-driven transaction per ``System`` — whether or not the run
-is observed, and :func:`simulate` pauses the cyclic collector for the
-whole run.
+is observed, call the sink only when it is enabled, and
+:func:`simulate` pauses the cyclic collector for the whole run.
 
 Optional pathological traffic (§V) is injected at the global frontier:
 *storms* (context-switch flushes plus superpage-promotion invalidation
@@ -116,29 +117,6 @@ class ShootdownTraffic:
             raise ValueError("shootdown period must be positive")
         if self.initiators < 1:
             raise ValueError("need at least one initiator")
-
-
-class _CoreState:
-    __slots__ = ("streams", "positions", "rr", "time", "finish")
-
-    def __init__(self, streams) -> None:
-        self.streams = streams
-        self.positions = [0] * len(streams)
-        self.rr = 0
-        self.time = 0
-        self.finish: Optional[int] = None
-
-    def next_record(self):
-        """Round-robin across SMT streams; None when all are drained."""
-        n = len(self.streams)
-        for _ in range(n):
-            s = self.rr % n
-            self.rr += 1
-            pos = self.positions[s]
-            if pos < len(self.streams[s]):
-                self.positions[s] = pos + 1
-                return self.streams[s][pos]
-        return None
 
 
 def simulate(
@@ -300,14 +278,21 @@ def _drive_reference(
     sink,
     watchdog_cycles: Optional[int],
 ) -> List[int]:
-    """The original record-at-a-time drive loop (kept verbatim).
+    """The record-at-a-time drive loop: one L1 probe per record.
 
     Always used for storm/shootdown runs (external L1 invalidations
     break the fast path's precompiled hit/miss sequence) and forced via
     ``REPRO_REFERENCE_ENGINE=1`` as the differential-testing baseline.
+    Each core reads its records by index from the merged stream
+    :func:`interleave_streams` builds, and the sink is called only when
+    it is enabled, as in :func:`_drive_batched`.
     """
     num_cores = system.config.num_cores
-    states = [_CoreState(workload.core_streams(c)) for c in range(num_cores)]
+    streams = [
+        interleave_streams(workload.core_streams(c)) for c in range(num_cores)
+    ]
+    positions = [0] * num_cores
+    finishes = [0] * num_cores
     heap: List[Tuple[int, int]] = [(0, core) for core in range(num_cores)]
     heapq.heapify(heap)
 
@@ -319,6 +304,8 @@ def _drive_reference(
         {size: l1.array(size) for size in l1._arrays} for l1 in system.l1s
     ]
     pending = system.pending_penalty
+    l2_transaction = system.l2_transaction
+    observed = sink.enabled
 
     while heap:
         t, core = heapq.heappop(heap)
@@ -327,7 +314,6 @@ def _drive_reference(
                 f"core {core} resumed at cycle {t}, past the "
                 f"{watchdog_cycles}-cycle watchdog"
             )
-        state = states[core]
         if pending[core]:
             t += pending[core]
             pending[core] = 0
@@ -342,32 +328,33 @@ def _drive_reference(
             next_shoot += shootdown.period
         deadline = t + quantum
         arrays = l1_arrays[core]
-        resumed = False
+        stream = streams[core]
+        end = len(stream)
+        pos = positions[core]
         while t < deadline:
-            record = state.next_record()
-            if record is None:
-                state.finish = t
-                resumed = True  # drained: do not re-enter the heap
-                break
-            gap, asid, size, page_number = record
+            if pos == end:
+                finishes[core] = t
+                break  # drained: do not re-enter the heap
+            gap, asid, size, page_number = stream[pos]
+            pos += 1
             t += gap + 1
             array = arrays[size]
             if array.lookup(asid, size, page_number):
                 continue
-            # Instrumentation rides the (rare) miss path only; the
-            # L1-hit loop above stays sink-free.
-            sink.event(t, "l1_lookup", core=core, hit=False)
-            stall = system.l2_transaction(core, asid, size, page_number, t)
-            sink.observe("translation.stall_cycles", stall)
+            if observed:
+                sink.event(t, "l1_lookup", core=core, hit=False)
+            stall = l2_transaction(core, asid, size, page_number, t)
+            if observed:
+                sink.observe("translation.stall_cycles", stall)
             t += stall
             array.insert(asid, size, page_number)
             heapq.heappush(heap, (t, core))
-            resumed = True
             break
-        if not resumed:
-            heapq.heappush(heap, (t, core))
+        else:
+            heapq.heappush(heap, (t, core))  # quantum expired
+        positions[core] = pos
 
-    return [state.finish or 0 for state in states]
+    return finishes
 
 
 class _CompiledCore:

@@ -55,7 +55,7 @@ from repro.tlb.l2_shared import (
 from repro.tlb.prefetch import SequentialPrefetcher
 from repro.tlb.shootdown import InvalidationController
 from repro.tlb.stats import TlbStats
-from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
+from repro.vm.address import PAGE_1G, VPN_SHIFT as _SHIFT
 from repro.vm.page_table import PageTable
 from repro.vm.walker import FixedLatencyWalker, PageTableWalker, WalkerQueue
 
@@ -68,8 +68,6 @@ IPI_CYCLES = 30
 #: Cache-disruption penalty charged to a core per walk another core's
 #: request executed on it (remote-PTW pollution, §V Fig 17).
 POLLUTION_CYCLES_PER_FILL = 6
-
-_SHIFT = {PAGE_4K: 0, PAGE_2M: 9, PAGE_1G: 18}
 
 
 class System:
@@ -355,13 +353,12 @@ class System:
         network = self.network
         send = network.send if network is not None else None
         # Contention-free mesh legs come straight from the RouteCache
-        # rows whenever the mesh itself sends from them.  Manhattan
-        # routes are symmetric, so the requester's rows give both legs;
-        # each core's pair of rows is bound here on first use.
+        # hop rows whenever the mesh itself sends from them.  Manhattan
+        # routes are symmetric, so the requester's row gives both legs.
         flat_mesh = getattr(network, "flat_tables", None) is not None
         if flat_mesh:
-            latency_rows, hop_rows = network.flat_tables
-            rows_of = [None] * config.num_cores
+            hop_rows = network.flat_tables
+            cycles_per_hop = network.cycles_per_hop
         nocstar = self._is_nocstar
         ideal = nocstar and config.nocstar_ideal
         ideal_send = self._build_ideal_send() if ideal else None
@@ -399,10 +396,8 @@ class System:
             # Request leg.
             held = ()
             if flat_mesh:
-                rows = rows_of[core]
-                if rows is None:
-                    rows = rows_of[core] = (latency_rows[core], hop_rows[core])
-                leg = rows[0][dst] + ingress
+                hops = hop_rows[core][dst]
+                leg = hops * cycles_per_hop + ingress
                 arrival = now + leg
             elif ideal_send is not None:
                 hops, cycles = ideal_send(core, dst)
@@ -471,7 +466,6 @@ class System:
             # Response leg (or, on a requester-side miss, the miss reply).
             if flat_mesh:
                 ready = ready_at + leg
-                hops = rows[1][dst]
                 network.messages += 2  # request and response
                 network.total_hops += 2 * hops
             elif ideal_send is not None:

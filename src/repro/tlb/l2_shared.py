@@ -62,6 +62,9 @@ class _PortSet:
         self.num_ports = num_ports
         self.priority = priority
         self._starts: Dict[int, int] = {}  # cycle -> accesses started
+        #: Full cycle -> a later cycle, every cycle between them full
+        #: too.  A full cycle never frees, so an entry never goes stale.
+        self._skip: Dict[int, int] = {}
         self.conflict_cycles = 0
 
     def reserve(self, now: int, klass: int = 0) -> int:
@@ -89,15 +92,26 @@ class _PortSet:
         Each access takes the first cycle with a free port at or after
         the previous one's start, as ``count`` chained :meth:`reserve`
         calls would, and the conflict cycles those calls would charge
-        telescope to the last start minus ``now``.
+        telescope to the last start minus ``now``.  A run of full cycles
+        is crossed through the skip map, and every full cycle passed is
+        then pointed at the free one found, so sweeps that arrive inside
+        the same busy run do not rescan it.
         """
         starts = self._starts
+        skip = self._skip
         ports = self.num_ports
         cycle = now
         for _ in range(count):
-            while starts.get(cycle, 0) >= ports:
-                cycle += 1
-            starts[cycle] = starts.get(cycle, 0) + 1
+            used = starts.get(cycle, 0)
+            if used >= ports:
+                passed = []
+                while used >= ports:
+                    passed.append(cycle)
+                    cycle = skip.get(cycle, cycle + 1)
+                    used = starts.get(cycle, 0)
+                for full in passed:
+                    skip[full] = cycle
+            starts[cycle] = used + 1
         self.conflict_cycles += cycle - now
         return cycle
 

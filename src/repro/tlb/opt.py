@@ -12,9 +12,9 @@ Canonical stream
 ----------------
 The offline order is the engine's statically deterministic interleave:
 each core's SMT streams are merged round-robin
-(:func:`~repro.workloads.trace.interleave_streams`, the
-``_CoreState.next_record`` order the batched engine's compile pre-pass
-also replays), then one record is taken per core per round across
+(:func:`~repro.workloads.trace.interleave_streams`, the order both
+engine drive loops issue a core's records in), then one record is taken
+per core per round across
 cores.  It is *an* order, not *the* timing-dependent DES order — what
 matters for the bound is that OPT and every online policy replay the
 **same** sequence, which is what makes per-slice dominance

@@ -91,7 +91,12 @@ class SetAssociativeTLB:
 
     def lookup(self, asid: int, page_size: int, page_number: int) -> bool:
         """Probe the array; hits refresh replacement state."""
-        cache_set = self._set_for(page_number)
+        # _set_for, open-coded here and in insert(): the reference drive
+        # loop makes one lookup per trace record.
+        index = (page_number >> self.index_shift) % self.num_sets
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = self._state_cls(self.ways)
         key = (asid, page_size, page_number)
         if key in cache_set:
             cache_set.touch(key)
@@ -117,7 +122,10 @@ class SetAssociativeTLB:
         own most-evictable entry — even when the set itself still has
         free ways — before the policy is consulted for capacity.
         """
-        cache_set = self._set_for(page_number)
+        index = (page_number >> self.index_shift) % self.num_sets
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = self._state_cls(self.ways)
         key = (asid, page_size, page_number)
         evicted = None
         if key in cache_set:

@@ -33,6 +33,12 @@ _SHIFT_FOR_SIZE = {
     PAGE_1G: PAGE_SHIFT_1G,
 }
 
+#: Page size -> bits a 4KB VPN drops to become the page number at that
+#: size (see :func:`translation_vpn`): 0, 9 and 18.
+VPN_SHIFT = {
+    size: shift - PAGE_SHIFT_4K for size, shift in _SHIFT_FOR_SIZE.items()
+}
+
 
 def page_shift(page_size: int) -> int:
     """Return log2(page_size) for a supported page size."""

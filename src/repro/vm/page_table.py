@@ -61,9 +61,11 @@ class PageTable:
         # Leaf node key (as in _nodes) -> _node_chain's result.
         self._chains: Dict[Tuple[int, int, int], Tuple[tuple, int]] = {}
         self._ptes: Dict[Tuple[int, int, int], PTE] = {}
-        # (asid, page_size, page_number) -> (walk addresses, PTE); see
-        # walk_info.  Invalidated by unmap.
-        self._walk_info: Dict[
+        #: (asid, page_size, page_number) -> walk_info's (walk
+        #: addresses, PTE).  Filled only by walk_info and invalidated by
+        #: unmap; a walker may read it directly and call walk_info only
+        #: on a first touch.
+        self.walk_memo: Dict[
             Tuple[int, int, int], Tuple[Tuple[int, ...], PTE]
         ] = {}
         self._next_frame = 1  # frame 0 reserved
@@ -145,7 +147,7 @@ class PageTable:
         physical address — is unchanged.
         """
         key = (asid, page_size, translation_vpn(vpn, page_size))
-        info = self._walk_info.get(key)
+        info = self.walk_memo.get(key)
         if info is None:
             addresses = self.walk_addresses(asid, vpn, page_size)
             pte = self._ptes.get(key)
@@ -159,11 +161,11 @@ class PageTable:
                     ppn=ppn, page_size=page_size, asid=asid
                 )
                 self.pages_mapped += 1
-            info = self._walk_info[key] = (addresses, pte)
+            info = self.walk_memo[key] = (addresses, pte)
         return info
 
     def unmap(self, asid: int, vpn: int, page_size: int) -> None:
         """Drop a translation (page remapping / demotion)."""
         key = (asid, page_size, translation_vpn(vpn, page_size))
         self._ptes.pop(key, None)
-        self._walk_info.pop(key, None)
+        self.walk_memo.pop(key, None)

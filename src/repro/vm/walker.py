@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.mem.cache import CacheHierarchy
 from repro.obs import NULL_SINK
+from repro.vm.address import VPN_SHIFT
 from repro.vm.page_table import PageTable, PTE
 
 
@@ -107,9 +108,18 @@ class PageTableWalker:
         upper level that missed the PWC is filled into it afterwards.
         ``levels``, when given, collects where each reference was
         satisfied.  Sink events are emitted only when the sink is
-        enabled.
+        enabled.  A re-walk reads the page table's memo directly;
+        ``walk_info`` runs only on a translation's first touch.
         """
-        addresses = self.page_table.walk_info(asid, vpn, page_size)[0]
+        try:
+            key = (asid, page_size, vpn >> VPN_SHIFT[page_size])
+        except KeyError:
+            raise ValueError(f"unsupported page size: {page_size}") from None
+        page_table = self.page_table
+        addresses = (
+            page_table.walk_memo.get(key)
+            or page_table.walk_info(asid, vpn, page_size)
+        )[0]
         cached = self.pwcs[core]
         level_hits = self.level_hits
         access = self.hierarchy.access

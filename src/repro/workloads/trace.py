@@ -54,10 +54,11 @@ def interleave_streams(streams: Sequence[List[Record]]) -> List[Record]:
     """One core's SMT streams merged round-robin, one record per stream
     per turn, skipping streams that have run dry.
 
-    This is the order the engine's reference loop issues a core's
-    records in (``_CoreState.next_record``).  It depends only on stream
-    lengths, never on timing, so it can be materialised up front.  A
-    single stream is returned as is.
+    Both engine drive loops issue a core's records in this order: the
+    reference loop reads them by index and the batched loop's pre-pass
+    compiles them.  It depends only on stream lengths, never on timing,
+    so it can be materialised up front.  A single stream is returned as
+    is.
     """
     if len(streams) == 1:
         return streams[0]

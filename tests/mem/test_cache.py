@@ -1,6 +1,7 @@
 """Data-cache model used for walk latency."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mem.cache import Cache, CacheHierarchy, CacheLatencies, LINE_BYTES
 
@@ -96,3 +97,73 @@ def test_hierarchy_decay_sends_back_to_dram():
 def test_latency_ordering():
     lat = CacheLatencies()
     assert lat.l1 < lat.l2 < lat.llc < lat.dram
+
+
+def _chained_access(hierarchy, core, addr, now):
+    """``CacheHierarchy.access`` as its chain of Cache.lookup/Cache.fill
+    calls: L1, then L2, then the LLC, then DRAM; the satisfying level
+    fills every level above it."""
+    lat = hierarchy.latencies
+    l1, l2, llc = hierarchy.l1[core], hierarchy.l2[core], hierarchy.llc
+    if l1.lookup(addr, now):
+        return "l1", lat.l1
+    if l2.lookup(addr, now):
+        l1.fill(addr, now)
+        return "l2", lat.l2
+    if llc.lookup(addr, now):
+        level, cycles = "llc", lat.llc
+    else:
+        hierarchy.dram_accesses += 1
+        llc.fill(addr, now)
+        level, cycles = "dram", lat.dram
+    l2.fill(addr, now)
+    l1.fill(addr, now)
+    return level, cycles
+
+
+def _state(hierarchy):
+    return hierarchy.dram_accesses, [
+        (cache.hits, cache.misses,
+         {index: list(lines.items()) for index, lines in cache._sets.items()})
+        for cache in hierarchy.l1 + hierarchy.l2 + [hierarchy.llc]
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # a scan past every level's capacity, then re-reads that hit
+    # the L2 behind its MRU end (8), miss to DRAM (0) and hit the LLC (39)
+    decay=None, llc_decay=None,
+    refs=[(0, line, 1) for line in range(40)]
+    + [(0, 8, 1), (0, 0, 1), (1, 39, 1)],
+)
+@given(
+    decay=st.one_of(st.none(), st.integers(1, 60)),
+    llc_decay=st.one_of(st.none(), st.integers(1, 200)),
+    refs=st.lists(
+        st.tuples(
+            st.integers(0, 1),  # core
+            st.integers(0, 47),  # line
+            st.integers(0, 25),  # cycles since the previous reference
+        ),
+        max_size=120,
+    ),
+)
+def test_access_equals_the_chain_of_lookups_and_fills(decay, llc_decay, refs):
+    """Tiny caches (two 8-way L1 sets, four 8-way L2 sets, one 16-way
+    LLC set) so sets fill, evict and decay, and L2 hits are common."""
+    def build():
+        return CacheHierarchy(
+            2, l1_bytes=16 * LINE_BYTES, l2_bytes=32 * LINE_BYTES,
+            llc_bytes_per_core=8 * LINE_BYTES,
+            decay_cycles=decay, llc_decay_cycles=llc_decay,
+        )
+
+    fast, chained = build(), build()
+    now = 0
+    for core, line, gap in refs:
+        now += gap
+        addr = line * LINE_BYTES + gap % LINE_BYTES
+        assert fast.access(core, addr, now) == _chained_access(
+            chained, core, addr, now
+        )
+        assert _state(fast) == _state(chained)

@@ -110,6 +110,30 @@ def test_storm_and_shootdown_events_traced():
     assert "shootdown" in kinds
 
 
+def test_observed_storm_run_matches_the_unobserved_one():
+    """Storms and shootdowns take the reference loop, which calls the
+    sink only when it is enabled: an observed run records one stall
+    sample and one ``l1_lookup`` event per L1 miss, and its result
+    otherwise equals the unobserved run's."""
+    workload = _workload()
+    traffic = dict(
+        storm=StormConfig(period=4_000, burst_entries=32),
+        shootdown=ShootdownTraffic(period=3_000),
+    )
+    plain = simulate(cfg.distributed(4), workload, **traffic)
+    observed = simulate(
+        cfg.distributed(4), workload, metrics=True, trace=True, **traffic
+    )
+    assert observed.metrics["gauges"]["trace.dropped"] == 0
+    misses = observed.stats.l1_misses
+    stalls = observed.metrics["histograms"]["translation.stall_cycles"]
+    assert stalls["count"] == misses
+    assert sum(e["kind"] == "l1_lookup" for e in observed.trace) == misses
+    assert canonical_json(
+        replace(observed, metrics=None, trace=None)
+    ) == canonical_json(plain)
+
+
 def test_scenario_flags_flow_to_results():
     scenario = Scenario(
         configurations=cfg.nocstar(4),

@@ -338,7 +338,7 @@ def make_lean_transaction(
 
     shared = system.shared_l2
     num_slices = shared.num_shards
-    lat_rows = system.routes.mesh_latency(system.network.cycles_per_hop)
+    cycles_per_hop = system.network.cycles_per_hop
     hop_rows = system.routes.hops
     lookup_cycles = system.l2_lookup_cycles
     read_ports = shared.read_ports
@@ -373,7 +373,8 @@ def make_lean_transaction(
         core: int, asid: int, size: int, page_number: int, now: int
     ) -> int:
         home = page_number % num_slices
-        latency = lat_rows[core][home]  # symmetric: also the return leg
+        # symmetric: also the return leg
+        latency = hop_rows[core][home] * cycles_per_hop
         starts = read_starts[home]
         start = now + latency
         arrival = start

@@ -132,24 +132,39 @@ def test_reserve_many_counts_sweep():
     num_ports=st.integers(1, 3),
     priority=st.booleans(),
     busy=st.lists(st.integers(0, 40), max_size=60),
-    now=st.integers(0, 40),
-    count=st.integers(0, 12),
+    sweeps=st.lists(
+        st.tuples(
+            st.integers(0, 40),
+            st.integers(0, 12),
+            st.lists(
+                st.tuples(st.integers(0, 60), st.integers(0, 2)), max_size=4
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
 )
 def test_reserve_many_equals_chained_reserves(
-    num_ports, priority, busy, now, count
+    num_ports, priority, busy, sweeps
 ):
     """A sweep is ``count`` class-0 reserves, each starting where the
-    last one did: same starts, same last cycle, same conflict cycles."""
+    last one did: same starts, same last cycle, same conflict cycles.
+    Repeated sweeps from scattered arrivals, into runs earlier sweeps
+    filled and with plain reserves of any class in between, agree
+    too."""
     sweep, chained = (_PortSet(num_ports, priority) for _ in range(2))
     for cycle in busy:
         sweep.reserve(cycle)
         chained.reserve(cycle)
-    last = now
-    for _ in range(count):
-        last = chained.reserve(last)
-    assert sweep.reserve_many(now, count) == last
-    assert sweep._starts == chained._starts
-    assert sweep.conflict_cycles == chained.conflict_cycles
+    for now, count, between in sweeps:
+        last = now
+        for _ in range(count):
+            last = chained.reserve(last)
+        assert sweep.reserve_many(now, count) == last
+        assert sweep._starts == chained._starts
+        assert sweep.conflict_cycles == chained.conflict_cycles
+        for cycle, klass in between:
+            assert sweep.reserve(cycle, klass) == chained.reserve(cycle, klass)
 
 
 def test_entries_must_divide():

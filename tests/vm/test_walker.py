@@ -153,3 +153,13 @@ def test_queue_busy_until_tracks_latest():
     queue.admit(0, 10)
     queue.admit(0, 80)
     assert queue.busy_until == 80
+
+
+@pytest.mark.parametrize("page_size", [0, 8192, PAGE_4K + 1])
+def test_unsupported_page_size_raises_value_error(page_size):
+    walker = make_walker()
+    with pytest.raises(ValueError, match="unsupported page size"):
+        walker.walk_cycles(0, 1, 1000, page_size, now=0)
+    with pytest.raises(ValueError, match="unsupported page size"):
+        walker.page_table.walk_info(1, 1000, page_size)
+    assert walker.walks == 0 and walker.page_table.walk_memo == {}
