@@ -42,7 +42,6 @@ from repro.faults.inject import (
     FALLBACK_CYCLES_PER_HOP,
     FALLBACK_INJECTION_CYCLES,
 )
-from repro.faults.routing import UnreachableError
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -165,6 +164,21 @@ class NocstarInterconnect:
         )
         return route
 
+    def _first_free(self, mask: int, start: int, duration: int) -> int:
+        """First cycle from ``start`` on at which every link in ``mask``
+        is free for ``duration`` cycles.  The span is tested latest cycle
+        first and a conflict skips past its cycle, landing on the start a
+        cycle-by-cycle retry finds (each skipped cycle one attempt)."""
+        busy_at = self._busy.get
+        cycle = start + duration - 1
+        while cycle >= start:
+            if busy_at(cycle, 0) & mask:
+                start = cycle + 1
+                cycle += duration
+            else:
+                cycle -= 1
+        return start
+
     def send(
         self,
         src: int,
@@ -189,20 +203,7 @@ class NocstarInterconnect:
         key = src * self._tiles + dst
         path, mask, duration = self._routes.get(key) or self._route(key)
         earliest = now if speculative_setup else now + 1
-        start = earliest
-        # Test the candidate span latest cycle first.  On a conflict,
-        # skip directly past that cycle: a setup is feasible only once
-        # every busy cycle of every path link clears the span, so the
-        # jump lands on the same first feasible start the cycle-by-cycle
-        # retry would find (and charges the same retries).
-        busy_at = self._busy.get
-        cycle = start + duration - 1
-        while cycle >= start:
-            if busy_at(cycle, 0) & mask:
-                start = cycle + 1
-                cycle += duration
-            else:
-                cycle -= 1
+        start = self._first_free(mask, earliest, duration)
         if self._held_mask & mask:
             self._police_holds(path, start + duration)
         retries = start - earliest
@@ -230,10 +231,10 @@ class NocstarInterconnect:
 
         Resilience policy: a permanently dead link on the arbiters' XY
         path makes the setup unwinnable, so the message falls back to
-        buffered-mesh routing immediately.  Otherwise the setup loop
-        retries through contention (next cycle, as fault-free) and
-        through transient arbiter drops (exponential backoff, capped at
-        ``max_backoff``); if the grant has not landed within
+        buffered-mesh routing immediately.  Otherwise the setup retries
+        through contention (:meth:`send`'s search, one attempt a cycle)
+        and through transient arbiter drops (exponential backoff, capped
+        at ``max_backoff``); if the grant has not landed within
         ``setup_timeout`` cycles the circuit-switched fabric is
         abandoned and the message falls back too.
         """
@@ -258,17 +259,23 @@ class NocstarInterconnect:
         while True:
             if start >= deadline:
                 return self._fallback(src, dst, start, hops, attempts)
+            # Every busy cycle the search skips is one failed attempt.
+            free = min(self._first_free(mask, start, duration), deadline)
+            attempts += free - start
+            # A retry polices holds on every attempt; the last one (the
+            # won start, else the cycle before the deadline) ends latest.
+            if self._held_mask & mask:
+                self._police_holds(path, min(free, deadline - 1) + duration)
+            start = free
+            if start == deadline:
+                continue
             attempts += 1
-            if not self._path_free(path, mask, start, duration):
-                start += 1  # contention: retry next cycle, as fault-free
-                continue
-            if inj.drop_setup():
-                drops += 1
-                inj.record_drop(start, src, dst, backoff)
-                start += backoff
-                backoff = min(backoff * 2, inj.plan.max_backoff)
-                continue
-            break
+            if not inj.drop_setup():
+                break
+            drops += 1
+            inj.record_drop(start, src, dst, backoff)
+            start += backoff
+            backoff = min(backoff * 2, inj.plan.max_backoff)
         retries = attempts - 1
         self._reserve(path, mask, start, duration, retries, hold)
         self.sink.event(
@@ -316,13 +323,7 @@ class NocstarInterconnect:
         bookkeeping is skipped by the existing guards.
         """
         inj = self.faults
-        path = inj.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        hops = len(path)
+        hops = len(inj.router.path(src, dst))
         self.control_requests += xy_hops * attempts
         self.total_setup_retries += attempts
         self.total_hops += hops
@@ -335,22 +336,6 @@ class NocstarInterconnect:
             traversal_cycles=ready - giveup,
             links=(),
         )
-
-    def _path_free(
-        self,
-        path: Tuple[Link, ...],
-        mask: int,
-        start: int,
-        duration: int,
-    ) -> bool:
-        """True if every link is free for [start, start+duration)."""
-        if self._held_mask & mask:
-            self._police_holds(path, start + duration)
-        busy_at = self._busy.get
-        for cycle in range(start, start + duration):
-            if busy_at(cycle, 0) & mask:
-                return False
-        return True
 
     def _police_holds(self, path: Tuple[Link, ...], end: int) -> None:
         """Raise if a setup ending at ``end`` would cross a held link.

@@ -18,6 +18,10 @@ tiers, cheapest first:
 
 Routes are memoised per (src, dst); the failure set is immutable for a
 run, so the cache never needs invalidation.
+
+:meth:`FaultAwareRouter.path` is the router protocol's ``path`` (see
+:mod:`repro.noc.route_cache`) and the one place a send between
+partitioned tiles raises :class:`UnreachableError`.
 """
 
 from __future__ import annotations
@@ -52,9 +56,6 @@ class FaultAwareRouter:
             if (src, dst) not in self.dead:
                 self._neighbors.setdefault(src, []).append(dst)
 
-    def alive(self, link: Link) -> bool:
-        return link not in self.dead
-
     def path_alive(self, path: Iterable[Link]) -> bool:
         return all(link not in self.dead for link in path)
 
@@ -69,6 +70,16 @@ class FaultAwareRouter:
             return cached
         path = self._compute(src, dst)
         self._routes[key] = path
+        return path
+
+    def path(self, src: int, dst: int) -> Tuple[Link, ...]:
+        """:meth:`route` for a send: a partitioned pair raises."""
+        path = self.route(src, dst)
+        if path is None:
+            raise UnreachableError(
+                f"no alive route {src}->{dst}; caller must pre-check "
+                "reachability and degrade to a local walk"
+            )
         return path
 
     def reachable(self, src: int, dst: int) -> bool:

@@ -7,13 +7,18 @@ takes ``hops * (tr + tw)`` cycles.  Studies that *do* want mesh queueing
 (Fig 11c's latency-vs-injection comparison) use
 :func:`repro.noc.synthetic.run_mesh_traffic`, a cycle-level model of its
 own.
+
+Paths come from the one ``router`` (``path(src, dst)``) that
+:class:`~repro.sim.system.System` picks: see
+:mod:`repro.noc.route_cache`.  A mesh built without one routes live on
+the topology's XY paths.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from repro.faults.routing import UnreachableError
+from repro.noc.route_cache import RouteCache
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -41,59 +46,42 @@ class ContentionFreeMesh:
         router_cycles: int = 1,
         wire_cycles: int = 1,
         sink=NULL_SINK,
-        faults=None,
-        routes=None,
+        router=None,
     ) -> None:
         self.topology = topology
         self.router_cycles = router_cycles
         self.wire_cycles = wire_cycles
         self.cycles_per_hop = router_cycles + wire_cycles
-        self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
+        #: The route source; None means the topology's live XY routes.
+        self.router = router or topology
         self.messages = 0
         self.total_hops = 0
-        #: link -> messages carried; populated only when observed.
+        #: link -> messages carried; populated by the path send only.
         self.link_traversals: Dict[Link, int] = {}
         #: The RouteCache hop rows when ``send`` times every leg from
-        #: them as hops x ``cycles_per_hop`` (unobserved, no dead
-        #: links), else None.  A caller that times legs from these rows
+        #: them as hops x ``cycles_per_hop`` (unobserved, fault-free
+        #: routes), else None.  A caller that times legs from these rows
         #: instead of calling ``send`` counts the messages and hops
         #: itself.
         self.flat_tables = None
-        if faults is not None and faults.router.dead:
-            # Fault-aware routing subsumes observation: the detour path
-            # must be computed anyway, so links are always accounted.
-            # Dead links also invalidate the fault-free route cache.
-            self.send = self._send_fault_routed  # type: ignore[method-assign]
-        elif sink.enabled:
-            # Construction-time dispatch, not per-send branching: the
-            # unobserved send never pays for XY path computation.
+        if isinstance(self.router, RouteCache) and not sink.enabled:
+            self.flat_tables = self.router.hops
+        else:
+            # Construction-time dispatch: only observed runs, detours
+            # and live routes walk a path.
             self.send = self._send_observed  # type: ignore[method-assign]
-        elif routes is not None:
-            self.flat_tables = routes.hops
-            self.send = self._send_cached  # type: ignore[method-assign]
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        hops = self.topology.hops(src, dst)
-        self.messages += 1
-        self.total_hops += hops
-        return Traversal(arrival=now + hops * self.cycles_per_hop, hops=hops)
-
-    def _send_cached(self, src: int, dst: int, now: int) -> Traversal:
-        """send() off the precomputed fault-free hop table."""
+        """Send off the fault-free hop table."""
         hops = self.flat_tables[src][dst]
         self.messages += 1
         self.total_hops += hops
         return Traversal(arrival=now + hops * self.cycles_per_hop, hops=hops)
 
     def _send_observed(self, src: int, dst: int, now: int) -> Traversal:
-        """send() plus per-link accounting; timing is identical (the XY
-        path length equals the Manhattan hop count)."""
-        routes = self.routes
-        if routes is not None:
-            path = routes.path(src, dst)
-        else:
-            path = self.topology.xy_path(src, dst)
+        """Send along ``router.path`` with per-link accounting; the hop
+        count is the path's length (longer than Manhattan on a detour)."""
+        path = self.router.path(src, dst)
         for link in path:
             self.link_traversals[link] = self.link_traversals.get(link, 0) + 1
         self.messages += 1
@@ -104,30 +92,13 @@ class ContentionFreeMesh:
             links=tuple(path),
         )
 
-    def _send_fault_routed(self, src: int, dst: int, now: int) -> Traversal:
-        """send() over the fault-aware route around dead links.
-
-        Detours lengthen the path beyond the Manhattan distance, so the
-        hop count (and latency) comes from the routed path itself.
-        """
-        path = self.faults.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        for link in path:
-            self.link_traversals[link] = self.link_traversals.get(link, 0) + 1
-        self.messages += 1
-        self.total_hops += len(path)
-        return Traversal(
-            arrival=now + len(path) * self.cycles_per_hop,
-            hops=len(path),
-            links=tuple(path),
-        )
+    #: Former names of the two bodies above, still listed as wrap
+    #: targets by benchmarks/e2e/layers.py; never dispatched to.
+    _send_cached = send
+    _send_fault_routed = _send_observed
 
     def link_busy_cycles(self) -> Dict[Link, int]:
-        """Cycles each link's wire carried a flit (observed runs only)."""
+        """Cycles each link's wire carried a flit (path sends only)."""
         return {
             link: count * self.wire_cycles
             for link, count in self.link_traversals.items()

@@ -26,19 +26,17 @@ Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
   tables would cost O(N^2 * diameter) tuples up front, which the large
   scalability sweeps never fully touch.
 
-The cache holds **fault-free** routes only.  Consumers dispatch at
-construction time (mirroring the obs/faults pattern): a network built
-with dead links routes through its :class:`~repro.faults.routing.
-FaultAwareRouter` and never consults the cache, and contended sends
-fall through to the live reservation model untouched — the cache
-supplies the path and the uncontended duration, never the arbitration
-outcome.
-
-``REPRO_REFERENCE_ENGINE=1`` disables the cache (and the engine's
-batched fast path, see :mod:`repro.sim.engine`): the reference
-configuration recomputes every route live, which is what the
-differential harness compares bit-for-bit against the cached fast
-path.
+The cache holds **fault-free** routes only.  Its ``path`` is one of
+three route sources, each a ``path(src, dst)`` giving the links in
+travel order, that :class:`~repro.sim.system.System` picks between for
+the mesh and SMART models: the fault injector's
+:class:`~repro.faults.routing.FaultAwareRouter` when links have failed,
+else this cache, else — under ``REPRO_REFERENCE_ENGINE=1``, with the
+unbatched drive loop of :mod:`repro.sim.engine` — the topology's live
+XY routes, which the differential harness compares bit-for-bit against
+the cached fast path.  Contended sends fall through to the live
+reservation model untouched: the cache supplies the path and the
+uncontended duration, never the arbitration outcome.
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ re-arbitrating (§II-F, Table I).
 
 The model reserves the links of each HPC segment; a conflicting link
 splits the segment at the conflict point — exactly a SMART "premature
-stop"."""
+stop".
+
+SSRs follow whatever route the flit is configured with: the ``router``
+:class:`~repro.sim.system.System` picks (see :mod:`repro.noc.mesh`)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.faults.routing import UnreachableError
 from repro.noc.mesh import Traversal
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
@@ -26,7 +28,7 @@ class SmartNetwork:
 
     def __init__(
         self, topology: MeshTopology, hpc_max: int = 8, sink=NULL_SINK,
-        faults=None, routes=None,
+        router=None,
     ) -> None:
         if hpc_max < 1:
             raise ValueError("HPCmax must be at least 1")
@@ -36,16 +38,9 @@ class SmartNetwork:
         #: Bound event emitter, or None when unobserved — send() then
         #: skips building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
-        self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
-        if faults is not None and faults.router.dead:
-            # Dead links invalidate the fault-free route cache: every
-            # send routes through the FaultAwareRouter instead.
-            self._route = self._fault_route
-        elif routes is not None:
-            self._route = routes.path
-        else:
-            self._route = topology.xy_path
+        #: The route source; None means the topology's live XY routes.
+        self.router = router or topology
+        self._route = self.router.path
         #: link -> cycles during which it carries a flit (per-cycle
         #: occupancy; see the reservation note in repro.core.nocstar).
         #: Pre-populated with every topology link so the hot send loop
@@ -65,21 +60,6 @@ class SmartNetwork:
             for link, cycles in self._occupied.items()
             if cycles
         }
-
-    def _free(self, link: Link, cycle: int) -> bool:
-        occupied = self._occupied.get(link)
-        return not occupied or cycle not in occupied
-
-    def _fault_route(self, src: int, dst: int) -> List[Link]:
-        """Fault-aware route: bypass segments then ride the detour path
-        (SSRs follow whatever route the flit is configured with)."""
-        path = self.faults.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        return list(path)
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
         path = self._route(src, dst)

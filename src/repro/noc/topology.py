@@ -53,6 +53,9 @@ class MeshTopology:
         return self._legs(src, turn, dst, 1 if dx > sx else -1,
                           self.cols if dy > sy else -self.cols)
 
+    #: The router protocol's ``path``: the reference engine's live routes.
+    path = xy_path
+
     def yx_path(self, src: int, dst: int) -> List[Link]:
         """Directed links of the YX route (Y dimension first, then X).
 

@@ -237,6 +237,8 @@ class Scenario:
                 "accesses_per_core must be positive "
                 f"(got {self.accesses_per_core})"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
         if self.smt < 1:
             raise ValueError("smt must be >= 1")
         if self.quantum < 1:

@@ -95,6 +95,11 @@ class System:
         self.faults: Optional[FaultInjector] = None
         if faults is not None and not faults.is_empty:
             self.faults = FaultInjector(faults, self.topology, sink=sink)
+        # The mesh and SMART models' one route source (see
+        # repro.noc.route_cache): detours once links have failed.
+        router = self.routes or self.topology
+        if self.faults is not None and self.faults.router.dead:
+            router = self.faults.router
         #: True when the active network routes around failed links (so
         #: an unreachable pair must be degraded before issuing).
         self._network_fault_aware = False
@@ -136,14 +141,12 @@ class System:
                 self.l2_lookup_cycles = self.shared_l2.lookup_cycles
             if config.interconnect == cfg.MESH:
                 self.network = ContentionFreeMesh(
-                    self.topology, sink=sink, faults=self.faults,
-                    routes=self.routes,
+                    self.topology, sink=sink, router=router
                 )
                 self._network_fault_aware = True
             elif config.interconnect == cfg.SMART:
                 self.network = SmartNetwork(
-                    self.topology, config.smart_hpc, sink=sink,
-                    faults=self.faults, routes=self.routes,
+                    self.topology, config.smart_hpc, sink=sink, router=router
                 )
                 self._network_fault_aware = True
         else:  # distributed / nocstar / ideal
@@ -164,8 +167,7 @@ class System:
                     )
                 else:
                     self.network = ContentionFreeMesh(
-                        self.topology, sink=sink, faults=self.faults,
-                        routes=self.routes,
+                        self.topology, sink=sink, router=router
                     )
                     self._network_fault_aware = True
             elif scheme == cfg.NOCSTAR:
@@ -180,8 +182,6 @@ class System:
 
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
-        #: Hop-count table for shootdown delivery (None: reference mode).
-        self._hops_table = self.routes.hops if self.routes is not None else None
 
         # --- Walkers ------------------------------------------------------
         self.page_table = PageTable()
@@ -666,8 +666,8 @@ class System:
         if self.faults is not None:
             arrival = self.faults.shootdown_send(src, dst, now)
             return now if arrival is None else arrival
-        if self._hops_table is not None:
-            return now + 2 * self._hops_table[src][dst] + 1
+        if self.routes is not None:
+            return now + 2 * self.routes.hops[src][dst] + 1
         return now + 2 * self.topology.hops(src, dst) + 1
 
     def flush_all_tlbs(self) -> None:

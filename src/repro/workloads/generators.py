@@ -66,6 +66,13 @@ def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
     return cdf
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """A trace builder's generator; rejects a negative seed by name."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
+    return np.random.default_rng(seed)
+
+
 class ZipfSampler:
     """Bulk sampler of Zipf(alpha)-popular page indices over [0, n).
 
@@ -311,7 +318,7 @@ def build_multithreaded(
     """One multi-threaded application occupying every core."""
     if num_cores < 1:
         raise ValueError(f"num_cores must be >= 1 (got {num_cores})")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     allocator = VpnAllocator()
     lib_pool, lib_sampler = build_lib_pool(allocator)
     layout = build_app_layout(
@@ -351,7 +358,7 @@ def build_multiprogrammed(
     if num_cores % len(specs):
         raise ValueError("core count must divide evenly among the apps")
     threads_per_app = num_cores // len(specs)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     allocator = VpnAllocator()
     lib_pool, lib_sampler = build_lib_pool(allocator)
     traces: List[List[List[Record]]] = []

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.sim.engine import StormConfig
 from repro.vm.address import PAGE_4K
+from repro.workloads.generators import seeded_rng
 from repro.workloads.trace import Record, Workload
 
 #: The paper context-switches every 0.5 ms at 2 GHz = 1M cycles; our
@@ -56,7 +55,7 @@ def build_slice_hammer(
         victim_slice = num_cores - 1
     if not 0 <= victim_slice < num_cores:
         raise ValueError("victim slice out of range")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     base = 1 << 20
     traces: List[List[List[Record]]] = []
     for core in range(num_cores):

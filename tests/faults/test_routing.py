@@ -9,8 +9,10 @@ contiguous, alive walk of real mesh links.
 
 import random
 
+import pytest
+
 from repro.faults.models import FaultSpec, LinkFailure
-from repro.faults.routing import FaultAwareRouter
+from repro.faults.routing import FaultAwareRouter, UnreachableError
 from repro.noc.topology import MeshTopology
 
 
@@ -95,6 +97,10 @@ def test_partition_is_reported_not_papered_over():
     router = FaultAwareRouter(topology, ((0, 1), (0, 4)))
     assert router.route(0, 15) is None
     assert router.route(15, 0) is not None
+    # path() is route() for a send: it refuses the partitioned pair.
+    assert router.path(15, 0) == router.route(15, 0)
+    with pytest.raises(UnreachableError, match="no alive route 0->15"):
+        router.path(0, 15)
     assert not router.reachable_round_trip(15, 0)
     assert router.partitioned
     assert set(router.unreachable_pairs()) == {

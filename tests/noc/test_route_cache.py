@@ -1,17 +1,18 @@
 """Property tests for the precomputed RouteCache tables.
 
 The cache claims its tables are pure functions of the topology — every
-entry must agree with what the live models compute per send, and any
-injected link failure must bypass the cache entirely (the fault-aware
-router wins the construction-time dispatch).
+entry must agree with what the live models compute per send — and a
+network handed the fault-aware router sends along its detours instead,
+or refuses a partitioned pair.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.nocstar import NocstarInterconnect
 from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
-from repro.faults.routing import FaultAwareRouter
+from repro.faults.routing import FaultAwareRouter, UnreachableError
 from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.route_cache import RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
@@ -46,18 +47,22 @@ def test_cached_mesh_send_equals_live_mesh_send(n, cycles_per_hop, data):
     topo = MeshTopology(n)
     cache = RouteCache(topo)
     live = ContentionFreeMesh(
-        topo, router_cycles=cycles_per_hop - 1 or 1, wire_cycles=1
+        topo, router_cycles=cycles_per_hop - 1 or 1, wire_cycles=1,
+        router=topo,
     )
     cached = ContentionFreeMesh(
         topo,
         router_cycles=live.router_cycles,
         wire_cycles=live.wire_cycles,
-        routes=cache,
+        router=cache,
     )
-    assert cached.send.__func__ is ContentionFreeMesh._send_cached
+    assert cached.send.__func__ is ContentionFreeMesh.send  # hop table
     src, dst = _pair(data, n)
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    assert cached.send(src, dst, now) == live.send(src, dst, now)
+    # The live mesh walks the path, so it also reports the links.
+    walked = live.send(src, dst, now)
+    assert cached.send(src, dst, now) == walked._replace(links=())
+    assert walked.links == cache.path(src, dst)
     latency = cache.hops[src][dst] * live.cycles_per_hop
     assert type(latency) is int
     assert latency == live.send(src, dst, now).arrival - now
@@ -71,16 +76,16 @@ def test_cached_smart_send_equals_live_smart_send(n, data):
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
     # Fresh networks per draw: one uncontended send each, so the only
     # difference can come from the route source.
-    live = SmartNetwork(topo).send(src, dst, now)
-    cached = SmartNetwork(topo, routes=RouteCache(topo)).send(src, dst, now)
+    live = SmartNetwork(topo, router=topo).send(src, dst, now)
+    cached = SmartNetwork(topo, router=RouteCache(topo)).send(src, dst, now)
     assert cached == live
 
 
 @settings(max_examples=25)
 @given(st.integers(min_value=4, max_value=36), st.data())
 def test_dead_links_bypass_the_cache(n, data):
-    """A LinkFailure beats the cache: dispatch goes to the fault-aware
-    router, and arrivals follow its (possibly longer) detour path."""
+    """Networks handed the fault-aware router (what System picks once a
+    link has failed) send along its (possibly longer) detour path."""
     topo = MeshTopology(n)
     cache = RouteCache(topo)
     link = data.draw(
@@ -90,17 +95,23 @@ def test_dead_links_bypass_the_cache(n, data):
     faults = FaultInjector(plan, topo)
     router = FaultAwareRouter(topo, [link])
 
-    mesh = ContentionFreeMesh(topo, faults=faults, routes=cache)
-    assert mesh.send.__func__ is ContentionFreeMesh._send_fault_routed
-    smart = SmartNetwork(topo, faults=faults, routes=cache)
-    assert smart._route.__func__ is SmartNetwork._fault_route
+    mesh = ContentionFreeMesh(topo, router=faults.router)
+    assert mesh.send.__func__ is ContentionFreeMesh._send_observed
+    assert mesh.flat_tables is None
+    smart = SmartNetwork(topo, router=faults.router)
+    assert smart._route == faults.router.path
     nocstar = NocstarInterconnect(topo, faults=faults)
     assert nocstar.send.__func__ is NocstarInterconnect._send_faulty
 
     src, dst = _pair(data, n)
     route = router.route(src, dst)
     if route is None:
-        return  # partitioned pair; degradation paths are tested elsewhere
+        # A partitioned pair (System degrades it before sending): both
+        # models refuse the send through the router.
+        for network in (mesh, smart):
+            with pytest.raises(UnreachableError):
+                network.send(src, dst, 0)
+        return
     traversal = mesh.send(src, dst, 0)
     assert traversal.hops == len(route)
     assert traversal.arrival == len(route) * mesh.cycles_per_hop

@@ -5,6 +5,10 @@ import weakref
 
 import pytest
 
+from repro.faults.models import FaultPlan
+from repro.noc.route_cache import REFERENCE_ENV
+from repro.noc.smart import SmartNetwork
+from repro.obs import NULL_SINK, MetricsSink
 from repro.sim import configs as cfg
 from repro.sim.system import System
 from repro.vm.address import PAGE_4K
@@ -225,3 +229,41 @@ def test_system_is_freed_without_the_cycle_collector(config):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+@pytest.mark.parametrize(
+    "name", ["monolithic", "monolithic-smart", "distributed"]
+)
+def test_system_picks_the_one_router_its_network_sends_on(
+    name, observed, monkeypatch
+):
+    """Dead links hand the mesh or SMART model the fault injector's
+    router; any other faults, or none, the shared fault-free tables; the
+    reference engine the topology's live XY routes.  Only a mesh that is
+    unobserved and on the tables times its legs from the hop rows."""
+    monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    config = cfg.build_config(name, 16)
+    sink = MetricsSink() if observed else NULL_SINK
+    dead = System(
+        config, sink=sink, faults=FaultPlan(16, failed_links=((1, 2),))
+    )
+    drops = System(
+        config, sink=sink, faults=FaultPlan(16, arbiter_drop_prob=0.5)
+    )
+    plain = System(config, sink=sink)
+    monkeypatch.setenv(REFERENCE_ENV, "1")
+    reference = System(config, sink=sink)
+    assert reference.routes is None
+    assert dead.network.router is dead.faults.router
+    assert drops.network.router is drops.routes is plain.routes
+    assert plain.network.router is plain.routes
+    assert reference.network.router is reference.topology
+    for system in (dead, drops, plain, reference):
+        network = system.network
+        if isinstance(network, SmartNetwork):
+            assert network._route == network.router.path
+        elif network.router is system.routes and not observed:
+            assert network.flat_tables is system.routes.hops
+        else:
+            assert network.flat_tables is None

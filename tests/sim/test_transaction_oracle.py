@@ -53,6 +53,7 @@ class ChainSystem(System):
     def __init__(self, config, **kwargs) -> None:
         super().__init__(config, **kwargs)
         # Attributes only the chain reads, set as System used to.
+        self._hops_table = self.routes.hops if self.routes is not None else None
         self._ideal_cycles = None
         if (
             config.scheme == cfg.NOCSTAR

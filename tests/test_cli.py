@@ -67,6 +67,10 @@ BAD_INPUTS = [
     (["traffic", "--cycles", "0"], "(got 0)"),
     (["traffic", "--hpc-max", "0"], "(got 0)"),
     (["configs", "--cores", "0"], "(got 0)"),
+    (["run", "--seed", "-1"], "(got -1)"),
+    (["sweep", "--seed", "-1"], "(got -1)"),
+    (["faults", "--seed", "-1"], "(got -1)"),
+    (["export-trace", "--seed", "-1", "--out", "t.npz"], "(got -1)"),
 ]
 
 #: Commands that take the runner flags; the test runs them with

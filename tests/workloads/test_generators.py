@@ -11,6 +11,7 @@ from repro.workloads.generators import (
     build_multiprogrammed,
     build_multithreaded,
 )
+from repro.workloads.microbench import build_slice_hammer
 from repro.workloads.registry import WORKLOADS, get_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.vm.address_space import VpnAllocator
@@ -154,6 +155,20 @@ def test_multiprogrammed_asids_and_cores():
 def test_multiprogrammed_rejects_uneven_split():
     with pytest.raises(ValueError):
         build_multiprogrammed([small_spec()] * 3, 4, 100)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_multithreaded(small_spec(), 2, 10, seed=-1),
+        lambda: build_multiprogrammed([small_spec()], 2, 10, seed=-1),
+        lambda: build_slice_hammer(2, 10, seed=-1),
+    ],
+    ids=["multithreaded", "multiprogrammed", "slice-hammer"],
+)
+def test_builders_reject_a_negative_seed_by_name(build):
+    with pytest.raises(ValueError, match=r"seed must be >= 0 \(got -1\)"):
+        build()
 
 
 def test_multithreaded_cores_share_cold_pool():
