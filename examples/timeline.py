@@ -27,8 +27,8 @@ def trace_one(present: bool):
         # Warm the page-table caches so the miss shows a steady-state
         # walk (upper levels in core 0's PWC, the leaf PTE line in the
         # shared LLC via a neighbouring core's earlier walk).
-        system.walker.walk(1, 1, page - 1, PAGE_4K, now=0)
-        system.walker.walk(0, 1, page + 64, PAGE_4K, now=0)
+        system.walker.walk(1, 1, PAGE_4K, page - 1, now=0)
+        system.walker.walk(0, 1, PAGE_4K, page + 64, now=0)
         timeline.clear()
     stall = system.l2_transaction(0, 1, PAGE_4K, page, now=0)
     return timeline, stall

@@ -370,13 +370,22 @@ def _parse_window(value: str) -> tuple:
         raise SystemExit(f"--window bounds must be integers (got {value!r})")
 
 
+def _check_top(top: int) -> int:
+    """``--top`` of ``report`` and ``trace``: a row count of at least 1
+    (a negative one would slice rows off the end)."""
+    if top < 1:
+        raise SystemExit(f"--top must be >= 1 (got {top})")
+    return top
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    top = _check_top(args.top)
     # Absent files are warned about and skipped by load_obs_records —
     # a sweep whose trace step failed should not kill the report of
     # the files that do exist.
     runs, events = load_obs_records(args.paths)
     window = _parse_window(args.window) if args.window else None
-    print(render_report(runs, events, top=args.top, window=window))
+    print(render_report(runs, events, top=top, window=window))
     return 0
 
 
@@ -653,11 +662,12 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Render a span-tree sidecar (tree + critical-path table)."""
+    top = _check_top(args.top)
     try:
         records = load_spans(args.path)
     except OSError as exc:
         raise SystemExit(f"cannot read {args.path!r}: {exc}")
-    print(render_tree(records, top=args.top))
+    print(render_tree(records, top=top))
     return 0
 
 

@@ -30,6 +30,9 @@ run, each in travel order), so every XY leg is one slice of one run.
 A route's path is then at most two tuple slices sharing the runs' link
 objects, its mask at most two contiguous bit fields, and one setup
 attempt is one integer AND per traversal cycle, not one test per hop.
+A one-cycle traversal (every route up to HPCmax hops) is tested with
+one AND and booked with one OR in line; only a conflict or a longer
+span runs the search, :meth:`NocstarInterconnect._first_free`.
 """
 
 from __future__ import annotations
@@ -203,7 +206,12 @@ class NocstarInterconnect:
         key = src * self._tiles + dst
         path, mask, duration = self._routes.get(key) or self._route(key)
         earliest = now if speculative_setup else now + 1
-        start = self._first_free(mask, earliest, duration)
+        # A free one-cycle span is one AND; a conflict or a longer span
+        # takes the search.
+        if duration == 1 and not self._busy.get(earliest, 0) & mask:
+            start = earliest
+        else:
+            start = self._first_free(mask, earliest, duration)
         if self._held_mask & mask:
             self._police_holds(path, start + duration)
         retries = start - earliest
@@ -298,8 +306,11 @@ class NocstarInterconnect:
         end = start + duration
         busy = self._busy
         busy_at = busy.get
-        for cycle in range(start, end):
-            busy[cycle] = busy_at(cycle, 0) | mask
+        if duration == 1:
+            busy[start] = busy_at(start, 0) | mask
+        else:
+            for cycle in range(start, end):
+                busy[cycle] = busy_at(cycle, 0) | mask
         if hold:
             self._held.update(dict.fromkeys(path, end))
             self._held_mask |= mask

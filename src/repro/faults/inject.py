@@ -108,8 +108,12 @@ class FaultInjector:
         exponential backoff).  After ``max_retries`` drops the message
         is escalated to the reliable path and delivered — a shootdown
         can never livelock.  Returns the delivery cycle, or ``None``
-        when the destination is partitioned away (the caller skips the
-        invalidate: a slice nobody can reach serves nobody stale data).
+        when the destination is partitioned away (counted in
+        ``shootdown_unreachable``).  The caller does not skip such an
+        invalidate: ``System._plain_send`` delivers it at once, so the
+        unreachable slice's write port is still booked and its entries
+        still dropped (a known quirk, kept for byte identity; see
+        ROADMAP "Model fixes").
         """
         path = self.router.route(src, dst)
         if path is None:

@@ -12,15 +12,22 @@ splits the segment at the conflict point — exactly a SMART "premature
 stop".
 
 SSRs follow whatever route the flit is configured with: the ``router``
-:class:`~repro.sim.system.System` picks (see :mod:`repro.noc.mesh`)."""
+:class:`~repro.sim.system.System` picks (see :mod:`repro.noc.mesh`).
+Every router's routes are fixed for a run (a fault-aware router's
+failure set never changes), so a send binds each ``(src, dst)`` route
+once, together with the occupancy sets of its links: the hop loop
+indexes a tuple of sets instead of hashing a link per hop."""
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Set, Tuple
 
 from repro.noc.mesh import Traversal
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
+
+#: A bound route: its links in travel order and their occupancy sets.
+Bound = Tuple[Tuple[Link, ...], Tuple[Set[int], ...]]
 
 
 class SmartNetwork:
@@ -43,11 +50,14 @@ class SmartNetwork:
         self._route = self.router.path
         #: link -> cycles during which it carries a flit (per-cycle
         #: occupancy; see the reservation note in repro.core.nocstar).
-        #: Pre-populated with every topology link so the hot send loop
-        #: can use plain indexing (no setdefault, no None checks).
-        self._occupied: Dict[Link, set] = {
+        #: Pre-populated with every topology link, so each link has one
+        #: set for every bound route that crosses it to share.
+        self._occupied: Dict[Link, Set[int]] = {
             link: set() for link in topology.all_links()
         }
+        self._tiles = topology.num_tiles
+        #: src * num_tiles + dst -> :data:`Bound`, filled on first use.
+        self._bound: Dict[int, Bound] = {}
         self.messages = 0
         self.total_hops = 0
         self.premature_stops = 0
@@ -61,20 +71,30 @@ class SmartNetwork:
             if cycles
         }
 
+    def _bind(self, src: int, dst: int) -> Bound:
+        """Memoise the route ``src -> dst`` with its links' occupancy
+        sets (a partitioned pair raises and binds nothing)."""
+        path = tuple(self._route(src, dst))
+        bound = self._bound[src * self._tiles + dst] = (
+            path, tuple(self._occupied[link] for link in path)
+        )
+        return bound
+
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        path = self._route(src, dst)
+        path, occupancy = (
+            self._bound.get(src * self._tiles + dst) or self._bind(src, dst)
+        )
+        npath = len(path)
         self.messages += 1
-        self.total_hops += len(path)
-        if not path:
+        self.total_hops += npath
+        if not npath:
             return Traversal(arrival=now, hops=0)
         # One SSR setup cycle precedes the first data cycle.
         t = now + 1
         queued = 0
         stops = 0
         index = 0
-        occupancy = self._occupied
         hpc = self.hpc_max
-        npath = len(path)
         while index < npath:
             # A cycle where the segment's first link is busy advances
             # nothing (the flit waits at the router), so fast-forward
@@ -82,7 +102,7 @@ class SmartNetwork:
             # rescanning the segment once per blocked cycle — under
             # heavy contention near the monolithic tile that rescan
             # made send() quadratic in the queueing delay.
-            first_occupied = occupancy[path[index]]
+            first_occupied = occupancy[index]
             while t in first_occupied:
                 queued += 1
                 t += 1
@@ -96,7 +116,7 @@ class SmartNetwork:
             # innermost.
             i = index
             while i < end:
-                occupied = occupancy[path[i]]
+                occupied = occupancy[i]
                 if t in occupied:
                     break
                 occupied.add(t)
@@ -114,8 +134,7 @@ class SmartNetwork:
         if self._event is not None:
             self._event(
                 now, "smart_setup",
-                src=src, dst=dst, hops=len(path), stops=stops, queued=queued,
+                src=src, dst=dst, hops=npath, stops=stops, queued=queued,
             )
-        return Traversal(
-            arrival=t, hops=len(path), queue_cycles=queued, links=tuple(path)
-        )
+        # Positional arguments: a NamedTuple built by keyword is slower.
+        return Traversal(t, npath, queued, path)

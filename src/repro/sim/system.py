@@ -55,7 +55,7 @@ from repro.tlb.l2_shared import (
 from repro.tlb.prefetch import SequentialPrefetcher
 from repro.tlb.shootdown import InvalidationController
 from repro.tlb.stats import TlbStats
-from repro.vm.address import PAGE_1G, VPN_SHIFT as _SHIFT
+from repro.vm.address import PAGE_1G
 from repro.vm.page_table import PageTable
 from repro.vm.walker import FixedLatencyWalker, PageTableWalker, WalkerQueue
 
@@ -244,9 +244,7 @@ class System:
             core: int, asid: int, size: int, page_number: int, at: int
         ) -> int:
             stats.walks += 1
-            latency = walk_cycles(
-                core, asid, page_number << _SHIFT[size], size, at
-            )
+            latency = walk_cycles(core, asid, size, page_number, at)
             if inj is not None:
                 latency = inj.walk_latency(latency)
             return queues[core].admit(at, latency)
@@ -447,9 +445,7 @@ class System:
             if not hit and remote_walks:
                 # The home tile walks, polluting its own caches, and
                 # fills its slice before responding.
-                result = walker.walk(
-                    dst, asid, page_number << _SHIFT[size], size, lookup_done
-                )
+                result = walker.walk(dst, asid, size, page_number, lookup_done)
                 stats.walks += 1
                 latency = result.latency
                 if inj is not None:
@@ -574,7 +570,7 @@ class System:
                         continue
                 elif shared.probe_page_number(pa, ps, pp):
                     continue
-                latency = walk_cycles(core, pa, pp << _SHIFT[ps], ps, when)
+                latency = walk_cycles(core, pa, ps, pp, when)
                 if inj is not None:
                     latency = inj.walk_latency(latency)
                 queues[core].admit(when, latency)
@@ -658,11 +654,14 @@ class System:
         and in the senders' IPI-handler stalls.
 
         Under fault injection delivery is delegated to the injector:
-        the message is routed around dead links, retried with backoff
-        on transient drops, and skipped (zero cost, counted) when the
-        target is partitioned away.  With no dead links and no drop
-        probability the injector's cost formula reduces to exactly the
-        expression below."""
+        the message is routed around dead links and retried with
+        backoff on transient drops.  A target partitioned away is
+        counted and the message arrives at ``now``, at zero cost; it is
+        not skipped, so an invalidate still books the slice's write
+        port and drops its entries (a known quirk, kept for byte
+        identity; see ROADMAP "Model fixes").  With no dead links and
+        no drop probability the injector's cost formula reduces to
+        exactly the expression below."""
         if self.faults is not None:
             arrival = self.faults.shootdown_send(src, dst, now)
             return now if arrival is None else arrival

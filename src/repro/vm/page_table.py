@@ -61,10 +61,10 @@ class PageTable:
         # Leaf node key (as in _nodes) -> _node_chain's result.
         self._chains: Dict[Tuple[int, int, int], Tuple[tuple, int]] = {}
         self._ptes: Dict[Tuple[int, int, int], PTE] = {}
-        #: (asid, page_size, page_number) -> walk_info's (walk
-        #: addresses, PTE).  Filled only by walk_info and invalidated by
-        #: unmap; a walker may read it directly and call walk_info only
-        #: on a first touch.
+        #: (asid, page_size, page_number) -> (walk addresses, PTE).
+        #: walk_info builds an entry on a translation's first touch and
+        #: unmap drops it; a walker reads it directly and calls
+        #: walk_info only on a first touch.
         self.walk_memo: Dict[
             Tuple[int, int, int], Tuple[Tuple[int, ...], PTE]
         ] = {}
@@ -134,34 +134,50 @@ class PageTable:
             addresses.append(frame + ((vpn >> shift) & _INDEX_MASK) * ENTRY_BYTES)
         return tuple(addresses[:-1]), frame
 
-    def walk_info(self, asid: int, vpn: int, page_size: int) -> Tuple[Tuple[int, ...], PTE]:
-        """Walk addresses plus the PTE, memoised per translation.
+    def walk_info(
+        self, asid: int, page_size: int, page_number: int
+    ) -> Tuple[Tuple[int, ...], PTE]:
+        """Walk addresses plus the PTE of page ``page_number`` at
+        ``page_size``: its ``walk_memo`` entry, built on a first touch.
 
         Both are pure functions of ``(asid, page_size, page_number)``
-        once the mapping exists: the node chain is stable after
-        materialisation, and only the radix indices above the leaf
-        depth — all determined by the page number — feed the address
-        computation.  The first touch performs exactly the walker's
-        historical call sequence (``walk_addresses`` then ``map_page``),
-        so frame-allocation order — and with it every synthetic
-        physical address — is unchanged.
+        once the mapping exists, so this one call builds the entry: the
+        leaf node's chain (allocated root first if absent), the leaf
+        entry, then the data frame and the PTE.  A walk has always
+        allocated the nodes before the data frame, so every synthetic
+        physical address is unchanged; :meth:`map_page` (the
+        fixed-latency walker's path) allocates the data frame first.
         """
-        key = (asid, page_size, translation_vpn(vpn, page_size))
+        key = (asid, page_size, page_number)
         info = self.walk_memo.get(key)
-        if info is None:
-            addresses = self.walk_addresses(asid, vpn, page_size)
-            pte = self._ptes.get(key)
-            if pte is None:
-                # map_page's body minus its node materialisation — the
-                # walk_addresses call above already allocated the node
-                # chain, so allocation order (nodes, then data frame)
-                # matches the historical call sequence exactly.
-                ppn = self._allocate_frame() >> PAGE_SHIFT_4K
-                pte = self._ptes[key] = PTE(
-                    ppn=ppn, page_size=page_size, asid=asid
-                )
-                self.pages_mapped += 1
-            info = self.walk_memo[key] = (addresses, pte)
+        if info is not None:
+            return info
+        try:
+            leaf = _LEAF_DEPTH[page_size] - 1
+        except KeyError:
+            raise ValueError(f"unsupported page size: {page_size}") from None
+        # A page number is the VPN above the leaf index's shift, so its
+        # low 9 bits index the leaf node and the rest name that node.
+        shift = _INDEX_SHIFT[leaf]
+        number = page_number & (_VPN_MASK >> shift)
+        chain_key = (asid, leaf, number >> _INDEX_BITS)
+        chain = self._chains.get(chain_key)
+        if chain is None:
+            chain = self._chains[chain_key] = self._node_chain(
+                asid, number << shift, leaf
+            )
+        upper, frame = chain
+        pte = self._ptes.get(key)
+        if pte is None:
+            # The next frame is the data frame; its number is the PPN.
+            pte = self._ptes[key] = PTE(
+                ppn=self._next_frame, page_size=page_size, asid=asid
+            )
+            self._next_frame += 1
+            self.pages_mapped += 1
+        info = self.walk_memo[key] = (
+            upper + (frame + (number & _INDEX_MASK) * ENTRY_BYTES,), pte
+        )
         return info
 
     def unmap(self, asid: int, vpn: int, page_size: int) -> None:

@@ -10,6 +10,12 @@ fixed walk latencies of 10/20/40/80 cycles.
 A small page-walk cache (PWC) holds upper-level entries (PML4/PDPT/PD),
 as on real x86 cores [MICRO'13 "Large-reach MMU caches"]; it makes the
 leaf PTE reference dominate walk latency, as observed in practice.
+
+A walk names its translation by ``(asid, size, page_number)``, the key
+the L2 transaction already holds, so no VPN is shifted out and back.  A
+re-walk reads the page table's ``walk_memo`` directly; a first touch
+builds the entry in one :meth:`~repro.vm.page_table.PageTable.walk_info`
+call.
 """
 
 from __future__ import annotations
@@ -34,6 +40,14 @@ class WalkResult:
     #: References that missed the walking core's L1 (installed new lines
     #: there) — a proxy for how much the walk polluted that core's cache.
     pollution: int = 0
+
+
+def _first_vpn(size: int, page_number: int) -> int:
+    """The first 4KB VPN of page ``page_number`` at ``size``."""
+    try:
+        return page_number << VPN_SHIFT[size]
+    except KeyError:
+        raise ValueError(f"unsupported page size: {size}") from None
 
 
 def _observe_walk(
@@ -77,7 +91,7 @@ class PageTableWalker:
         }
 
     def walk(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
+        self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> WalkResult:
         """Perform a serial walk at ``core``; returns latency and the PTE.
 
@@ -85,8 +99,8 @@ class PageTableWalker:
         pollution tally (references that missed the walking core's L1).
         """
         levels: List[str] = []
-        latency = self.walk_cycles(core, asid, vpn, page_size, now, levels)
-        pte = self.page_table.walk_info(asid, vpn, page_size)[1]
+        latency = self.walk_cycles(core, asid, size, page_number, now, levels)
+        pte = self.page_table.walk_memo[asid, size, page_number][1]
         pollution = sum(level not in _NO_POLLUTION for level in levels)
         return WalkResult(
             latency=latency, pte=pte, levels=tuple(levels), pollution=pollution
@@ -96,29 +110,28 @@ class PageTableWalker:
         self,
         core: int,
         asid: int,
-        vpn: int,
-        page_size: int,
+        size: int,
+        page_number: int,
         now: int,
         levels: Optional[List[str]] = None,
     ) -> int:
-        """Perform a serial walk at ``core``; returns its latency.
+        """Walk to page ``page_number`` at ``size`` from ``core``;
+        returns the walk's latency.
 
         Upper levels can hit the core's PWC; the leaf PTE never does.
         Every other reference goes through the cache hierarchy, and an
         upper level that missed the PWC is filled into it afterwards.
         ``levels``, when given, collects where each reference was
         satisfied.  Sink events are emitted only when the sink is
-        enabled.  A re-walk reads the page table's memo directly;
-        ``walk_info`` runs only on a translation's first touch.
+        enabled.  A walk is keyed by the ``(asid, size, page_number)``
+        its caller holds: a re-walk reads the page table's memo
+        directly, and a first touch builds the entry in one
+        ``walk_info`` call (which rejects an unsupported size).
         """
-        try:
-            key = (asid, page_size, vpn >> VPN_SHIFT[page_size])
-        except KeyError:
-            raise ValueError(f"unsupported page size: {page_size}") from None
         page_table = self.page_table
         addresses = (
-            page_table.walk_memo.get(key)
-            or page_table.walk_info(asid, vpn, page_size)
+            page_table.walk_memo.get((asid, size, page_number))
+            or page_table.walk_info(asid, size, page_number)
         )[0]
         cached = self.pwcs[core]
         level_hits = self.level_hits
@@ -150,7 +163,9 @@ class PageTableWalker:
         level_hits["pwc"] += hits
         self.walks += 1
         if self.sink.enabled:
-            _observe_walk(self.sink, core, vpn, now, latency)
+            _observe_walk(
+                self.sink, core, _first_vpn(size, page_number), now, latency
+            )
         return latency
 
 
@@ -166,19 +181,21 @@ class FixedLatencyWalker:
         self.sink = sink
 
     def walk(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
+        self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> WalkResult:
+        vpn = _first_vpn(size, page_number)
         self.walks += 1
-        pte = self.page_table.lookup(asid, vpn, page_size)
+        pte = self.page_table.lookup(asid, vpn, size)
         _observe_walk(self.sink, core, vpn, now, self.latency)
         return WalkResult(latency=self.latency, pte=pte, levels=("fixed",))
 
     def walk_cycles(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
+        self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> int:
         """Latency-only variant matching :meth:`PageTableWalker.walk_cycles`."""
+        vpn = _first_vpn(size, page_number)
         self.walks += 1
-        self.page_table.lookup(asid, vpn, page_size)
+        self.page_table.lookup(asid, vpn, size)
         _observe_walk(self.sink, core, vpn, now, self.latency)
         return self.latency
 

@@ -44,8 +44,6 @@ from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 from repro.vm.walker import PageTableWalker
 from tests.sim.test_shootdown_oracle import _set_state
 
-_SHIFT = {PAGE_4K: 0, PAGE_2M: 9, PAGE_1G: 18}
-
 
 class ChainSystem(System):
     """A ``System`` whose L2 transaction is the method chain it replaced."""
@@ -286,7 +284,7 @@ class ChainSystem(System):
     def _async_prefetch_walk(
         self, core: int, asid: int, size: int, page_number: int, when: int
     ) -> None:
-        result = self.walker.walk(core, asid, page_number << _SHIFT[size], size, when)
+        result = self.walker.walk(core, asid, size, page_number, when)
         latency = result.latency
         if self.faults is not None:
             latency = self.faults.walk_latency(latency)
@@ -298,8 +296,7 @@ class ChainSystem(System):
         self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> int:
         """Queue and perform a page walk at ``core``'s hardware walker."""
-        vpn = page_number << _SHIFT[size]
-        result = self.walker.walk(core, asid, vpn, size, now)
+        result = self.walker.walk(core, asid, size, page_number, now)
         self._last_pollution = getattr(result, "pollution", 0)
         self.stats.walks += 1
         latency = result.latency
@@ -357,9 +354,6 @@ def make_lean_transaction(
     visible = system._visible
     overlap_off = visible == 1.0
     do_walk = system.walker.walk_cycles
-    from repro.sim.system import _SHIFT  # local: avoids a module cycle
-
-    shifts = dict(_SHIFT)
     queues = system.walker_queues
     queue_busy = [q._busy_until for q in queues]
 
@@ -413,9 +407,7 @@ def make_lean_transaction(
         miss_reply = lookup_done + latency
         # Inlined System._walk_at: latency-only walk plus the two-walker
         # admit (ties pick walker 0, exactly WalkerQueue.admit's min).
-        cycles = do_walk(
-            core, asid, page_number << shifts[size], size, miss_reply
-        )
+        cycles = do_walk(core, asid, size, page_number, miss_reply)
         totals[4] += 1
         busy = queue_busy[core]
         if busy[0] <= busy[1]:

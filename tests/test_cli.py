@@ -71,6 +71,10 @@ BAD_INPUTS = [
     (["sweep", "--seed", "-1"], "(got -1)"),
     (["faults", "--seed", "-1"], "(got -1)"),
     (["export-trace", "--seed", "-1", "--out", "t.npz"], "(got -1)"),
+    (["report", "obs.jsonl", "--top", "0"], "(got 0)"),
+    (["report", "obs.jsonl", "--top", "-1"], "(got -1)"),
+    (["trace", "spans.jsonl", "--top", "0"], "(got 0)"),
+    (["trace", "spans.jsonl", "--top", "-1"], "(got -1)"),
 ]
 
 #: Commands that take the runner flags; the test runs them with

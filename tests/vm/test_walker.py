@@ -16,37 +16,37 @@ def make_walker(cores=2):
 
 def test_first_walk_misses_everywhere():
     walker = make_walker()
-    result = walker.walk(0, 1, 1000, PAGE_4K, now=0)
+    result = walker.walk(0, 1, PAGE_4K, 1000, now=0)
     assert result.levels.count("dram") >= 1
     assert result.latency >= 250  # at least one DRAM trip
 
 
 def test_repeat_walk_is_much_cheaper():
     walker = make_walker()
-    cold = walker.walk(0, 1, 1000, PAGE_4K, now=0)
-    warm = walker.walk(0, 1, 1000, PAGE_4K, now=10)
+    cold = walker.walk(0, 1, PAGE_4K, 1000, now=0)
+    warm = walker.walk(0, 1, PAGE_4K, 1000, now=10)
     assert warm.latency < cold.latency
     assert warm.latency <= 20  # PWC + L1 hits
 
 
 def test_neighbour_walk_reuses_upper_levels():
     walker = make_walker()
-    walker.walk(0, 1, 1000, PAGE_4K, now=0)
-    neighbour = walker.walk(0, 1, 1001, PAGE_4K, now=10)
+    walker.walk(0, 1, PAGE_4K, 1000, now=0)
+    neighbour = walker.walk(0, 1, PAGE_4K, 1001, now=10)
     # Upper levels hit the PWC; only the leaf can go far.
     assert neighbour.levels[:3] == ("pwc", "pwc", "pwc")
 
 
 def test_2m_walk_touches_three_levels():
     walker = make_walker()
-    result = walker.walk(0, 1, 512 * 5, PAGE_2M, now=0)
+    result = walker.walk(0, 1, PAGE_2M, 5, now=0)
     assert len(result.levels) == 3
 
 
 def test_walks_counted():
     walker = make_walker()
-    walker.walk(0, 1, 1, PAGE_4K, 0)
-    walker.walk(0, 1, 2, PAGE_4K, 0)
+    walker.walk(0, 1, PAGE_4K, 1, 0)
+    walker.walk(0, 1, PAGE_4K, 2, 0)
     assert walker.walks == 2
 
 
@@ -66,12 +66,12 @@ def test_walk_cycles_matches_walk_with_the_sink_enabled(fixed):
         walkers.append(walker)
         sinks.append(sink)
     full, lean = walkers
-    for i, (core, vpn, size) in enumerate(
-        [(0, 1000, PAGE_4K), (1, 1000, PAGE_4K), (0, 1001, PAGE_4K),
-         (0, 512 * 5, PAGE_2M), (1, 1000, PAGE_4K)]
+    for i, (core, size, page_number) in enumerate(
+        [(0, PAGE_4K, 1000), (1, PAGE_4K, 1000), (0, PAGE_4K, 1001),
+         (0, PAGE_2M, 5), (1, PAGE_4K, 1000)]
     ):
-        latency = full.walk(core, 1, vpn, size, now=10 * i).latency
-        assert lean.walk_cycles(core, 1, vpn, size, now=10 * i) == latency
+        latency = full.walk(core, 1, size, page_number, now=10 * i).latency
+        assert lean.walk_cycles(core, 1, size, page_number, now=10 * i) == latency
     assert sinks[0].trace.to_records() == sinks[1].trace.to_records()
     assert sinks[0].registry.snapshot() == sinks[1].registry.snapshot()
     assert full.walks == lean.walks == 5
@@ -81,16 +81,16 @@ def test_walk_cycles_matches_walk_with_the_sink_enabled(fixed):
 
 def test_pwc_is_per_core():
     walker = make_walker(cores=2)
-    walker.walk(0, 1, 1000, PAGE_4K, now=0)
-    other_core = walker.walk(1, 1, 1001, PAGE_4K, now=10)
+    walker.walk(0, 1, PAGE_4K, 1000, now=0)
+    other_core = walker.walk(1, 1, PAGE_4K, 1001, now=10)
     assert other_core.levels[0] != "pwc"  # core 1's PWC is cold
 
 
 def test_pollution_counts_non_l1_fills():
     walker = make_walker()
-    cold = walker.walk(0, 1, 1000, PAGE_4K, now=0)
+    cold = walker.walk(0, 1, PAGE_4K, 1000, now=0)
     assert cold.pollution >= 1
-    warm = walker.walk(0, 1, 1000, PAGE_4K, now=5)
+    warm = walker.walk(0, 1, PAGE_4K, 1000, now=5)
     assert warm.pollution == 0
 
 
@@ -99,9 +99,9 @@ def test_steady_state_walk_latency_band():
     (LLC-class references dominating), not always-DRAM."""
     walker = make_walker()
     for vpn in range(0, 2048, 8):
-        walker.walk(0, 1, vpn, PAGE_4K, now=vpn * 10)
+        walker.walk(0, 1, PAGE_4K, vpn, now=vpn * 10)
     lat = [
-        walker.walk(0, 1, vpn, PAGE_4K, now=21000 + vpn).latency
+        walker.walk(0, 1, PAGE_4K, vpn, now=21000 + vpn).latency
         for vpn in range(0, 2048, 64)
     ]
     mean = sum(lat) / len(lat)
@@ -111,7 +111,7 @@ def test_steady_state_walk_latency_band():
 def test_fixed_walker_constant():
     walker = FixedLatencyWalker(PageTable(), 40)
     for vpn in (1, 100, 999):
-        assert walker.walk(0, 1, vpn, PAGE_4K, 0).latency == 40
+        assert walker.walk(0, 1, PAGE_4K, vpn, 0).latency == 40
     assert walker.walks == 3
 
 
@@ -159,7 +159,16 @@ def test_queue_busy_until_tracks_latest():
 def test_unsupported_page_size_raises_value_error(page_size):
     walker = make_walker()
     with pytest.raises(ValueError, match="unsupported page size"):
-        walker.walk_cycles(0, 1, 1000, page_size, now=0)
+        walker.walk_cycles(0, 1, page_size, 1000, now=0)
     with pytest.raises(ValueError, match="unsupported page size"):
-        walker.page_table.walk_info(1, 1000, page_size)
+        walker.page_table.walk_info(1, page_size, 1000)
     assert walker.walks == 0 and walker.page_table.walk_memo == {}
+
+
+@pytest.mark.parametrize("page_size", [0, 8192, PAGE_4K + 1])
+def test_fixed_walker_rejects_unsupported_page_size(page_size):
+    walker = FixedLatencyWalker(PageTable(), 20)
+    for walk in (walker.walk, walker.walk_cycles):
+        with pytest.raises(ValueError, match="unsupported page size"):
+            walk(0, 1, page_size, 1000, now=0)
+    assert walker.walks == 0 and walker.page_table.pages_mapped == 0
