@@ -54,6 +54,7 @@ zero-copy by workers; ``--no-trace-store`` reverts to per-run builds.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -382,8 +383,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     top = _check_top(args.top)
     # Absent files are warned about and skipped by load_obs_records —
     # a sweep whose trace step failed should not kill the report of
-    # the files that do exist.
-    runs, events = load_obs_records(args.paths)
+    # the files that do exist — but a directory or a binary file is
+    # not an obs file.
+    try:
+        runs, events = load_obs_records(args.paths)
+    except OSError as exc:
+        raise SystemExit(str(exc))
     window = _parse_window(args.window) if args.window else None
     print(render_report(runs, events, top=top, window=window))
     return 0
@@ -587,6 +592,14 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         )
         return 0
 
+    if args.action == "pin" and not (
+        math.isfinite(args.rtol) and args.rtol >= 0.0
+    ):
+        # Refused before any campaign runs: the pin file would carry a
+        # NaN, or update_pins would refuse it after a whole campaign.
+        raise SystemExit(
+            f"--rtol must be a finite number >= 0, got {args.rtol}"
+        )
     specs = _campaign_specs(args.campaigns or ["headline"])
 
     if args.action == "check":
@@ -665,7 +678,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     top = _check_top(args.top)
     try:
         records = load_spans(args.path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read {args.path!r}: {exc}")
     print(render_tree(records, top=top))
     return 0

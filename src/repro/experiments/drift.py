@@ -39,6 +39,7 @@ workflow for intentional model changes (see DESIGN.md).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -216,8 +217,8 @@ def update_pins(
     otherwise fail every future check as ``missing-metric``).  Other
     scales' sections are left untouched.  Returns the pin file path.
     """
-    if rtol < 0.0:
-        raise ValueError("rtol must be >= 0")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be a finite number >= 0, got {rtol}")
     payload = load_pins(campaign, pins_dir) or {
         "schema": PIN_SCHEMA,
         "campaign": campaign,

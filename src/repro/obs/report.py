@@ -106,7 +106,10 @@ def load_obs_records(
     that did), and malformed or non-object JSONL lines are skipped —
     reporting renders whatever evidence exists.  Event kinds are passed
     through untouched, so files written by a newer schema (with kinds
-    this version does not know) still render.
+    this version does not know) still render.  A path that exists but
+    cannot be read as text (a directory, a binary ``.npz`` trace)
+    raises ``OSError`` with a one-line ``cannot read 'PATH': ...``
+    message.
     """
     runs: List[RunRecord] = []
     events: List[EventRecord] = []
@@ -115,26 +118,29 @@ def load_obs_records(
             print(f"warning: no such obs file, skipping: {path}",
                   file=sys.stderr)
             continue
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    print(
-                        f"warning: skipping malformed JSONL line "
-                        f"{path}:{lineno}",
-                        file=sys.stderr,
-                    )
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                if "kind" in record:
-                    events.append(record)
-                elif "metrics" in record or "cycles" in record:
-                    runs.append(record)
+        try:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        print(
+                            f"warning: skipping malformed JSONL line "
+                            f"{path}:{lineno}",
+                            file=sys.stderr,
+                        )
+                        continue
+                    if not isinstance(record, dict):
+                        continue
+                    if "kind" in record:
+                        events.append(record)
+                    elif "metrics" in record or "cycles" in record:
+                        runs.append(record)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"cannot read {path!r}: {exc}") from exc
     return runs, events
 
 

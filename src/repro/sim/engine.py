@@ -14,9 +14,11 @@ Two drive loops produce bit-identical results:
   nothing outside a core ever touches its L1 TLBs, so each core's
   L1 hit/miss sequence is a pure function of its merged trace stream.
   A pre-pass replays every stream through the real L1 arrays once,
-  compiling it into cycle prefix sums plus the exact miss positions;
-  the drive loop then advances whole guaranteed-hit segments per heap
-  pop with one bisect instead of one Python iteration per record.
+  compiling it into cycle prefix sums plus each miss with the cycle
+  offsets before and after its record; the drive loop then moves a
+  core from miss to miss, deciding each heap pop with one comparison
+  and bisecting the prefix sums only when a quantum expires, instead
+  of one Python iteration per record.
 * the **reference loop** (``REPRO_REFERENCE_ENGINE=1``, and any run
   with storms or shootdowns — they invalidate L1 entries externally):
   one L1 probe per record, read by index from the same merged stream
@@ -207,8 +209,8 @@ def simulate(
     event_trace = EventTrace() if trace else None
     sink = MetricsSink(trace=event_trace) if (metrics or trace) else NULL_SINK
     # Batched fast path, at every scale: with no external L1
-    # invalidations the hit/miss sequence is stream-determined, so hit
-    # runs advance in one bisect per heap pop.  Bit-identical to the
+    # invalidations the hit/miss sequence is stream-determined, so a
+    # core moves from miss to miss in one heap pop.  Bit-identical to the
     # reference loop (the differential harness is the proof), so
     # ENGINE_VERSION stays.  Storms and shootdowns take the reference
     # loop, as does REPRO_REFERENCE_ENGINE=1.
@@ -358,26 +360,32 @@ def _drive_reference(
 
 
 class _CompiledCore:
-    """One core's trace compiled into hit-run segments.
+    """One core's trace compiled into its L1 misses.
 
     ``prefix[i]`` is the cycle cost of the first ``i`` records (each
-    record costs ``gap + 1``), so advancing from record ``a`` to ``b``
-    costs ``prefix[b] - prefix[a]``.  ``miss_pos``/``miss_rec`` hold the
-    positions and payloads of the records that miss the L1 — everything
-    between consecutive misses is a guaranteed-hit run.
+    record costs ``gap + 1``) and ``total`` the whole stream's.
+    ``misses[k]`` is ``(before, after, key)`` for the ``k``-th record
+    that misses the L1: the cost of the records before it and through
+    it (``prefix[m]`` and ``prefix[m + 1]`` for record ``m``) and its
+    ``(asid, size, page_number)``.  Everything between consecutive
+    misses is a guaranteed-hit run, and the list ends with a sentinel
+    whose ``before`` no limit reaches.  ``base`` is the cost of the
+    records the core has run and ``mi`` the index of its next miss.
     """
 
-    __slots__ = ("prefix", "miss_pos", "miss_rec", "count", "pos", "mi",
-                 "finish")
+    __slots__ = ("prefix", "misses", "total", "base", "mi", "finish")
 
-    def __init__(self, prefix, miss_pos, miss_rec) -> None:
+    def __init__(self, prefix, misses) -> None:
         self.prefix = prefix
-        self.miss_pos = miss_pos
-        self.miss_rec = miss_rec
-        self.count = len(prefix) - 1
-        self.pos = 0  # next record index
+        self.misses = misses
+        self.total = prefix[-1]
+        self.base = 0  # cost of the records run so far
         self.mi = 0  # next miss index
         self.finish: Optional[int] = None
+
+
+#: Ends every core's miss list: no quantum limit reaches it.
+_NO_MISS = (float("inf"), None, None)
 
 
 def _compile_core(streams, arrays) -> _CompiledCore:
@@ -387,15 +395,15 @@ def _compile_core(streams, arrays) -> _CompiledCore:
     reference loop would (one lookup per record, insert on miss), so
     the arrays end the pre-pass in the same state — same hit/miss/
     eviction counters, same LRU order — as after an unbatched run.
-    Valid only while nothing else touches the L1s mid-run, which is the
-    batched mode's gate (no storms, no shootdowns).
+    Each miss is recorded with the cycle offsets before and after its
+    record (see :class:`_CompiledCore`).  Valid only while nothing else
+    touches the L1s mid-run, which is the batched mode's gate (no
+    storms, no shootdowns).
     """
     merged = interleave_streams(streams)
     prefix = [0] * (len(merged) + 1)
-    miss_pos: List[int] = []
-    miss_rec: List[Tuple[int, int, int]] = []
-    add_pos = miss_pos.append
-    add_rec = miss_rec.append
+    misses: List[Tuple[int, int, Tuple[int, int, int]]] = []
+    add_miss = misses.append
     # The probe below is SetAssociativeTLB.lookup inlined (this is the
     # hottest loop of a batched run: one probe per trace record), with
     # the hit/miss counters accumulated locally and folded back in bulk
@@ -427,13 +435,13 @@ def _compile_core(streams, arrays) -> _CompiledCore:
             counts[0] += 1
             continue
         counts[1] += 1
-        add_pos(i - 1)
-        add_rec(key)
+        add_miss((prefix[i - 1], acc, key))
         arrays[size].insert(asid, size, page_number)
+    add_miss(_NO_MISS)
     for size, (_, _, _, counts) in per_size.items():
         arrays[size].hits += counts[0]
         arrays[size].misses += counts[1]
-    return _CompiledCore(prefix, miss_pos, miss_rec)
+    return _CompiledCore(prefix, misses)
 
 
 #: Compiled cores memoised per live Workload object (keyed by id, with
@@ -476,12 +484,12 @@ def _compile_core_cached(workload, core: int, arrays) -> _CompiledCore:
     )
     hit = cache.get(key)
     if hit is not None:
-        prefix, miss_pos, miss_rec, deltas = hit
+        prefix, misses, deltas = hit
         for size, delta in deltas:
             array = arrays[size]
             for name, value in zip(_COUNTERS, delta):
                 setattr(array, name, getattr(array, name) + value)
-        return _CompiledCore(prefix, miss_pos, miss_rec)
+        return _CompiledCore(prefix, misses)
     before = {
         size: [getattr(a, name) for name in _COUNTERS]
         for size, a in arrays.items()
@@ -497,7 +505,7 @@ def _compile_core_cached(workload, core: int, arrays) -> _CompiledCore:
         )
         for size, a in arrays.items()
     )
-    cache[key] = (cc.prefix, cc.miss_pos, cc.miss_rec, deltas)
+    cache[key] = (cc.prefix, cc.misses, deltas)
     return cc
 
 
@@ -508,16 +516,21 @@ def _drive_batched(
     sink,
     watchdog_cycles: Optional[int],
 ) -> List[int]:
-    """Segment-batched drive loop; bit-identical to the reference loop.
+    """Miss-to-miss drive loop; bit-identical to the reference loop.
 
-    Per heap pop, one ``bisect_left`` finds how far the core runs
-    before its quantum expires (``cut``); comparing that against the
-    next precompiled miss position decides the outcome.  The loop-top
-    guard of the reference loop (``while t < deadline``) admits record
-    ``q`` iff ``prefix[q] < prefix[pos] + quantum``, so the three cases
-    below reproduce its push/finish times — and therefore its heap-pop
-    order, its ``l2_transaction`` times, and its pending-penalty
-    application points — exactly.
+    The loop-top guard of the reference loop (``while t < deadline``)
+    admits the record at cost offset ``c`` iff ``c < base + quantum``,
+    and prefix sums never decrease, so one comparison of the next
+    precompiled miss's ``before`` against that limit decides whether
+    the quantum reaches it.  Otherwise the core drains inside the
+    quantum (``total < limit``) or its quantum expires, and only then
+    does a ``bisect_left`` find the first record it cannot admit.  The
+    three cases reproduce the reference loop's push/finish times — and
+    therefore its heap-pop order, its ``l2_transaction`` times, and its
+    pending-penalty application points — exactly.  The heap is peeked
+    and re-keyed in place: each core holds at most one entry, so the
+    ``(t, core)`` keys are unique and ``heapreplace`` pops in the same
+    order as a pop followed by a push.
     """
     num_cores = system.config.num_cores
     compiled = [
@@ -528,12 +541,14 @@ def _drive_batched(
     ]
     heap: List[Tuple[int, int]] = [(0, core) for core in range(num_cores)]
     heapq.heapify(heap)
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
     pending = system.pending_penalty
     l2_transaction = system.l2_transaction
     observed = sink.enabled
 
     while heap:
-        t, core = heapq.heappop(heap)
+        t, core = heap[0]
         if watchdog_cycles is not None and t > watchdog_cycles:
             raise WatchdogExpired(
                 f"core {core} resumed at cycle {t}, past the "
@@ -543,39 +558,34 @@ def _drive_batched(
         if pending[core]:
             t += pending[core]
             pending[core] = 0
-        prefix = cc.prefix
-        pos = cc.pos
-        base = prefix[pos]
+        base = cc.base
         limit = base + quantum
-        count = cc.count
-        mi = cc.mi
-        miss = cc.miss_pos[mi] if mi < len(cc.miss_pos) else None
-        # First record position whose loop-top check would fail.
-        cut = bisect_left(prefix, limit, pos, count + 1)
-        if miss is not None and miss < cut:
+        before, after, key = cc.misses[cc.mi]
+        if before < limit:
             # The quantum reaches the next L1 miss: resolve it at the
             # exact cycle the reference loop would (hit run + the miss
             # record's own gap+1).
-            t_miss = t + prefix[miss + 1] - base
-            asid, size, page_number = cc.miss_rec[mi]
+            t += after - base
+            asid, size, page_number = key
             if observed:
-                sink.event(t_miss, "l1_lookup", core=core, hit=False)
-            stall = l2_transaction(core, asid, size, page_number, t_miss)
+                sink.event(t, "l1_lookup", core=core, hit=False)
+            stall = l2_transaction(core, asid, size, page_number, t)
             if observed:
                 sink.observe("translation.stall_cycles", stall)
-            cc.pos = miss + 1
-            cc.mi = mi + 1
-            heapq.heappush(heap, (t_miss + stall, core))
-        elif cut == count + 1:
+            cc.base = after
+            cc.mi += 1
+            heapreplace(heap, (t + stall, core))
+        elif cc.total < limit:
             # Stream drained inside the quantum: all remaining records
             # are hits; the core finishes and leaves the heap.
-            cc.pos = count
-            cc.finish = t + prefix[count] - base
+            cc.finish = t + cc.total - base
+            heappop(heap)
         else:
             # Quantum expiry mid-run: advance the whole admitted hit
             # segment and re-enter the heap at the expiry time.
-            cc.pos = cut
-            heapq.heappush(heap, (t + prefix[cut] - base, core))
+            prefix = cc.prefix
+            cc.base = cut = prefix[bisect_left(prefix, limit)]
+            heapreplace(heap, (t + cut - base, core))
 
     return [cc.finish or 0 for cc in compiled]
 

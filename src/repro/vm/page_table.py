@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from repro.vm.address import (
-    PAGE_1G,
-    PAGE_2M,
-    PAGE_4K,
-    PAGE_SHIFT_4K,
-    translation_vpn,
-)
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, translation_vpn
 
 FRAME_BYTES = 4096
 ENTRY_BYTES = 8
@@ -79,15 +73,45 @@ class PageTable:
 
     def map_page(self, asid: int, vpn: int, page_size: int) -> PTE:
         """Ensure the translation covering 4KB VPN ``vpn`` exists."""
-        page_number = translation_vpn(vpn, page_size)
+        return self.map_translation(
+            asid, page_size, translation_vpn(vpn, page_size)
+        )
+
+    def map_translation(
+        self, asid: int, page_size: int, page_number: int
+    ) -> PTE:
+        """The PTE of page ``page_number`` at ``page_size``, mapped on a
+        first touch; the fixed-latency walker's one call per walk.
+
+        A mapped page costs one dict probe.  A first touch allocates the
+        data frame, then the leaf node's chain (root first) if absent —
+        the reverse of :meth:`walk_info`'s order, and what this path has
+        always allocated.  An unsupported size raises ``ValueError`` and
+        maps nothing.
+        """
         key = (asid, page_size, page_number)
         pte = self._ptes.get(key)
-        if pte is None:
-            ppn = self._allocate_frame() >> PAGE_SHIFT_4K
-            pte = self._ptes[key] = PTE(ppn=ppn, page_size=page_size, asid=asid)
-            self.pages_mapped += 1
-            # Materialise the node chain so walk addresses are stable.
-            self.walk_addresses(asid, vpn, page_size)
+        if pte is not None:
+            return pte
+        try:
+            leaf = _LEAF_DEPTH[page_size] - 1
+        except KeyError:
+            raise ValueError(f"unsupported page size: {page_size}") from None
+        # The next frame is the data frame; its number is the PPN.
+        pte = self._ptes[key] = PTE(
+            ppn=self._next_frame, page_size=page_size, asid=asid
+        )
+        self._next_frame += 1
+        self.pages_mapped += 1
+        # Materialise the node chain so walk addresses are stable (see
+        # walk_info for the page-number arithmetic).
+        shift = _INDEX_SHIFT[leaf]
+        number = page_number & (_VPN_MASK >> shift)
+        chain_key = (asid, leaf, number >> _INDEX_BITS)
+        if chain_key not in self._chains:
+            self._chains[chain_key] = self._node_chain(
+                asid, number << shift, leaf
+            )
         return pte
 
     def lookup(self, asid: int, vpn: int, page_size: int) -> PTE:
@@ -145,7 +169,7 @@ class PageTable:
         leaf node's chain (allocated root first if absent), the leaf
         entry, then the data frame and the PTE.  A walk has always
         allocated the nodes before the data frame, so every synthetic
-        physical address is unchanged; :meth:`map_page` (the
+        physical address is unchanged; :meth:`map_translation` (the
         fixed-latency walker's path) allocates the data frame first.
         """
         key = (asid, page_size, page_number)

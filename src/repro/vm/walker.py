@@ -183,20 +183,32 @@ class FixedLatencyWalker:
     def walk(
         self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> WalkResult:
-        vpn = _first_vpn(size, page_number)
+        pte = self.page_table.map_translation(asid, size, page_number)
         self.walks += 1
-        pte = self.page_table.lookup(asid, vpn, size)
-        _observe_walk(self.sink, core, vpn, now, self.latency)
+        if self.sink.enabled:
+            _observe_walk(
+                self.sink, core, _first_vpn(size, page_number), now,
+                self.latency,
+            )
         return WalkResult(latency=self.latency, pte=pte, levels=("fixed",))
 
     def walk_cycles(
         self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> int:
-        """Latency-only variant matching :meth:`PageTableWalker.walk_cycles`."""
-        vpn = _first_vpn(size, page_number)
+        """Latency-only variant matching :meth:`PageTableWalker.walk_cycles`.
+
+        One ``map_translation`` call maps the page on a first touch (and
+        rejects an unsupported size before the walk counts); a re-walk
+        is one dict probe.  Sink events are emitted only when the sink
+        is enabled.
+        """
+        self.page_table.map_translation(asid, size, page_number)
         self.walks += 1
-        self.page_table.lookup(asid, vpn, size)
-        _observe_walk(self.sink, core, vpn, now, self.latency)
+        if self.sink.enabled:
+            _observe_walk(
+                self.sink, core, _first_vpn(size, page_number), now,
+                self.latency,
+            )
         return self.latency
 
 

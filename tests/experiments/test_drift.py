@@ -97,6 +97,15 @@ def test_update_rejects_negative_rtol(tmp_path):
                     pins_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf")])
+def test_update_rejects_non_finite_rtol(rtol, tmp_path):
+    """A NaN pin tolerance would fail every later check."""
+    with pytest.raises(ValueError, match="rtol"):
+        update_pins("figx", "reduced", SUMMARY, rtol=rtol,
+                    pins_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())  # no pin file written
+
+
 def test_zero_pin_compares_absolutely(tmp_path):
     update_pins("figx", "reduced", {"retries": 0.0}, pins_dir=str(tmp_path))
     ok = check_drift("figx", "reduced", {"retries": 0.01},

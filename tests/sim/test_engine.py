@@ -3,7 +3,11 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.exec.cache import canonical_json
+from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
 from repro.sim import engine
 from repro.sim.engine import (
@@ -13,7 +17,7 @@ from repro.sim.engine import (
     simulate,
 )
 from repro.sim.system import System
-from repro.vm.address import PAGE_4K
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 from repro.workloads.trace import Workload
 
 
@@ -168,3 +172,115 @@ def test_every_run_pauses_the_collector(monkeypatch):
             gc.enable()
         else:
             gc.disable()
+
+
+#: Two set indices, six pages deep: more pages per set than any L1
+#: array has ways (the 1GB array is one 4-way set), so drawn streams
+#: hit, evict and miss again on pages they touched before.
+PAGE_POOL = tuple(j + 16 * k for j in (0, 1) for k in range(6))
+
+_records = st.tuples(
+    # Gaps 0-40, half of them 0-2: dense records put misses on quantum
+    # boundaries while other cores are due in the same few cycles,
+    # where a loop that takes a miss early reorders the transactions.
+    st.one_of(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=40),
+    ),
+    st.sampled_from((1, 2)),  # asid
+    st.sampled_from((PAGE_4K, PAGE_2M, PAGE_1G)),
+    st.sampled_from(PAGE_POOL),
+)
+
+
+@st.composite
+def drawn_workloads(draw):
+    """1-6 cores, SMT 1-2, 0-60 records per stream (so some cores have
+    none), gaps 0-40."""
+    cores = draw(st.integers(min_value=1, max_value=6), label="cores")
+    smt = draw(st.integers(min_value=1, max_value=2), label="smt")
+    traces = []
+    for _ in range(cores):
+        streams = []
+        for _ in range(smt):
+            # Length first, so long streams are as likely as short ones.
+            n = draw(st.integers(min_value=0, max_value=60))
+            streams.append(draw(st.lists(_records, min_size=n, max_size=n)))
+        traces.append(streams)
+    return Workload("drawn", traces, seed=0, superpages=True)
+
+
+def _both_loops(config, workload, **kwargs):
+    """Run one case under each engine; returns, per run, the result (or
+    the ``WatchdogExpired`` message) with every L2 transaction in call
+    order, plus the drive loops that ran."""
+    loops = []
+
+    def spy(name):
+        real = getattr(engine, name)
+
+        def wrapper(*args, **kw):
+            loops.append(name)
+            return real(*args, **kw)
+
+        return wrapper
+
+    real_transaction = System.l2_transaction
+
+    def transaction(self, *args):
+        stall = real_transaction(self, *args)
+        calls.append(args + (stall,))
+        return stall
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_drive_batched", "_drive_reference"):
+            mp.setattr(engine, name, spy(name))
+        mp.setattr(System, "l2_transaction", transaction)
+        for reference in (False, True):
+            if reference:
+                mp.setenv(REFERENCE_ENV, "1")
+            else:
+                mp.delenv(REFERENCE_ENV, raising=False)
+            calls = []
+            try:
+                outcome = canonical_json(simulate(config, workload, **kwargs))
+            except WatchdogExpired as exc:
+                outcome = str(exc)
+            outcomes.append((outcome, calls))
+    return outcomes, loops
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=drawn_workloads(),
+    quantum=st.sampled_from((1, 2, 3, 5, 64, 256, 100_000)),
+    name=st.sampled_from(
+        ("private", "distributed", "nocstar", "monolithic-smart")
+    ),
+)
+def test_batched_loop_matches_the_reference_loop(workload, quantum, name):
+    """The batched loop's miss-to-miss scheduling (one comparison per
+    pop, a bisect only on quantum expiry) gives the reference loop's
+    bytes, and makes its L2 transactions in the same order at the same
+    cycles, at every quantum, with zero gaps, empty streams, SMT and
+    L1 evictions."""
+    (batched, reference), loops = _both_loops(
+        cfg.build_config(name, workload.num_cores), workload,
+        quantum=quantum,
+    )
+    assert loops == ["_drive_batched", "_drive_reference"]
+    assert batched == reference
+
+
+def test_both_loops_trip_the_watchdog_alike():
+    """A run past its watchdog raises from the same core at the same
+    cycle under either loop."""
+    (batched, reference), loops = _both_loops(
+        cfg.nocstar(4), tiny_workload(num_cores=4, accesses=200, stride=3),
+        quantum=5, watchdog_cycles=700,
+    )
+    assert loops == ["_drive_batched", "_drive_reference"]
+    assert "past the 700-cycle watchdog" in batched[0]
+    assert batched[1]
+    assert batched == reference

@@ -288,6 +288,37 @@ def test_report_command_missing_file(capsys):
     assert "no metric snapshots or events" in captured.out
 
 
+@pytest.mark.parametrize("kind", ["directory", "npz trace"])
+def test_report_command_unreadable_path_exits_with_one_line(
+    kind, tmp_path, capsys
+):
+    """A directory, or a binary trace written by ``export-trace``, is
+    not an obs file: one line names it, with no traceback."""
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "t.npz"
+        assert main(
+            ["export-trace", "--workload", "gups", "--cores", "2",
+             "--accesses", "50", "--out", str(path)]
+        ) == 0
+        capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path)])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1
+    assert message.startswith(f"cannot read {str(path)!r}: ")
+    assert capsys.readouterr().err == ""
+
+
+def test_trace_command_binary_file_exits_with_one_line(tmp_path):
+    path = tmp_path / "t.npz"
+    path.write_bytes(b"PK\x03\x04\xff\xfe\x80\x81")
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(path)])
+    assert exc.value.code.startswith(f"cannot read {str(path)!r}: ")
+
+
 def test_report_command_bad_window(tmp_path):
     obs = tmp_path / "obs.jsonl"
     obs.write_text("")
@@ -489,3 +520,22 @@ def test_experiments_check_needs_artifacts(tmp_path):
     with pytest.raises(SystemExit, match="no summary"):
         main(["experiments", "check", "table1", "--scale", "smoke",
               "--out", str(tmp_path / "empty")])
+
+
+@pytest.mark.parametrize("rtol", ["-1", "nan", "inf"])
+def test_experiments_pin_rejects_bad_rtol_before_running(rtol, monkeypatch):
+    """A negative or non-finite --rtol is refused in one line naming it
+    before any member campaign runs (a NaN would otherwise be written
+    into the pin file)."""
+    from repro import experiments
+
+    monkeypatch.setattr(
+        experiments, "run_campaign",
+        lambda *a, **k: pytest.fail("campaign ran with a bad --rtol"),
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "pin", "table1", "--scale", "smoke",
+              "--rtol", rtol, "--no-cache"])
+    assert exc.value.code == (
+        f"--rtol must be a finite number >= 0, got {float(rtol)}"
+    )

@@ -1,8 +1,9 @@
 """Example scripts: importable, with a main() entry point.
 
-Executing them end-to-end takes minutes (they are demos, not tests),
-so here we verify they parse, import against the current API, and
-expose the expected entry point.
+Here we verify they parse, import against the current API, and expose
+the expected entry point.  Executing all of them end to end takes about
+half a minute, so CI's smoke job runs them with ``make examples``: an
+API move inside a ``main()`` fails there, not here.
 """
 
 import importlib.util

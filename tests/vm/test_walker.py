@@ -1,12 +1,23 @@
 """Page-walk latency model and walker queueing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.cache import CacheHierarchy
-from repro.obs import EventTrace, MetricsSink
-from repro.vm.address import PAGE_2M, PAGE_4K
+from repro.obs import NULL_SINK, EventTrace, MetricsSink
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 from repro.vm.page_table import PageTable
-from repro.vm.walker import FixedLatencyWalker, PageTableWalker, WalkerQueue
+from repro.vm.walker import (
+    FixedLatencyWalker,
+    PageTableWalker,
+    WalkerQueue,
+    WalkResult,
+    _first_vpn,
+    _observe_walk,
+)
+
+from tests.vm.test_page_table import ChainPageTable
 
 
 def make_walker(cores=2):
@@ -172,3 +183,114 @@ def test_fixed_walker_rejects_unsupported_page_size(page_size):
         with pytest.raises(ValueError, match="unsupported page size"):
             walk(0, 1, page_size, 1000, now=0)
     assert walker.walks == 0 and walker.page_table.pages_mapped == 0
+
+
+class ChainFixedWalker(FixedLatencyWalker):
+    """``FixedLatencyWalker`` as it was before a fixed walk was one
+    page-table call (kept verbatim as the oracle): ``_first_vpn``, then
+    ``PageTable.lookup`` -> ``map_page`` -> ``translation_vpn`` ->
+    ``page_shift``, plus ``walk_addresses`` on a first touch; run on a
+    ``ChainPageTable``, whose ``map_page`` is that chain."""
+
+    def walk(
+        self, core: int, asid: int, size: int, page_number: int, now: int
+    ) -> WalkResult:
+        vpn = _first_vpn(size, page_number)
+        self.walks += 1
+        pte = self.page_table.lookup(asid, vpn, size)
+        _observe_walk(self.sink, core, vpn, now, self.latency)
+        return WalkResult(latency=self.latency, pte=pte, levels=("fixed",))
+
+    def walk_cycles(
+        self, core: int, asid: int, size: int, page_number: int, now: int
+    ) -> int:
+        vpn = _first_vpn(size, page_number)
+        self.walks += 1
+        self.page_table.lookup(asid, vpn, size)
+        _observe_walk(self.sink, core, vpn, now, self.latency)
+        return self.latency
+
+
+fixed_walks = st.lists(
+    st.tuples(
+        st.sampled_from(("walk", "walk_cycles", "walk_info")),
+        st.integers(min_value=0, max_value=1),  # core
+        st.sampled_from((1, 2)),  # asid
+        # 8192 is unsupported: both walkers must refuse it uncounted.
+        st.sampled_from((PAGE_4K, PAGE_2M, PAGE_1G, 8192)),
+        st.one_of(
+            st.integers(min_value=0, max_value=3 * 512),
+            st.integers(min_value=0, max_value=(1 << 36) - 1),
+        ),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+def _table_state(table):
+    return (
+        table._next_frame, table.nodes_allocated, table.pages_mapped,
+        table.walk_memo, table._ptes, table._nodes, table._chains,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=fixed_walks, observed=st.booleans())
+def test_fixed_walker_matches_the_call_chain(ops, observed):
+    """One ``map_translation`` call per fixed walk allocates the same
+    frames in the same order as the old chain, interleaved with the
+    variable walker's first touches on the same table, and returns the
+    same latencies and PTEs, counts the same walks and gives the sink
+    the same samples and events (with the same ``vpn``)."""
+    sinks = [
+        MetricsSink(trace=EventTrace()) if observed else NULL_SINK
+        for _ in range(2)
+    ]
+    walker = FixedLatencyWalker(PageTable(), 20, sink=sinks[0])
+    oracle = ChainFixedWalker(ChainPageTable(), 20, sink=sinks[1])
+    for now, (op, core, asid, size, page_number) in enumerate(ops):
+        outcomes = []
+        for w in (walker, oracle):
+            try:
+                if op == "walk_info":
+                    # The variable walker's first touch: nodes first.
+                    if w is walker:
+                        got = w.page_table.walk_info(asid, size, page_number)
+                    else:
+                        got = w.page_table.walk_info(
+                            asid, _first_vpn(size, page_number), size
+                        )
+                else:
+                    got = getattr(w, op)(core, asid, size, page_number, now)
+            except ValueError as exc:
+                got = str(exc)
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1]
+        assert walker.walks == oracle.walks
+        assert _table_state(walker.page_table) == _table_state(
+            oracle.page_table
+        )
+    if observed:
+        assert sinks[0].trace.to_records() == sinks[1].trace.to_records()
+        assert sinks[0].registry.snapshot() == sinks[1].registry.snapshot()
+
+
+def test_fixed_rewalk_is_one_page_table_call(monkeypatch):
+    """A re-walk of a mapped page reaches the page table through one
+    ``map_translation`` call and nothing else."""
+    table = PageTable()
+    walker = FixedLatencyWalker(table, 20)
+    walker.walk_cycles(0, 1, PAGE_4K, 77, now=0)
+    calls = []
+    for name in ("map_translation", "map_page", "lookup", "walk_addresses",
+                 "walk_info", "_node_chain"):
+        real = getattr(table, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(table, name, spy)
+    assert walker.walk_cycles(0, 1, PAGE_4K, 77, now=5) == 20
+    assert calls == ["map_translation"]
