@@ -26,13 +26,18 @@ unrelated message at cycle 4000.  Only true same-cycle conflicts on a
 link cause retries.  Indexing by cycle mirrors the hardware's ANDed
 grants: the directed links are numbered run by run (per row an
 eastward and a westward run, per column a southward and a northward
-run, each in travel order), so every XY leg is one slice of one run.
-A route's path is then at most two tuple slices sharing the runs' link
-objects, its mask at most two contiguous bit fields, and one setup
-attempt is one integer AND per traversal cycle, not one test per hop.
-A one-cycle traversal (every route up to HPCmax hops) is tested with
-one AND and booked with one OR in line; only a conflict or a longer
-span runs the search, :meth:`NocstarInterconnect._first_free`.
+run, each in travel order), so every XY leg is one contiguous field of
+one run's bits, and one setup attempt is one integer AND per traversal
+cycle, not one test per hop.  The per-pair route memo holds only small
+ints — hops, traversal cycles, and each leg's run-relative bits and
+bit offset — and a send builds the mask with two shifts and an OR: at
+1,024 tiles a mask is up to 3,968 bits wide, too big to keep for every
+pair.  A route's path (at most two slices of the link tuple, sharing
+its link objects) is built only where links are named: a round-trip
+hold and its release, hold policing, and the fault injector's
+dead-link test.  A one-cycle traversal (every route up to HPCmax hops)
+is tested with one AND and booked with one OR in line; only a conflict
+or a longer span runs the search, :meth:`NocstarInterconnect._first_free`.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ from repro.faults.inject import (
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
-#: (XY path, its links as a bitmask, uncontended traversal cycles).
-Route = Tuple[Tuple[Link, ...], int, int]
-#: A run of directed links in travel order, and the bit of its first.
-Run = Tuple[Tuple[Link, ...], int]
+#: (hops, uncontended traversal cycles, then the X leg's and the Y
+#: leg's run-relative bits and bit offset): the path's mask is
+#: ``x_bits << x_offset | y_bits << y_offset``, and an absent leg is
+#: ``(0, 0)``.
+Route = Tuple[int, int, int, int, int, int]
 
 
 class NocstarTraversal(NamedTuple):
@@ -65,6 +71,8 @@ class NocstarTraversal(NamedTuple):
     hops: int
     setup_retries: int
     traversal_cycles: int
+    #: The held circuit of a round-trip send, for :meth:`release`;
+    #: ``()`` for a one-way send and for a fault fallback.
     links: Tuple[Link, ...]
 
     @property
@@ -107,17 +115,20 @@ class NocstarInterconnect:
             for x in range(cols)
         ]
         links: List[Link] = []
-        #: Per row, then per column: its (forward, backward) runs.
-        self._lanes: List[Tuple[Run, Run]] = []
+        #: Per row, then per column: the bits of its forward and of its
+        #: backward run's first link.
+        self._lanes: List[Tuple[int, int]] = []
         for forward in lanes:
             backward = [(b, a) for a, b in reversed(forward)]
-            self._lanes.append((
-                (tuple(forward), len(links)),
-                (tuple(backward), len(links) + len(forward)),
-            ))
+            self._lanes.append((len(links), len(links) + len(forward)))
             links += forward + backward
         self._links: Tuple[Link, ...] = tuple(links)
         self._bit = {link: k for k, link in enumerate(links)}
+        #: Every value a route's leg fields take — the bits of an
+        #: n-hop leg, and a bit offset — so that routes share these ints
+        #: instead of each holding its own.
+        self._ones = tuple((1 << n) - 1 for n in range(max(rows, cols)))
+        self._offsets = tuple(range(max(len(links), 1)))
         self._tiles = topology.num_tiles
         #: src * num_tiles + dst -> Route, filled on first use.
         self._routes: Dict[int, Route] = {}
@@ -143,29 +154,39 @@ class NocstarInterconnect:
 
     def _route(self, key: int) -> Route:
         """Build and memoise the :data:`Route` for ``key``, which is
-        ``src * num_tiles + dst``: each XY leg slices one run."""
+        ``src * num_tiles + dst``: each XY leg is the bits ``a`` up to
+        ``b`` of one run."""
         src, dst = divmod(key, self._tiles)
         cols, rows = self.topology.cols, self.topology.rows
         sy, sx = divmod(src, cols)
         dy, dx = divmod(dst, cols)
-        path: Tuple[Link, ...] = ()
-        mask = 0
+        hops = 0
+        legs: List[int] = []
         for (forward, backward), here, there, last in (
             (self._lanes[sy], sx, dx, cols - 1),
             (self._lanes[rows + dx], sy, dy, rows - 1),
         ):
             if there > here:
-                (run, bit), a, b = forward, here, there
+                bit, a, b = forward, here, there
             elif there < here:
-                (run, bit), a, b = backward, last - here, last - there
+                bit, a, b = backward, last - here, last - there
             else:
-                continue
-            path += run[a:b]
-            mask |= ((1 << (b - a)) - 1) << (bit + a)
+                bit = a = b = 0
+            hops += b - a
+            legs += (self._ones[b - a], self._offsets[bit + a])
         route = self._routes[key] = (
-            path, mask, self.traversal_cycles(len(path))
+            hops, self.traversal_cycles(hops), *legs
         )
         return route
+
+    def _path(self, route: Route) -> Tuple[Link, ...]:
+        """The XY path of ``route``: one slice of the links per leg."""
+        _, _, x_bits, x_offset, y_bits, y_offset = route
+        links = self._links
+        return (
+            links[x_offset:x_offset + x_bits.bit_length()]
+            + links[y_offset:y_offset + y_bits.bit_length()]
+        )
 
     def _first_free(self, mask: int, start: int, duration: int) -> int:
         """First cycle from ``start`` on at which every link in ``mask``
@@ -204,7 +225,9 @@ class NocstarInterconnect:
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
         key = src * self._tiles + dst
-        path, mask, duration = self._routes.get(key) or self._route(key)
+        route = self._routes.get(key) or self._route(key)
+        hops, duration, x_bits, x_offset, y_bits, y_offset = route
+        mask = x_bits << x_offset | y_bits << y_offset
         earliest = now if speculative_setup else now + 1
         # A free one-cycle span is one AND; a conflict or a longer span
         # takes the search.
@@ -213,15 +236,15 @@ class NocstarInterconnect:
         else:
             start = self._first_free(mask, earliest, duration)
         if self._held_mask & mask:
-            self._police_holds(path, start + duration)
+            self._police_holds(self._path(route), start + duration)
         retries = start - earliest
-        self._reserve(path, mask, start, duration, retries, hold)
+        links = self._reserve(route, mask, start, retries, hold)
         if self._event is not None:
             self._event(
                 now, "nocstar_setup",
-                src=src, dst=dst, hops=len(path), retries=retries, hold=hold,
+                src=src, dst=dst, hops=hops, retries=retries, hold=hold,
             )
-        return NocstarTraversal(start + duration, len(path), retries, duration, path)
+        return NocstarTraversal(start + duration, hops, retries, duration, links)
 
     #: The route-cached send's former name, still listed as a wrap
     #: target by benchmarks/e2e/layers.py; never dispatched to.
@@ -254,10 +277,11 @@ class NocstarInterconnect:
             )
         inj = self.faults
         key = src * self._tiles + dst
-        path, mask, duration = self._routes.get(key) or self._route(key)
-        hops = len(path)
+        route = self._routes.get(key) or self._route(key)
+        hops, duration, x_bits, x_offset, y_bits, y_offset = route
+        mask = x_bits << x_offset | y_bits << y_offset
         earliest = now if speculative_setup else now + 1
-        if not inj.router.path_alive(path):
+        if not inj.router.path_alive(self._path(route)):
             return self._fallback(src, dst, earliest, hops, attempts=1)
         deadline = earliest + inj.plan.setup_timeout
         start = earliest
@@ -273,7 +297,9 @@ class NocstarInterconnect:
             # A retry polices holds on every attempt; the last one (the
             # won start, else the cycle before the deadline) ends latest.
             if self._held_mask & mask:
-                self._police_holds(path, min(free, deadline - 1) + duration)
+                self._police_holds(
+                    self._path(route), min(free, deadline - 1) + duration
+                )
             start = free
             if start == deadline:
                 continue
@@ -285,24 +311,20 @@ class NocstarInterconnect:
             start += backoff
             backoff = min(backoff * 2, inj.plan.max_backoff)
         retries = attempts - 1
-        self._reserve(path, mask, start, duration, retries, hold)
+        links = self._reserve(route, mask, start, retries, hold)
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,
             drops=drops,
         )
-        return NocstarTraversal(start + duration, hops, retries, duration, path)
+        return NocstarTraversal(start + duration, hops, retries, duration, links)
 
     def _reserve(
-        self,
-        path: Tuple[Link, ...],
-        mask: int,
-        start: int,
-        duration: int,
-        retries: int,
-        hold: bool,
-    ) -> None:
-        """Book a won setup's span and charge its attempts."""
+        self, route: Route, mask: int, start: int, retries: int, hold: bool
+    ) -> Tuple[Link, ...]:
+        """Book a won setup's span and charge its attempts; returns the
+        held path, or ``()`` when ``hold`` is off."""
+        hops, duration = route[0], route[1]
         end = start + duration
         busy = self._busy
         busy_at = busy.get
@@ -311,16 +333,18 @@ class NocstarInterconnect:
         else:
             for cycle in range(start, end):
                 busy[cycle] = busy_at(cycle, 0) | mask
+        held: Tuple[Link, ...] = ()
         if hold:
-            self._held.update(dict.fromkeys(path, end))
+            held = self._path(route)
+            self._held.update(dict.fromkeys(held, end))
             self._held_mask |= mask
-        hops = len(path)
         # Every setup attempt broadcasts a request to all path arbiters.
         self.control_requests += hops * (retries + 1)
         self.total_hops += hops
         self.total_setup_retries += retries
         if retries == 0:
             self.uncontended_messages += 1
+        return held
 
     def _fallback(
         self, src: int, dst: int, giveup: int, xy_hops: int, attempts: int

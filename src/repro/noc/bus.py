@@ -54,8 +54,3 @@ class BusNetwork:
             hops=1,
             queue_cycles=queued,
         )
-
-    @property
-    def utilisation_window(self) -> int:
-        """Number of distinct busy cycles recorded (diagnostics)."""
-        return len(self._busy)

@@ -68,11 +68,6 @@ class Span:
         self.status = "ok"
         self.attrs: Dict[str, object] = dict(attrs)
 
-    @property
-    def duration_s(self) -> float:
-        end = self.end_s if self.end_s is not None else time.time()
-        return max(0.0, end - self.start_s)
-
     def finish(self, end_s: Optional[float] = None) -> None:
         if self.end_s is None:
             self.end_s = time.time() if end_s is None else end_s

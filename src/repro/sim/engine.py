@@ -43,6 +43,7 @@ from __future__ import annotations
 import gc
 import heapq
 import weakref
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -363,7 +364,8 @@ class _CompiledCore:
     """One core's trace compiled into its L1 misses.
 
     ``prefix[i]`` is the cycle cost of the first ``i`` records (each
-    record costs ``gap + 1``) and ``total`` the whole stream's.
+    record costs ``gap + 1``), an ``array('q')``, and ``total`` the
+    whole stream's.
     ``misses[k]`` is ``(before, after, key)`` for the ``k``-th record
     that misses the L1: the cost of the records before it and through
     it (``prefix[m]`` and ``prefix[m + 1]`` for record ``m``) and its
@@ -401,7 +403,8 @@ def _compile_core(streams, arrays) -> _CompiledCore:
     storms, no shootdowns).
     """
     merged = interleave_streams(streams)
-    prefix = [0] * (len(merged) + 1)
+    # Machine-sized prefix sums: 8 bytes a record, not a boxed int.
+    prefix = array("q", [0]) * (len(merged) + 1)
     misses: List[Tuple[int, int, Tuple[int, int, int]]] = []
     add_miss = misses.append
     # The probe below is SetAssociativeTLB.lookup inlined (this is the

@@ -157,10 +157,6 @@ class PolicyEval:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def slice_hit_rate(self, shard: int) -> float:
-        accesses = self.slice_accesses[shard]
-        return self.slice_hits[shard] / accesses if accesses else 0.0
-
 
 class _PreparedStream:
     """Canonical stream resolved against one structure geometry."""

@@ -24,6 +24,7 @@ import numpy as np
 from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
 from repro.vm.address_space import AddressSpace, Extent, VpnAllocator
 from repro.vm.superpage import SuperpagePolicy
+from repro.workloads.io import page_size_column
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.trace import Record, Workload
 
@@ -303,7 +304,8 @@ def generate_stream(
 
     gaps = 1 + rng.poisson(max(spec.mean_gap - 1.0, 0.0), size=n)
     return list(
-        zip(gaps.tolist(), asids.tolist(), sizes.tolist(), numbers.tolist())
+        zip(gaps.tolist(), asids.tolist(), page_size_column(sizes),
+            numbers.tolist())
     )
 
 

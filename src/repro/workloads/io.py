@@ -6,7 +6,8 @@ concatenates every stream's ``(gap, asid, page_size, page_number)``
 records, in (core, stream) order, into one ``(N, 4)`` ``int64`` array
 plus stream offsets, and :func:`unpack_traces` turns such an array back
 into tuples of Python ``int`` (never ``np.int64``), byte-identical to
-what the generators produced.  The portable ``.npz`` format below, the
+what the generators produced, each page size one shared int
+(:func:`page_size_column`).  The portable ``.npz`` format below, the
 packed artifacts of :class:`~repro.exec.trace_store.TraceStore` and
 :func:`~repro.exec.cache.workload_fingerprint` all go through it.
 
@@ -35,6 +36,25 @@ from repro.vm.address import PAGE_SIZES
 from repro.workloads.trace import Record, Workload
 
 FORMAT_VERSION = 1
+
+#: The page sizes, ascending, as int64 values and as the constants' own
+#: int objects.
+_SIZE_VALUES = np.array(PAGE_SIZES, dtype=np.int64)
+_SIZE_OBJECTS = np.array(PAGE_SIZES, dtype=object)
+
+
+def page_size_column(sizes: np.ndarray) -> List[int]:
+    """``sizes.tolist()``, save that each value in ``PAGE_SIZES`` is
+    that constant's own int object: every record of one page size
+    shares one int instead of holding its own.  Any other value stays
+    itself (never a neighbouring page size), for :func:`check_records`
+    and the engine to see as it is."""
+    index = _SIZE_VALUES.searchsorted(sizes)
+    column = _SIZE_OBJECTS.take(index, mode="clip")
+    other = _SIZE_VALUES.take(index, mode="clip") != sizes
+    if np.count_nonzero(other):
+        column[other] = sizes[other].tolist()
+    return column.tolist()
 
 
 def pack_workload(
@@ -79,12 +99,17 @@ def unpack_traces(
 ) -> List[List[List[Record]]]:
     """Rebuild ``traces[core][stream]`` record lists from packed form.
 
-    The column-wise ``tolist()`` conversion yields tuples of Python
-    ``int`` — exactly the record type the generators emit — and is the
-    only copy the attach path makes: the packed array itself can be a
-    read-only memmap shared by every attached process.
+    The column-wise ``tolist()`` conversion (the size column through
+    :func:`page_size_column`) yields tuples of Python ``int`` — exactly
+    the records the generators emit — and is the only copy the attach
+    path makes: the packed array itself can be a read-only memmap
+    shared by every attached process.
     """
-    records = list(zip(*[data[:, i].tolist() for i in range(4)]))
+    gaps, asids, sizes, pages = data.T
+    records = list(
+        zip(gaps.tolist(), asids.tolist(), page_size_column(sizes),
+            pages.tolist())
+    )
     spans = iter(zip(offsets, offsets[1:]))
     return [
         [records[lo:hi] for lo, hi in islice(spans, num_streams)]

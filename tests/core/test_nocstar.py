@@ -235,7 +235,7 @@ class PerLinkOracle:
         counts["total_hops"] += hops
         counts["total_setup_retries"] += retries
         counts["uncontended_messages"] += retries == 0
-        return (start + duration, hops, retries, duration, path)
+        return (start + duration, hops, retries, duration, path if hold else ())
 
     def release(self, links, at):
         for link in links:
@@ -273,7 +273,7 @@ def test_cycle_indexed_store_matches_per_link_oracle(tiles, hpc_max, ops):
         hold = service is not None
         got = ic.send(src, dst, now, speculative, hold)
         assert tuple(got) == oracle.send(src, dst, now, speculative, hold)
-        if hold and got.links:
+        if hold and got.hops:
             at = got.ready + service
             ic.release(got.links, at)
             oracle.release(got.links, at)
@@ -281,28 +281,95 @@ def test_cycle_indexed_store_matches_per_link_oracle(tiles, hpc_max, ops):
     assert ic.link_busy_cycles() == oracle.link_busy_cycles()
 
 
+class LegacyRoutes:
+    """The route builder the memo of small ints replaced, kept verbatim
+    (``_route``) as the oracle: per pair, the XY path sliced from link
+    runs, its links as a bitmask, and ``ceil(hops / HPCmax)``."""
+
+    def __init__(self, topology, hpc_max):
+        self.topology = topology
+        self.hpc_max = hpc_max
+        rows, cols = topology.rows, topology.cols
+        lanes = [
+            [(t, t + 1) for t in range(y * cols, (y + 1) * cols - 1)]
+            for y in range(rows)
+        ] + [
+            [(t, t + cols) for t in range(x, (rows - 1) * cols, cols)]
+            for x in range(cols)
+        ]
+        links = []
+        self._lanes = []
+        for forward in lanes:
+            backward = [(b, a) for a, b in reversed(forward)]
+            self._lanes.append((
+                (tuple(forward), len(links)),
+                (tuple(backward), len(links) + len(forward)),
+            ))
+            links += forward + backward
+        self._links = tuple(links)
+        self._tiles = topology.num_tiles
+        self._routes = {}
+
+    def traversal_cycles(self, hops):
+        return -(-hops // self.hpc_max) if hops else 0
+
+    def _route(self, key):
+        src, dst = divmod(key, self._tiles)
+        cols, rows = self.topology.cols, self.topology.rows
+        sy, sx = divmod(src, cols)
+        dy, dx = divmod(dst, cols)
+        path = ()
+        mask = 0
+        for (forward, backward), here, there, last in (
+            (self._lanes[sy], sx, dx, cols - 1),
+            (self._lanes[rows + dx], sy, dy, rows - 1),
+        ):
+            if there > here:
+                (run, bit), a, b = forward, here, there
+            elif there < here:
+                (run, bit), a, b = backward, last - here, last - there
+            else:
+                continue
+            path += run[a:b]
+            mask |= ((1 << (b - a)) - 1) << (bit + a)
+        route = self._routes[key] = (
+            path, mask, self.traversal_cycles(len(path))
+        )
+        return route
+
+
 def _check_routes(tiles, pairs):
-    """Each pair's memoised route is its XY path, sliced from the link
-    runs, with one mask bit per hop naming exactly the path's links, and
-    the traversal ``ceil(hops / HPCmax)`` that a send then takes."""
+    """Each pair's send takes the legacy builder's hops and traversal
+    and books its mask (one bit per hop, naming exactly the XY path's
+    links) in every traversal cycle; the path the memo builds, and the
+    circuit a round-trip send holds, are the XY path."""
     topology = MeshTopology(tiles)
     for hpc_max in (3, 16):
         ic = NocstarInterconnect(topology, NocstarConfig(hpc_max=hpc_max))
         assert ic.send.__func__ is NocstarInterconnect.send  # fault-free
+        legacy = LegacyRoutes(topology, hpc_max)
+        assert ic._links == legacy._links
         for src, dst in pairs:
-            path, mask, duration = ic._route(src * tiles + dst)
-            assert path == tuple(topology.xy_path(src, dst))
-            assert bin(mask).count("1") == len(path) == topology.hops(src, dst)
+            path, mask, duration = legacy._route(src * tiles + dst)
+            xy = tuple(topology.xy_path(src, dst))
+            assert path == xy
+            assert bin(mask).count("1") == len(xy) == topology.hops(src, dst)
             bits, decoded = mask, set()
             while bits:
                 low = bits & -bits
                 decoded.add(ic._links[low.bit_length() - 1])
                 bits ^= low
-            assert decoded == set(path)
-            assert duration == -(-len(path) // hpc_max)
-        src, dst = pairs[-1]
-        sent = ic.send(src, dst, now=0)
-        assert (sent.links, sent.traversal_cycles) == (path, duration)
+            assert decoded == set(xy)
+            ic.reset()
+            sent = ic.send(src, dst, now=0)
+            assert (sent.hops, sent.traversal_cycles) == (len(path), duration)
+            assert sent.links == ()
+            booked = {cycle: mask for cycle in range(1, 1 + duration)}
+            assert ic._busy == booked
+            assert ic._path(ic._route(src * tiles + dst)) == xy
+            ic.reset()
+            held = ic.send(src, dst, now=0, hold=True)
+            assert held.links == xy and ic._busy == booked
 
 
 @pytest.mark.parametrize("tiles", [1, 2, 3, 6, 7, 12, 16, 64, 128])
@@ -323,17 +390,21 @@ def test_sampled_mega_mesh_routes_are_xy_paths_and_masks(tiles):
 
 def test_routes_share_the_link_objects_they_cross():
     ic = make(16)  # 4x4
-    x_leg = ic._route(0 * 16 + 3)[0]  # (0,1) (1,2) (2,3)
-    inner = ic._route(1 * 16 + 2)[0]  # (1,2)
-    corner = ic._route(0 * 16 + 15)[0]  # (0,1) (1,2) (2,3) (3,7) ...
-    y_leg = ic._route(3 * 16 + 15)[0]  # (3,7) (7,11) (11,15)
+
+    def path(src, dst):
+        return ic._path(ic._route(src * 16 + dst))
+
+    x_leg = path(0, 3)  # (0,1) (1,2) (2,3)
+    inner = path(1, 2)  # (1,2)
+    corner = path(0, 15)  # (0,1) (1,2) (2,3) (3,7) ...
+    y_leg = path(3, 15)  # (3,7) (7,11) (11,15)
     assert x_leg[1] is inner[0]
     assert all(a is b for a, b in zip(x_leg, corner))
     assert all(a is b for a, b in zip(corner[3:], y_leg))
 
 
 def test_nocstar_run_never_walks_xy_paths_or_the_route_cache(monkeypatch):
-    """A cold 64-core run slices every path from the link runs."""
+    """A cold 64-core run takes every route from the link runs' bits."""
     calls = []
     for owner, name in ((MeshTopology, "xy_path"), (RouteCache, "path")):
         def spy(self, *args, _name=name, _real=getattr(owner, name)):
@@ -347,6 +418,28 @@ def test_nocstar_run_never_walks_xy_paths_or_the_route_cache(monkeypatch):
     result = simulate(cfg.nocstar(64), workload)
     assert result.network["messages"] > 0
     assert calls == []
+
+
+def test_mega_mesh_route_memo_holds_only_machine_sized_ints(monkeypatch):
+    """After a 1,024-tile run, no memoised route keeps a link or a mask
+    (up to 3,968 bits wide here): every field fits a machine word."""
+    systems = []
+    finalize = System.finalize_stats
+
+    def spy(self):
+        systems.append(self)
+        finalize(self)
+
+    monkeypatch.setattr(System, "finalize_stats", spy)
+    workload = build_multithreaded(
+        get_workload("graph500"), 1024, accesses_per_core=4, seed=3
+    )
+    simulate(cfg.build_config("nocstar-1024", 1024), workload)
+    (system,) = systems
+    routes = system.network._routes
+    assert len(routes) > 1_000
+    for route in routes.values():
+        assert all(type(v) is int and 0 <= v < 2**63 for v in route)
 
 
 @settings(max_examples=40)
@@ -367,10 +460,10 @@ def test_no_two_messages_share_a_link_cycle(messages):
     usage = {}
     for src, dst, now in messages:
         t = ic.send(src, dst, now)
-        if not t.links:
+        if not t.hops:
             continue
         start = t.ready - t.traversal_cycles
-        for link in t.links:
+        for link in ic.topology.xy_path(src, dst):
             for cycle in range(start, t.ready):
                 key = (link, cycle)
                 assert key not in usage, "link double-booked"

@@ -68,13 +68,16 @@ def test_transient_drops_retry_with_backoff_then_deliver():
     topology, injector = _injector(arbiter_drop_prob=0.5, seed=3)
     noc = NocstarInterconnect(topology, faults=injector)
     plain = NocstarInterconnect(topology)
+    xy = tuple(topology.xy_path(0, 15))
     dropped = delivered = 0
     for i in range(40):
         now = i * 50
-        traversal = noc.send(0, 15, now)
-        baseline = plain.send(0, 15, now)
+        traversal = noc.send(0, 15, now, hold=True)
+        baseline = plain.send(0, 15, now, hold=True)
         assert traversal.hops == baseline.hops
-        assert traversal.links == baseline.links  # circuit still held
+        assert traversal.links == baseline.links == xy  # circuit still held
+        noc.release(traversal.links, traversal.ready)
+        plain.release(baseline.links, baseline.ready)
         if traversal.ready == baseline.ready:
             delivered += 1
         else:
@@ -111,7 +114,9 @@ def test_faulty_send_counts_energy_and_messages_like_the_seed_path():
 class CycleByCycleNocstar(NocstarInterconnect):
     """``_send_faulty`` as it was before it shared the fault-free setup
     search: contention retried one cycle at a time through
-    ``_path_free``.  Kept verbatim, only as the oracle below."""
+    ``_path_free``.  Kept verbatim, only as the oracle below, save that
+    it reads the path from the topology and its hops and mask from the
+    route memo, and returns the path only when it holds the circuit."""
 
     def _send_faulty(
         self, src, dst, now, speculative_setup=False, hold=False
@@ -124,8 +129,10 @@ class CycleByCycleNocstar(NocstarInterconnect):
             )
         inj = self.faults
         key = src * self._tiles + dst
-        path, mask, duration = self._routes.get(key) or self._route(key)
-        hops = len(path)
+        route = self._routes.get(key) or self._route(key)
+        hops, duration, x_bits, x_offset, y_bits, y_offset = route
+        mask = x_bits << x_offset | y_bits << y_offset
+        path = tuple(self.topology.xy_path(src, dst))
         earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
             return self._fallback(src, dst, earliest, hops, attempts=1)
@@ -149,13 +156,15 @@ class CycleByCycleNocstar(NocstarInterconnect):
                 continue
             break
         retries = attempts - 1
-        self._reserve(path, mask, start, duration, retries, hold)
+        self._reserve(route, mask, start, retries, hold)
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,
             drops=drops,
         )
-        return NocstarTraversal(start + duration, hops, retries, duration, path)
+        return NocstarTraversal(
+            start + duration, hops, retries, duration, path if hold else ()
+        )
 
     def _path_free(self, path, mask, start, duration):
         """True if every link is free for [start, start+duration)."""

@@ -1,6 +1,7 @@
 """Engine mechanics: trace consumption, storms, SMT, determinism."""
 
 import gc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from repro.sim.engine import (
 )
 from repro.sim.system import System
 from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
-from repro.workloads.trace import Workload
+from repro.workloads.trace import Workload, interleave_streams
 
 
 def tiny_workload(num_cores=2, accesses=50, gap=2, smt=1, stride=1):
@@ -208,6 +209,37 @@ def drawn_workloads(draw):
             streams.append(draw(st.lists(_records, min_size=n, max_size=n)))
         traces.append(streams)
     return Workload("drawn", traces, seed=0, superpages=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(workload=drawn_workloads())
+def test_compiled_prefix_sums_are_int64_and_every_miss_reads_them(workload):
+    """``_compile_core`` writes the running sum of ``gap + 1`` into an
+    ``array('q')``, and each L1 miss, found by replaying the merged
+    stream through fresh L1 arrays with lookup and insert, carries the
+    sums before and through its record."""
+    compiled = System(cfg.private(workload.num_cores)).l1s
+    replayed = System(cfg.private(workload.num_cores)).l1s
+    for core in range(workload.num_cores):
+        streams = workload.core_streams(core)
+        merged = interleave_streams(streams)
+        l1 = compiled[core]
+        cc = engine._compile_core(
+            streams, {size: l1.array(size) for size in l1._arrays}
+        )
+        assert cc.prefix.typecode == "q"
+        assert list(cc.prefix) == list(
+            accumulate((gap + 1 for gap, *_ in merged), initial=0)
+        )
+        assert cc.total == cc.prefix[-1]
+        misses = []
+        for m, (_, asid, size, page_number) in enumerate(merged):
+            if not replayed[core].array(size).lookup(asid, size, page_number):
+                replayed[core].array(size).insert(asid, size, page_number)
+                misses.append(
+                    (cc.prefix[m], cc.prefix[m + 1], (asid, size, page_number))
+                )
+        assert cc.misses == misses + [engine._NO_MISS]
 
 
 def _both_loops(config, workload, **kwargs):

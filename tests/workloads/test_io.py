@@ -1,15 +1,24 @@
 """Workload trace persistence."""
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.exec.trace_store import load_workload_packed, save_workload_packed
+from repro.exec.cache import workload_fingerprint
+from repro.exec.trace_store import (
+    attach_workload,
+    load_workload_packed,
+    save_workload_packed,
+)
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
-from repro.vm.address import PAGE_2M, PAGE_4K
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, PAGE_SIZES
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.io import (
+    check_records,
     load_workload,
     pack_workload,
+    page_size_column,
     save_workload,
     unpack_traces,
     workload_from_records,
@@ -192,3 +201,87 @@ def test_from_records_validation():
         workload_from_records("x", [[(1, -1, PAGE_4K, 1)]])
     with pytest.raises(ValueError, match="need"):
         workload_from_records("x", [[(1, 1, PAGE_4K)]])
+
+
+# ----------------------------------------------------------------------
+# shared page-size ints
+
+
+def _page_sizes(workload):
+    return [
+        record[2]
+        for core in workload.traces
+        for stream in core
+        for record in stream
+    ]
+
+
+def _assert_shares_page_size_ints(workload):
+    """Every record names its page size by the constant itself, and
+    the workload uses both 4KB and 2MB pages."""
+    sizes = _page_sizes(workload)
+    assert all(size is PAGE_4K or size is PAGE_2M for size in sizes)
+    assert PAGE_4K in sizes and PAGE_2M in sizes
+
+
+def test_every_path_shares_the_page_size_ints(tmp_path, workload):
+    """Built, loaded, attached and user-supplied records all hold the
+    ``PAGE_*`` int objects, not an int of their own per record."""
+    _assert_shares_page_size_ints(workload)
+    _assert_shares_page_size_ints(
+        load_workload(save_workload(workload, tmp_path / "trace.npz"))
+    )
+    packed = save_workload_packed(workload, tmp_path / "trace.npy")
+    _assert_shares_page_size_ints(attach_workload(str(packed)))
+    # Sizes built at run time: equal to the constants, not the objects.
+    fresh = [
+        [(2, 1, int(str(size)), 100 + i) for i, size in enumerate(sizes)]
+        for sizes in ((PAGE_4K, PAGE_2M), (PAGE_2M, PAGE_4K, PAGE_4K))
+    ]
+    assert fresh[0][0][2] is not PAGE_4K
+    _assert_shares_page_size_ints(workload_from_records("custom", fresh))
+
+
+def test_workload_fingerprint_is_unchanged(workload):
+    """Sharing the size ints changes no packed byte."""
+    assert workload_fingerprint(workload) == (
+        "ed54d5075eda255f65ee3a1f0851096e249591869e69a73b69e34e3f4f925300"
+    )
+
+
+def test_sizes_outside_page_sizes_unpack_as_themselves():
+    """An unchecked size is never rounded onto a neighbouring page
+    size (a bare ``searchsorted`` would turn 8192 into ``PAGE_2M``):
+    ``check_records`` rejects it, and the engine meets it as a record
+    built by hand."""
+    sizes = (PAGE_4K, 8192, PAGE_2M, PAGE_1G, 2 * PAGE_1G, 0, -PAGE_4K)
+    data = np.array([[1, 1, size, 7] for size in sizes], dtype=np.int64)
+    (records,), = unpack_traces(data, [0, len(sizes)], [1])
+    for record, size in zip(records, sizes):
+        assert type(record[2]) is int and record[2] == size
+        assert any(record[2] is known for known in PAGE_SIZES) == (
+            size in PAGE_SIZES
+        )
+    with pytest.raises(ValueError, match="core 0 record 1: bad page size 8192"):
+        check_records(data, [0, len(sizes)], ["core 0"])
+    unpacked = Workload("odd", [[records[1:2]]], seed=0, superpages=False)
+    by_hand = Workload("odd", [[[(1, 1, 8192, 7)]]], seed=0, superpages=False)
+    for odd in (unpacked, by_hand):
+        with pytest.raises(KeyError, match="8192"):
+            simulate(cfg.private(1), odd)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(PAGE_SIZES),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        )
+    )
+)
+def test_page_size_column_is_tolist_with_shared_page_sizes(values):
+    column = page_size_column(np.array(values, dtype=np.int64))
+    assert column == values
+    for got in column:
+        assert type(got) is int
+        assert (got in PAGE_SIZES) == any(got is size for size in PAGE_SIZES)
