@@ -6,8 +6,9 @@ CACHE_DIR ?= .repro-cache
 
 .PHONY: install test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke bench-regression \
-        bench-e2e-selftest experiments-smoke policy-smoke verify bench \
-        bench-full bench-faults examples calibrate cache-clean clean
+        bench-e2e-selftest bench-e2e-pins experiments-smoke policy-smoke \
+        verify bench bench-full bench-faults examples calibrate cache-clean \
+        clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -71,6 +72,18 @@ bench-regression:
 bench-e2e-selftest:
 	$(RUN) -m pytest benchmarks/e2e -q
 
+# End-to-end pins: a short run of every benchmark workload at both
+# pinned seeds.  A run exits non-zero when a unit's digest differs from
+# benchmarks/e2e/pins.json or a campaign drifts from its pins.
+E2E_WORKLOADS = paper-64 mega-1024 storm-64 campaign-smoke
+bench-e2e-pins:
+	for seed in 3 17; do \
+		for workload in $(E2E_WORKLOADS); do \
+			$(PYTHON) benchmarks/e2e/run.py --workload $$workload \
+				--seed $$seed --seconds 3 --trace 0 || exit 1; \
+		done; \
+	done
+
 # Experiments smoke: the headline campaigns at the CI-fast smoke scale,
 # gated against the pinned reference numbers (`--check` exits non-zero
 # on drift).  Artifacts land under campaigns/ (CSV/JSON; plots only
@@ -89,11 +102,11 @@ policy-smoke:
 # The full local gate: tests plus the parallel, observability,
 # fault-injection, engine fast-path, sweep data-plane, mega-mesh
 # scale, experiment-campaign, and policy-zoo smokes, the end-to-end
-# benchmark's self-tests, then the benchmark regression gate over the
-# artefacts the bench smokes just regenerated.
+# benchmark's self-tests and pins, then the benchmark regression gate
+# over the artefacts the bench smokes just regenerated.
 verify: test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke experiments-smoke \
-        policy-smoke bench-e2e-selftest bench-regression
+        policy-smoke bench-e2e-selftest bench-e2e-pins bench-regression
 
 bench:
 	$(RUN) -m pytest benchmarks/ --benchmark-only

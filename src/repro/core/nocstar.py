@@ -28,16 +28,16 @@ grants: the directed links are numbered run by run (per row an
 eastward and a westward run, per column a southward and a northward
 run, each in travel order), so every XY leg is one contiguous field of
 one run's bits, and one setup attempt is one integer AND per traversal
-cycle, not one test per hop.  The per-pair route memo holds only small
-ints — hops, traversal cycles, and each leg's run-relative bits and
-bit offset — and a send builds the mask with two shifts and an OR: at
-1,024 tiles a mask is up to 3,968 bits wide, too big to keep for every
-pair.  A route's path (at most two slices of the link tuple, sharing
-its link objects) is built only where links are named: a round-trip
-hold and its release, hold policing, and the fault injector's
-dead-link test.  A one-cycle traversal (every route up to HPCmax hops)
-is tested with one AND and booked with one OR in line; only a conflict
-or a longer span runs the search, :meth:`NocstarInterconnect._first_free`.
+cycle, not one test per hop.  A leg's bit offset and length are
+arithmetic on its row's or column's run bases
+(:meth:`NocstarInterconnect._legs`), so the fabric keeps no per-pair
+state: a send builds its mask with two shifts and an OR, and a path (at
+most two slices of the link tuple, sharing its link objects) is sliced
+only where links are named: a round-trip hold and its release, hold
+policing, and the fault injector's dead-link test.  A one-cycle
+traversal (every route up to HPCmax hops) is tested with one AND and
+booked with one OR in line; only a conflict or a longer span runs the
+search, :meth:`NocstarInterconnect._first_free`.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ from repro.faults.inject import (
 )
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
-
-#: (hops, uncontended traversal cycles, then the X leg's and the Y
-#: leg's run-relative bits and bit offset): the path's mask is
-#: ``x_bits << x_offset | y_bits << y_offset``, and an absent leg is
-#: ``(0, 0)``.
-Route = Tuple[int, int, int, int, int, int]
 
 
 class NocstarTraversal(NamedTuple):
@@ -115,23 +109,26 @@ class NocstarInterconnect:
             for x in range(cols)
         ]
         links: List[Link] = []
-        #: Per row, then per column: the bits of its forward and of its
-        #: backward run's first link.
+        #: Per row, then per column: the bit of its forward run's first
+        #: link, and the bit just past its backward run's last link — so
+        #: a leg leaving coordinate ``c`` starts at bit ``forward + c``
+        #: or ``backward - c``.
         self._lanes: List[Tuple[int, int]] = []
         for forward in lanes:
             backward = [(b, a) for a, b in reversed(forward)]
-            self._lanes.append((len(links), len(links) + len(forward)))
+            self._lanes.append((len(links), len(links) + 2 * len(forward)))
             links += forward + backward
         self._links: Tuple[Link, ...] = tuple(links)
         self._bit = {link: k for k, link in enumerate(links)}
-        #: Every value a route's leg fields take — the bits of an
-        #: n-hop leg, and a bit offset — so that routes share these ints
-        #: instead of each holding its own.
+        self._rows = rows
+        #: Per tile: its (row, column).
+        self._coords = [divmod(t, cols) for t in range(topology.num_tiles)]
+        #: The bits of an n-hop leg, shared by every send.
         self._ones = tuple((1 << n) - 1 for n in range(max(rows, cols)))
-        self._offsets = tuple(range(max(len(links), 1)))
-        self._tiles = topology.num_tiles
-        #: src * num_tiles + dst -> Route, filled on first use.
-        self._routes: Dict[int, Route] = {}
+        #: Traversal cycles by hop count: ceil(hops / HPCmax).
+        self._spans = tuple(
+            self.traversal_cycles(hops) for hops in range(rows + cols - 1)
+        )
         #: cycle -> mask of the links carrying data during that cycle.
         self._busy: Dict[int, int] = {}
         #: link -> cycle from which the link is held (round-trip mode),
@@ -152,40 +149,42 @@ class NocstarInterconnect:
         """Cycles for the data traversal: ceil(hops / HPCmax)."""
         return -(-hops // self.config.hpc_max) if hops else 0
 
-    def _route(self, key: int) -> Route:
-        """Build and memoise the :data:`Route` for ``key``, which is
-        ``src * num_tiles + dst``: each XY leg is the bits ``a`` up to
-        ``b`` of one run."""
-        src, dst = divmod(key, self._tiles)
-        cols, rows = self.topology.cols, self.topology.rows
-        sy, sx = divmod(src, cols)
-        dy, dx = divmod(dst, cols)
-        hops = 0
-        legs: List[int] = []
-        for (forward, backward), here, there, last in (
-            (self._lanes[sy], sx, dx, cols - 1),
-            (self._lanes[rows + dx], sy, dy, rows - 1),
-        ):
-            if there > here:
-                bit, a, b = forward, here, there
-            elif there < here:
-                bit, a, b = backward, last - here, last - there
-            else:
-                bit = a = b = 0
-            hops += b - a
-            legs += (self._ones[b - a], self._offsets[bit + a])
-        route = self._routes[key] = (
-            hops, self.traversal_cycles(hops), *legs
-        )
-        return route
+    def _legs(self, src: int, dst: int) -> Tuple[int, int, int, int]:
+        """The XY path from ``src`` to ``dst`` as two fields of link
+        bits: ``(x_offset, x_hops, y_offset, y_hops)``.
 
-    def _path(self, route: Route) -> Tuple[Link, ...]:
-        """The XY path of ``route``: one slice of the links per leg."""
-        _, _, x_bits, x_offset, y_bits, y_offset = route
+        The X leg runs along the source's row to the destination's
+        column, then the Y leg along that column; each is the
+        ``hops`` bits from ``offset`` on of one run, and an absent leg
+        is ``(0, 0)``.
+        """
+        sy, sx = self._coords[src]
+        dy, dx = self._coords[dst]
+        lanes = self._lanes
+        forward, backward = lanes[sy]
+        if dx > sx:
+            x_offset, x_hops = forward + sx, dx - sx
+        elif dx < sx:
+            x_offset, x_hops = backward - sx, sx - dx
+        else:
+            x_offset = x_hops = 0
+        forward, backward = lanes[self._rows + dx]
+        if dy > sy:
+            y_offset, y_hops = forward + sy, dy - sy
+        elif dy < sy:
+            y_offset, y_hops = backward - sy, sy - dy
+        else:
+            y_offset = y_hops = 0
+        return x_offset, x_hops, y_offset, y_hops
+
+    def _path(self, src: int, dst: int) -> Tuple[Link, ...]:
+        """The XY path from ``src`` to ``dst``: one slice of the links
+        per leg."""
+        x_offset, x_hops, y_offset, y_hops = self._legs(src, dst)
         links = self._links
         return (
-            links[x_offset:x_offset + x_bits.bit_length()]
-            + links[y_offset:y_offset + y_bits.bit_length()]
+            links[x_offset:x_offset + x_hops]
+            + links[y_offset:y_offset + y_hops]
         )
 
     def _first_free(self, mask: int, start: int, duration: int) -> int:
@@ -224,10 +223,11 @@ class NocstarInterconnect:
             return NocstarTraversal(
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
-        key = src * self._tiles + dst
-        route = self._routes.get(key) or self._route(key)
-        hops, duration, x_bits, x_offset, y_bits, y_offset = route
-        mask = x_bits << x_offset | y_bits << y_offset
+        x_offset, x_hops, y_offset, y_hops = self._legs(src, dst)
+        ones = self._ones
+        mask = ones[x_hops] << x_offset | ones[y_hops] << y_offset
+        hops = x_hops + y_hops
+        duration = self._spans[hops]
         earliest = now if speculative_setup else now + 1
         # A free one-cycle span is one AND; a conflict or a longer span
         # takes the search.
@@ -236,9 +236,10 @@ class NocstarInterconnect:
         else:
             start = self._first_free(mask, earliest, duration)
         if self._held_mask & mask:
-            self._police_holds(self._path(route), start + duration)
+            self._police_holds(self._path(src, dst), start + duration)
         retries = start - earliest
-        links = self._reserve(route, mask, start, retries, hold)
+        links = self._path(src, dst) if hold else ()
+        self._reserve(mask, start, duration, hops, retries, links)
         if self._event is not None:
             self._event(
                 now, "nocstar_setup",
@@ -276,12 +277,14 @@ class NocstarInterconnect:
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
         inj = self.faults
-        key = src * self._tiles + dst
-        route = self._routes.get(key) or self._route(key)
-        hops, duration, x_bits, x_offset, y_bits, y_offset = route
-        mask = x_bits << x_offset | y_bits << y_offset
+        x_offset, x_hops, y_offset, y_hops = self._legs(src, dst)
+        ones = self._ones
+        mask = ones[x_hops] << x_offset | ones[y_hops] << y_offset
+        hops = x_hops + y_hops
+        duration = self._spans[hops]
+        path = self._path(src, dst)
         earliest = now if speculative_setup else now + 1
-        if not inj.router.path_alive(self._path(route)):
+        if not inj.router.path_alive(path):
             return self._fallback(src, dst, earliest, hops, attempts=1)
         deadline = earliest + inj.plan.setup_timeout
         start = earliest
@@ -297,9 +300,7 @@ class NocstarInterconnect:
             # A retry polices holds on every attempt; the last one (the
             # won start, else the cycle before the deadline) ends latest.
             if self._held_mask & mask:
-                self._police_holds(
-                    self._path(route), min(free, deadline - 1) + duration
-                )
+                self._police_holds(path, min(free, deadline - 1) + duration)
             start = free
             if start == deadline:
                 continue
@@ -311,7 +312,8 @@ class NocstarInterconnect:
             start += backoff
             backoff = min(backoff * 2, inj.plan.max_backoff)
         retries = attempts - 1
-        links = self._reserve(route, mask, start, retries, hold)
+        links = path if hold else ()
+        self._reserve(mask, start, duration, hops, retries, links)
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,
@@ -320,11 +322,16 @@ class NocstarInterconnect:
         return NocstarTraversal(start + duration, hops, retries, duration, links)
 
     def _reserve(
-        self, route: Route, mask: int, start: int, retries: int, hold: bool
-    ) -> Tuple[Link, ...]:
-        """Book a won setup's span and charge its attempts; returns the
-        held path, or ``()`` when ``hold`` is off."""
-        hops, duration = route[0], route[1]
+        self,
+        mask: int,
+        start: int,
+        duration: int,
+        hops: int,
+        retries: int,
+        held: Tuple[Link, ...],
+    ) -> None:
+        """Book a won setup's span, hold the ``held`` path (``()`` for
+        a one-way send) and charge the setup's attempts."""
         end = start + duration
         busy = self._busy
         busy_at = busy.get
@@ -333,9 +340,7 @@ class NocstarInterconnect:
         else:
             for cycle in range(start, end):
                 busy[cycle] = busy_at(cycle, 0) | mask
-        held: Tuple[Link, ...] = ()
-        if hold:
-            held = self._path(route)
+        if held:
             self._held.update(dict.fromkeys(held, end))
             self._held_mask |= mask
         # Every setup attempt broadcasts a request to all path arbiters.
@@ -344,7 +349,6 @@ class NocstarInterconnect:
         self.total_setup_retries += retries
         if retries == 0:
             self.uncontended_messages += 1
-        return held
 
     def _fallback(
         self, src: int, dst: int, giveup: int, xy_hops: int, attempts: int

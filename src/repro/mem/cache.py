@@ -15,15 +15,24 @@ cycle band (validated by tests).
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Optional
+from typing import DefaultDict, Dict, Optional, Tuple
 
-LINE_BYTES = 64
+#: ``addr >> LINE_SHIFT`` is the number of the line holding ``addr``.
+LINE_SHIFT = 6
+LINE_BYTES = 1 << LINE_SHIFT
 
 
 class Cache:
-    """One level of set-associative cache with LRU and optional decay."""
+    """One level of set-associative cache with LRU and optional decay.
+
+    Each set is a plain dict, line number -> last-touch cycle, whose
+    insertion order is its LRU order (least recent first): a touch pops
+    the line and re-inserts it at the end, and a fill into a full set
+    evicts the first line.  Sets are built on first touch.
+    """
 
     def __init__(
         self,
@@ -39,41 +48,33 @@ class Cache:
         self.ways = ways
         self.num_sets = num_lines // ways
         self.decay_cycles = decay_cycles
-        # One OrderedDict per set, built on first touch: line address ->
-        # last-touch cycle, least recently used first.
-        self._sets: "DefaultDict[int, OrderedDict[int, int]]" = defaultdict(
-            OrderedDict
-        )
+        #: The greatest age (cycles since its last touch) at which a
+        #: line still hits: the decay window, or unbounded.
+        self.max_age = sys.maxsize if decay_cycles is None else decay_cycles
+        self._sets: DefaultDict[int, Dict[int, int]] = defaultdict(dict)
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, int]":
-        return self._sets[line_addr % self.num_sets]
-
     def lookup(self, addr: int, now: int) -> bool:
         """Probe (and on hit, touch) the line holding ``addr``."""
-        line_addr = addr // LINE_BYTES
-        cache_set = self._set_for(line_addr)
-        stamp = cache_set.get(line_addr)
-        if stamp is not None:
-            if self.decay_cycles is not None and now - stamp > self.decay_cycles:
-                del cache_set[line_addr]  # decayed: evicted by demand traffic
-            else:
-                cache_set.move_to_end(line_addr)
-                cache_set[line_addr] = now
-                self.hits += 1
-                return True
+        line = addr >> LINE_SHIFT
+        cache_set = self._sets[line % self.num_sets]
+        # A decayed line stays popped: evicted by demand traffic.
+        stamp = cache_set.pop(line, None)
+        if stamp is not None and now - stamp <= self.max_age:
+            cache_set[line] = now
+            self.hits += 1
+            return True
         self.misses += 1
         return False
 
     def fill(self, addr: int, now: int) -> None:
         """Install the line holding ``addr``, evicting LRU if needed."""
-        line_addr = addr // LINE_BYTES
-        cache_set = self._set_for(line_addr)
-        if line_addr not in cache_set and len(cache_set) >= self.ways:
-            cache_set.popitem(last=False)
-        cache_set[line_addr] = now
-        cache_set.move_to_end(line_addr)
+        line = addr >> LINE_SHIFT
+        cache_set = self._sets[line % self.num_sets]
+        if cache_set.pop(line, None) is None and len(cache_set) >= self.ways:
+            del cache_set[next(iter(cache_set))]
+        cache_set[line] = now
 
     def invalidate_all(self) -> None:
         self._sets.clear()
@@ -117,64 +118,56 @@ class CacheHierarchy:
         ]
         self.llc = Cache("llc", llc_bytes_per_core * num_cores, 16, llc_decay_cycles)
         self.dram_accesses = 0
+        #: What access returns, one tuple per level, built once.
+        self._outcomes: Tuple[Tuple[str, int], ...] = (
+            ("l1", latencies.l1), ("l2", latencies.l2),
+            ("llc", latencies.llc), ("dram", latencies.dram),
+        )
 
-    def access(self, core: int, addr: int, now: int) -> tuple:
-        # Cache.lookup down the levels, then Cache.fill back up,
-        # open-coded: walk traffic makes this the hottest simulator loop
-        # after the L2-TLB transaction.  The line address is computed
-        # once, and a missed line is absent (a decayed one is deleted),
-        # so each fill is a plain append with LRU eviction on a full set.
-        # A hit moves its line rather than popping and reinserting it,
-        # which would churn the set's hash table into resizes.
-        line = addr // LINE_BYTES
-        lat = self.latencies
+    def access(self, core: int, line: int, now: int) -> Tuple[str, int]:
+        """Reference line number ``line`` from ``core`` at ``now``.
+
+        :meth:`Cache.lookup` down the levels, then :meth:`Cache.fill`
+        back up, open-coded: walk traffic makes this the hottest
+        simulator loop after the L2-TLB transaction.  Each level's probe
+        pops the line, so a hit re-inserts it at the set's MRU end and a
+        miss leaves it absent (a decayed line evicted), and each fill is
+        an append with LRU eviction on a full set.
+        """
+        l1_hit, l2_hit, llc_hit, dram = self._outcomes
         l1 = self.l1[core]
         set1 = l1._sets[line % l1.num_sets]
-        stamp = set1.get(line)
-        if stamp is not None:
-            decay = l1.decay_cycles
-            if decay is None or now - stamp <= decay:
-                set1.move_to_end(line)
-                set1[line] = now
-                l1.hits += 1
-                return "l1", lat.l1
-            del set1[line]  # decayed: evicted by demand traffic
+        stamp = set1.pop(line, None)
+        if stamp is not None and now - stamp <= l1.max_age:
+            set1[line] = now
+            l1.hits += 1
+            return l1_hit
         l1.misses += 1
         l2 = self.l2[core]
         set2 = l2._sets[line % l2.num_sets]
-        stamp = set2.get(line)
-        decay = l2.decay_cycles
-        if stamp is not None and (decay is None or now - stamp <= decay):
-            set2.move_to_end(line)
-            set2[line] = now
+        stamp = set2.pop(line, None)
+        if stamp is not None and now - stamp <= l2.max_age:
             l2.hits += 1
-            level, cycles = "l2", lat.l2
+            outcome = l2_hit
         else:
-            if stamp is not None:
-                del set2[line]
             l2.misses += 1
             llc = self.llc
             set3 = llc._sets[line % llc.num_sets]
-            stamp = set3.get(line)
-            decay = llc.decay_cycles
-            if stamp is not None and (decay is None or now - stamp <= decay):
-                set3.move_to_end(line)
-                set3[line] = now
+            stamp = set3.pop(line, None)
+            if stamp is not None and now - stamp <= llc.max_age:
                 llc.hits += 1
-                level, cycles = "llc", lat.llc
+                outcome = llc_hit
             else:
-                if stamp is not None:
-                    del set3[line]
                 llc.misses += 1
                 self.dram_accesses += 1
+                outcome = dram
                 if len(set3) >= llc.ways:
-                    set3.popitem(last=False)
-                set3[line] = now
-                level, cycles = "dram", lat.dram
+                    del set3[next(iter(set3))]
+            set3[line] = now
             if len(set2) >= l2.ways:
-                set2.popitem(last=False)
-            set2[line] = now
+                del set2[next(iter(set2))]
+        set2[line] = now
         if len(set1) >= l1.ways:
-            set1.popitem(last=False)
+            del set1[next(iter(set1))]
         set1[line] = now
-        return level, cycles
+        return outcome

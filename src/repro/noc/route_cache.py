@@ -7,8 +7,9 @@ simulators alike).  The discrete-event models in this package
 recomputed them on every send: ``xy_path`` walks the grid per message
 and ``hops`` re-derives coordinates.  A :class:`RouteCache` precomputes
 both once per topology, for the mesh and SMART models and the L2
-transaction's hop-count legs.  NOCSTAR keeps its own route memo (a
-path plus a link bitmask, see :mod:`repro.core.nocstar`).
+transaction's hop-count legs.  NOCSTAR needs no table: each XY leg is
+arithmetic on its row's or column's run of link bits, computed per
+send (see :mod:`repro.core.nocstar`).
 
 Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
 

@@ -15,19 +15,28 @@ SSRs follow whatever route the flit is configured with: the ``router``
 :class:`~repro.sim.system.System` picks (see :mod:`repro.noc.mesh`).
 Every router's routes are fixed for a run (a fault-aware router's
 failure set never changes), so a send binds each ``(src, dst)`` route
-once, together with the occupancy sets of its links: the hop loop
-indexes a tuple of sets instead of hashing a link per hop."""
+once, together with the occupancy sets and skip maps of its links: the
+hop loop indexes a tuple of sets instead of hashing a link per hop.  A
+flit waiting for a segment's first link crosses each run of busy
+cycles through that link's skip map (:mod:`repro.core.occupancy`; SMART
+never frees a cycle), not one cycle at a time: near a hot tile, such
+as the monolith at the mesh edge, waits run to tens of cycles."""
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, Set, Tuple
 
+from repro.core.occupancy import first_free
 from repro.noc.mesh import Traversal
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
-#: A bound route: its links in travel order and their occupancy sets.
-Bound = Tuple[Tuple[Link, ...], Tuple[Set[int], ...]]
+#: A bound route: its links in travel order, their occupancy sets and
+#: their skip maps.
+Bound = Tuple[
+    Tuple[Link, ...], Tuple[Set[int], ...], Tuple[Dict[int, int], ...]
+]
 
 
 class SmartNetwork:
@@ -55,6 +64,9 @@ class SmartNetwork:
         self._occupied: Dict[Link, Set[int]] = {
             link: set() for link in topology.all_links()
         }
+        #: link -> skip map over its occupied cycles, for first-link
+        #: waits; built on a link's first bind.
+        self._skips: DefaultDict[Link, Dict[int, int]] = defaultdict(dict)
         self._tiles = topology.num_tiles
         #: src * num_tiles + dst -> :data:`Bound`, filled on first use.
         self._bound: Dict[int, Bound] = {}
@@ -73,15 +85,18 @@ class SmartNetwork:
 
     def _bind(self, src: int, dst: int) -> Bound:
         """Memoise the route ``src -> dst`` with its links' occupancy
-        sets (a partitioned pair raises and binds nothing)."""
+        sets and skip maps (a partitioned pair raises and binds
+        nothing)."""
         path = tuple(self._route(src, dst))
         bound = self._bound[src * self._tiles + dst] = (
-            path, tuple(self._occupied[link] for link in path)
+            path,
+            tuple(self._occupied[link] for link in path),
+            tuple(self._skips[link] for link in path),
         )
         return bound
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        path, occupancy = (
+        path, occupancy, skips = (
             self._bound.get(src * self._tiles + dst) or self._bind(src, dst)
         )
         npath = len(path)
@@ -103,9 +118,10 @@ class SmartNetwork:
             # heavy contention near the monolithic tile that rescan
             # made send() quadratic in the queueing delay.
             first_occupied = occupancy[index]
-            while t in first_occupied:
-                queued += 1
-                t += 1
+            if t in first_occupied:
+                free = first_free(t, first_occupied, skips[index])
+                queued += free - t
+                t = free
             end = index + hpc
             if end > npath:
                 end = npath

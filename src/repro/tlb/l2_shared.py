@@ -19,9 +19,10 @@ port, §IV) is tracked here via per-bank/slice reservation state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.indexing import IndexFn, modulo_index
+from repro.core.occupancy import first_free
 from repro.mem import sram
 from repro.tlb.set_assoc import Key, SetAssociativeTLB
 from repro.vm.address import PAGE_1G, translation_vpn
@@ -63,24 +64,29 @@ class _PortSet:
         self.priority = priority
         self._starts: Dict[int, int] = {}  # cycle -> accesses started
         #: Full cycle -> a later cycle, every cycle between them full
-        #: too.  A full cycle never frees, so an entry never goes stale.
+        #: too (see :mod:`repro.core.occupancy`).  A full cycle never
+        #: frees, so an entry never goes stale.
         self._skip: Dict[int, int] = {}
         self.conflict_cycles = 0
+
+    def _full(self) -> Container[int]:
+        """The cycles whose every port has started an access: the
+        started cycles themselves when there is one port."""
+        if self.num_ports == 1:
+            return self._starts
+        return _FullCycles(self._starts, self.num_ports)
 
     def reserve(self, now: int, klass: int = 0) -> int:
         """Return the cycle the access can start (>= now)."""
         start = now
         starts = self._starts
-        ports = self.num_ports
-        while starts.get(start, 0) >= ports:
-            start += 1
-        if start != now:
+        if starts.get(start, 0) >= self.num_ports:
+            full = self._full()
+            start = first_free(start, full, self._skip)
             if klass and self.priority:
                 # Lower-priority traffic lost the arbitration: pay the
                 # class penalty, then take the next genuinely free cycle.
-                start += klass
-                while starts.get(start, 0) >= ports:
-                    start += 1
+                start = first_free(start + klass, full, self._skip)
             self.conflict_cycles += start - now
         starts[start] = starts.get(start, 0) + 1
         return start
@@ -93,27 +99,35 @@ class _PortSet:
         the previous one's start, as ``count`` chained :meth:`reserve`
         calls would, and the conflict cycles those calls would charge
         telescope to the last start minus ``now``.  A run of full cycles
-        is crossed through the skip map, and every full cycle passed is
-        then pointed at the free one found, so sweeps that arrive inside
+        is crossed through the skip map, so sweeps that arrive inside
         the same busy run do not rescan it.
         """
         starts = self._starts
+        full = self._full()
         skip = self._skip
         ports = self.num_ports
-        cycle = now
+        start = cycle = now
         for _ in range(count):
-            used = starts.get(cycle, 0)
-            if used >= ports:
-                passed = []
-                while used >= ports:
-                    passed.append(cycle)
-                    cycle = skip.get(cycle, cycle + 1)
-                    used = starts.get(cycle, 0)
-                for full in passed:
-                    skip[full] = cycle
-            starts[cycle] = used + 1
-        self.conflict_cycles += cycle - now
-        return cycle
+            start = first_free(cycle, full, skip)
+            used = starts[start] = starts.get(start, 0) + 1
+            # The next access cannot start in a cycle this one filled.
+            cycle = start + 1 if used >= ports else start
+        self.conflict_cycles += start - now
+        return start
+
+
+class _FullCycles:
+    """The full cycles of a port set with ``ports`` ports, as a
+    container over its start counts."""
+
+    __slots__ = ("starts", "ports")
+
+    def __init__(self, starts: Dict[int, int], ports: int) -> None:
+        self.starts = starts
+        self.ports = ports
+
+    def __contains__(self, cycle: object) -> bool:
+        return self.starts.get(cycle, 0) >= self.ports
 
 
 class _ShardedTlb:

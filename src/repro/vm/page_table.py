@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, translation_vpn
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 
 FRAME_BYTES = 4096
 ENTRY_BYTES = 8
@@ -36,9 +36,9 @@ _VPN_MASK = (1 << (_INDEX_BITS * len(LEVELS))) - 1
 class PTE(NamedTuple):
     """A translation: physical page number at the mapping's granularity.
 
-    A NamedTuple rather than a frozen dataclass: every cold walk builds
-    one, and tuple construction is several times cheaper than a frozen
-    dataclass ``__init__``.
+    Built on demand from a walk entry (:attr:`PageTable.walk_entries`)
+    by :meth:`PageTable.map_translation` and the walkers' ``walk``; a
+    latency-only walk builds none.
     """
 
     ppn: int
@@ -46,22 +46,29 @@ class PTE(NamedTuple):
     asid: int
 
 
+#: One mapped translation: the entry addresses above the leaf (shared
+#: with every page under the same leaf node), the leaf entry's address,
+#: and the PPN.
+WalkEntry = Tuple[Tuple[int, ...], int, int]
+
+
 class PageTable:
-    """Radix page tables for all address spaces, plus frame allocation."""
+    """Radix page tables for all address spaces, plus frame allocation.
+
+    Every method names a translation by ``(asid, page_size,
+    page_number)``, the key the TLBs hold.
+    """
 
     def __init__(self) -> None:
         # (asid, level, VPN bits above the level) -> physical frame base.
         self._nodes: Dict[Tuple[int, int, int], int] = {}
         # Leaf node key (as in _nodes) -> _node_chain's result.
         self._chains: Dict[Tuple[int, int, int], Tuple[tuple, int]] = {}
-        self._ptes: Dict[Tuple[int, int, int], PTE] = {}
-        #: (asid, page_size, page_number) -> (walk addresses, PTE).
-        #: walk_info builds an entry on a translation's first touch and
-        #: unmap drops it; a walker reads it directly and calls
-        #: walk_info only on a first touch.
-        self.walk_memo: Dict[
-            Tuple[int, int, int], Tuple[Tuple[int, ...], PTE]
-        ] = {}
+        #: (asid, page_size, page_number) -> :data:`WalkEntry`: every
+        #: mapped translation.  A first touch builds the entry and
+        #: :meth:`unmap` drops it; a walker reads it directly and calls
+        #: :meth:`walk_info` only on a first touch.
+        self.walk_entries: Dict[Tuple[int, int, int], WalkEntry] = {}
         self._next_frame = 1  # frame 0 reserved
         self.nodes_allocated = 0
         self.pages_mapped = 0
@@ -70,12 +77,6 @@ class PageTable:
         frame = self._next_frame * FRAME_BYTES
         self._next_frame += 1
         return frame
-
-    def map_page(self, asid: int, vpn: int, page_size: int) -> PTE:
-        """Ensure the translation covering 4KB VPN ``vpn`` exists."""
-        return self.map_translation(
-            asid, page_size, translation_vpn(vpn, page_size)
-        )
 
     def map_translation(
         self, asid: int, page_size: int, page_number: int
@@ -86,57 +87,45 @@ class PageTable:
         A mapped page costs one dict probe.  A first touch allocates the
         data frame, then the leaf node's chain (root first) if absent —
         the reverse of :meth:`walk_info`'s order, and what this path has
-        always allocated.  An unsupported size raises ``ValueError`` and
-        maps nothing.
+        always allocated — and stores the walk entry.  An unsupported
+        size raises ``ValueError`` and maps nothing.
         """
         key = (asid, page_size, page_number)
-        pte = self._ptes.get(key)
-        if pte is not None:
-            return pte
+        entry = self.walk_entries.get(key)
+        if entry is not None:
+            return PTE(entry[2], page_size, asid)
         try:
             leaf = _LEAF_DEPTH[page_size] - 1
         except KeyError:
             raise ValueError(f"unsupported page size: {page_size}") from None
         # The next frame is the data frame; its number is the PPN.
-        pte = self._ptes[key] = PTE(
-            ppn=self._next_frame, page_size=page_size, asid=asid
-        )
+        ppn = self._next_frame
         self._next_frame += 1
         self.pages_mapped += 1
-        # Materialise the node chain so walk addresses are stable (see
-        # walk_info for the page-number arithmetic).
+        upper, address = self._leaf_entry(asid, leaf, page_number)
+        self.walk_entries[key] = (upper, address, ppn)
+        return PTE(ppn, page_size, asid)
+
+    def _leaf_entry(
+        self, asid: int, leaf: int, page_number: int
+    ) -> Tuple[Tuple[int, ...], int]:
+        """The entry addresses above the level-``leaf`` node holding
+        page ``page_number``, and the address of the page's entry in
+        it; the node's chain is allocated (root first) if absent.
+
+        A page number is the VPN above the leaf index's shift, so its
+        low 9 bits index the leaf node and the rest name that node.
+        """
         shift = _INDEX_SHIFT[leaf]
         number = page_number & (_VPN_MASK >> shift)
         chain_key = (asid, leaf, number >> _INDEX_BITS)
-        if chain_key not in self._chains:
-            self._chains[chain_key] = self._node_chain(
+        chain = self._chains.get(chain_key)
+        if chain is None:
+            chain = self._chains[chain_key] = self._node_chain(
                 asid, number << shift, leaf
             )
-        return pte
-
-    def lookup(self, asid: int, vpn: int, page_size: int) -> PTE:
-        """Return the PTE covering ``vpn`` (mapping it on first touch)."""
-        return self.map_page(asid, vpn, page_size)
-
-    def walk_addresses(
-        self, asid: int, vpn: int, page_size: int
-    ) -> Tuple[int, ...]:
-        """Physical addresses of the page-table entries a walk touches.
-
-        One address per radix level down to the leaf: 4 for 4KB
-        mappings, 3 for 2MB, 2 for 1GB.  Every page under one leaf node
-        shares the entries above it, so those come from a per-node memo
-        and only the leaf entry is computed per page.
-        """
-        vpn &= _VPN_MASK
-        leaf = _LEAF_DEPTH[page_size] - 1
-        shift = _INDEX_SHIFT[leaf]
-        key = (asid, leaf, vpn >> shift >> _INDEX_BITS)
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = self._chains[key] = self._node_chain(asid, vpn, leaf)
         upper, frame = chain
-        return upper + (frame + ((vpn >> shift) & _INDEX_MASK) * ENTRY_BYTES,)
+        return upper, frame + (number & _INDEX_MASK) * ENTRY_BYTES
 
     def _node_chain(
         self, asid: int, vpn: int, leaf: int
@@ -160,52 +149,35 @@ class PageTable:
 
     def walk_info(
         self, asid: int, page_size: int, page_number: int
-    ) -> Tuple[Tuple[int, ...], PTE]:
-        """Walk addresses plus the PTE of page ``page_number`` at
-        ``page_size``: its ``walk_memo`` entry, built on a first touch.
+    ) -> WalkEntry:
+        """The walk entry of page ``page_number`` at ``page_size``,
+        built on a first touch.
 
-        Both are pure functions of ``(asid, page_size, page_number)``
-        once the mapping exists, so this one call builds the entry: the
-        leaf node's chain (allocated root first if absent), the leaf
-        entry, then the data frame and the PTE.  A walk has always
-        allocated the nodes before the data frame, so every synthetic
-        physical address is unchanged; :meth:`map_translation` (the
-        fixed-latency walker's path) allocates the data frame first.
+        The entry addresses and the PPN are pure functions of ``(asid,
+        page_size, page_number)`` once the mapping exists, so this one
+        call builds the entry: the leaf node's chain (allocated root
+        first if absent), the leaf entry, then the data frame.  A walk
+        has always allocated the nodes before the data frame, so every
+        synthetic physical address is unchanged;
+        :meth:`map_translation` (the fixed-latency walker's path)
+        allocates the data frame first.
         """
         key = (asid, page_size, page_number)
-        info = self.walk_memo.get(key)
-        if info is not None:
-            return info
+        entry = self.walk_entries.get(key)
+        if entry is not None:
+            return entry
         try:
             leaf = _LEAF_DEPTH[page_size] - 1
         except KeyError:
             raise ValueError(f"unsupported page size: {page_size}") from None
-        # A page number is the VPN above the leaf index's shift, so its
-        # low 9 bits index the leaf node and the rest name that node.
-        shift = _INDEX_SHIFT[leaf]
-        number = page_number & (_VPN_MASK >> shift)
-        chain_key = (asid, leaf, number >> _INDEX_BITS)
-        chain = self._chains.get(chain_key)
-        if chain is None:
-            chain = self._chains[chain_key] = self._node_chain(
-                asid, number << shift, leaf
-            )
-        upper, frame = chain
-        pte = self._ptes.get(key)
-        if pte is None:
-            # The next frame is the data frame; its number is the PPN.
-            pte = self._ptes[key] = PTE(
-                ppn=self._next_frame, page_size=page_size, asid=asid
-            )
-            self._next_frame += 1
-            self.pages_mapped += 1
-        info = self.walk_memo[key] = (
-            upper + (frame + (number & _INDEX_MASK) * ENTRY_BYTES,), pte
-        )
-        return info
+        upper, address = self._leaf_entry(asid, leaf, page_number)
+        # The next frame is the data frame; its number is the PPN.
+        entry = self.walk_entries[key] = (upper, address, self._next_frame)
+        self._next_frame += 1
+        self.pages_mapped += 1
+        return entry
 
-    def unmap(self, asid: int, vpn: int, page_size: int) -> None:
-        """Drop a translation (page remapping / demotion)."""
-        key = (asid, page_size, translation_vpn(vpn, page_size))
-        self._ptes.pop(key, None)
-        self.walk_memo.pop(key, None)
+    def unmap(self, asid: int, page_size: int, page_number: int) -> None:
+        """Drop a translation (page remapping / demotion): its walk
+        entry, so the next touch maps it to a fresh frame."""
+        self.walk_entries.pop((asid, page_size, page_number), None)

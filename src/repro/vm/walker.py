@@ -13,18 +13,18 @@ leaf PTE reference dominate walk latency, as observed in practice.
 
 A walk names its translation by ``(asid, size, page_number)``, the key
 the L2 transaction already holds, so no VPN is shifted out and back.  A
-re-walk reads the page table's ``walk_memo`` directly; a first touch
-builds the entry in one :meth:`~repro.vm.page_table.PageTable.walk_info`
-call.
+re-walk reads the page table's walk entry directly; a first touch
+builds it in one :meth:`~repro.vm.page_table.PageTable.walk_info` call.
+The entry holds entry addresses and the PPN, not a PTE: only
+:meth:`PageTableWalker.walk`, which returns one, builds it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.mem.cache import CacheHierarchy
+from repro.mem.cache import LINE_SHIFT, CacheHierarchy
 from repro.obs import NULL_SINK
 from repro.vm.address import VPN_SHIFT
 from repro.vm.page_table import PageTable, PTE
@@ -76,13 +76,16 @@ class PageTableWalker:
         pwc_entries: int = 16,
         sink=NULL_SINK,
     ) -> None:
+        if pwc_entries < 1:
+            raise ValueError(
+                f"pwc_entries must be at least 1, got {pwc_entries}"
+            )
         self.page_table = page_table
         self.hierarchy = hierarchy
-        #: Per-core PWC: upper-level entry addresses, LRU first (1-cycle
-        #: hit); walk_cycles probes and fills it.
-        self.pwcs: "List[OrderedDict[int, None]]" = [
-            OrderedDict() for _ in range(num_cores)
-        ]
+        #: Per-core PWC: upper-level entry addresses in a plain dict
+        #: whose insertion order is the LRU order, least recent first
+        #: (1-cycle hit); walk_cycles probes and fills it.
+        self.pwcs: List[Dict[int, None]] = [{} for _ in range(num_cores)]
         self.pwc_entries = pwc_entries
         self.walks = 0
         self.sink = sink
@@ -100,10 +103,13 @@ class PageTableWalker:
         """
         levels: List[str] = []
         latency = self.walk_cycles(core, asid, size, page_number, now, levels)
-        pte = self.page_table.walk_memo[asid, size, page_number][1]
+        ppn = self.page_table.walk_entries[asid, size, page_number][2]
         pollution = sum(level not in _NO_POLLUTION for level in levels)
         return WalkResult(
-            latency=latency, pte=pte, levels=tuple(levels), pollution=pollution
+            latency=latency,
+            pte=PTE(ppn, size, asid),
+            levels=tuple(levels),
+            pollution=pollution,
         )
 
     def walk_cycles(
@@ -124,38 +130,40 @@ class PageTableWalker:
         ``levels``, when given, collects where each reference was
         satisfied.  Sink events are emitted only when the sink is
         enabled.  A walk is keyed by the ``(asid, size, page_number)``
-        its caller holds: a re-walk reads the page table's memo
-        directly, and a first touch builds the entry in one
-        ``walk_info`` call (which rejects an unsupported size).
+        its caller holds: a re-walk reads the page table's walk entry
+        directly, and a first touch builds it in one ``walk_info`` call
+        (which rejects an unsupported size).
         """
         page_table = self.page_table
-        addresses = (
-            page_table.walk_memo.get((asid, size, page_number))
+        upper, leaf, _ = (
+            page_table.walk_entries.get((asid, size, page_number))
             or page_table.walk_info(asid, size, page_number)
-        )[0]
+        )
         cached = self.pwcs[core]
         level_hits = self.level_hits
         access = self.hierarchy.access
         latency = hits = 0
-        for addr in addresses[:-1]:
+        for addr in upper:
             if addr in cached:
-                cached.move_to_end(addr)
+                # A hit moves the entry to the MRU end.
+                del cached[addr]
+                cached[addr] = None
                 hits += 1
                 latency += self.PWC_HIT_CYCLES
                 if levels is not None:
                     levels.append("pwc")
                 continue
-            level, cycles = access(core, addr, now + latency)
+            level, cycles = access(core, addr >> LINE_SHIFT, now + latency)
             latency += cycles
             level_hits[level] += 1
             if levels is not None:
                 levels.append(level)
             # The missed address is absent: the fill is an LRU append.
             if len(cached) >= self.pwc_entries:
-                cached.popitem(last=False)
+                del cached[next(iter(cached))]
             cached[addr] = None
         # The leaf PTE.
-        level, cycles = access(core, addresses[-1], now + latency)
+        level, cycles = access(core, leaf >> LINE_SHIFT, now + latency)
         latency += cycles
         level_hits[level] += 1
         if levels is not None:

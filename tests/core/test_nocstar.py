@@ -282,9 +282,10 @@ def test_cycle_indexed_store_matches_per_link_oracle(tiles, hpc_max, ops):
 
 
 class LegacyRoutes:
-    """The route builder the memo of small ints replaced, kept verbatim
-    (``_route``) as the oracle: per pair, the XY path sliced from link
-    runs, its links as a bitmask, and ``ceil(hops / HPCmax)``."""
+    """The per-pair route builder of an earlier route memo, kept verbatim
+    (``_route``) as the oracle for the arithmetic legs: per pair, the XY
+    path sliced from link runs, its links as a bitmask, and
+    ``ceil(hops / HPCmax)``."""
 
     def __init__(self, topology, hpc_max):
         self.topology = topology
@@ -341,8 +342,8 @@ class LegacyRoutes:
 def _check_routes(tiles, pairs):
     """Each pair's send takes the legacy builder's hops and traversal
     and books its mask (one bit per hop, naming exactly the XY path's
-    links) in every traversal cycle; the path the memo builds, and the
-    circuit a round-trip send holds, are the XY path."""
+    links) in every traversal cycle; the path ``_path`` slices from the
+    legs, and the circuit a round-trip send holds, are the XY path."""
     topology = MeshTopology(tiles)
     for hpc_max in (3, 16):
         ic = NocstarInterconnect(topology, NocstarConfig(hpc_max=hpc_max))
@@ -366,7 +367,7 @@ def _check_routes(tiles, pairs):
             assert sent.links == ()
             booked = {cycle: mask for cycle in range(1, 1 + duration)}
             assert ic._busy == booked
-            assert ic._path(ic._route(src * tiles + dst)) == xy
+            assert ic._path(src, dst) == xy
             ic.reset()
             held = ic.send(src, dst, now=0, hold=True)
             assert held.links == xy and ic._busy == booked
@@ -390,14 +391,10 @@ def test_sampled_mega_mesh_routes_are_xy_paths_and_masks(tiles):
 
 def test_routes_share_the_link_objects_they_cross():
     ic = make(16)  # 4x4
-
-    def path(src, dst):
-        return ic._path(ic._route(src * 16 + dst))
-
-    x_leg = path(0, 3)  # (0,1) (1,2) (2,3)
-    inner = path(1, 2)  # (1,2)
-    corner = path(0, 15)  # (0,1) (1,2) (2,3) (3,7) ...
-    y_leg = path(3, 15)  # (3,7) (7,11) (11,15)
+    x_leg = ic._path(0, 3)  # (0,1) (1,2) (2,3)
+    inner = ic._path(1, 2)  # (1,2)
+    corner = ic._path(0, 15)  # (0,1) (1,2) (2,3) (3,7) ...
+    y_leg = ic._path(3, 15)  # (3,7) (7,11) (11,15)
     assert x_leg[1] is inner[0]
     assert all(a is b for a, b in zip(x_leg, corner))
     assert all(a is b for a, b in zip(corner[3:], y_leg))
@@ -420,26 +417,41 @@ def test_nocstar_run_never_walks_xy_paths_or_the_route_cache(monkeypatch):
     assert calls == []
 
 
-def test_mega_mesh_route_memo_holds_only_machine_sized_ints(monkeypatch):
-    """After a 1,024-tile run, no memoised route keeps a link or a mask
-    (up to 3,968 bits wide here): every field fits a machine word."""
-    systems = []
+def test_mega_mesh_run_leaves_nocstar_no_per_pair_state(monkeypatch):
+    """A 1,024-tile run sends over more distinct pairs than the mesh has
+    links, yet no container the interconnect keeps grows past one entry
+    per link: the tables are per tile, link, row or column, and the busy
+    store maps a cycle to one mask."""
+    systems, pairs = [], set()
     finalize = System.finalize_stats
+    send = NocstarInterconnect.send
 
-    def spy(self):
+    def spy_finalize(self):
         systems.append(self)
         finalize(self)
 
-    monkeypatch.setattr(System, "finalize_stats", spy)
+    def spy_send(self, src, dst, *args, **kwargs):
+        pairs.add((src, dst))
+        return send(self, src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(System, "finalize_stats", spy_finalize)
+    monkeypatch.setattr(NocstarInterconnect, "send", spy_send)
     workload = build_multithreaded(
         get_workload("graph500"), 1024, accesses_per_core=4, seed=3
     )
     simulate(cfg.build_config("nocstar-1024", 1024), workload)
     (system,) = systems
-    routes = system.network._routes
-    assert len(routes) > 1_000
-    for route in routes.values():
-        assert all(type(v) is int and 0 <= v < 2**63 for v in route)
+    network = system.network
+    links = len(network._links)
+    assert len(pairs) > links
+    for name, value in vars(network).items():
+        if name == "_busy":
+            assert all(
+                type(cycle) is int and type(mask) is int
+                for cycle, mask in value.items()
+            )
+        elif isinstance(value, (dict, list, tuple, set)):
+            assert len(value) <= links, name
 
 
 @settings(max_examples=40)

@@ -116,7 +116,8 @@ class CycleByCycleNocstar(NocstarInterconnect):
     search: contention retried one cycle at a time through
     ``_path_free``.  Kept verbatim, only as the oracle below, save that
     it reads the path from the topology and its hops and mask from the
-    route memo, and returns the path only when it holds the circuit."""
+    arithmetic legs, and returns the path only when it holds the
+    circuit."""
 
     def _send_faulty(
         self, src, dst, now, speculative_setup=False, hold=False
@@ -128,10 +129,12 @@ class CycleByCycleNocstar(NocstarInterconnect):
                 ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
             )
         inj = self.faults
-        key = src * self._tiles + dst
-        route = self._routes.get(key) or self._route(key)
-        hops, duration, x_bits, x_offset, y_bits, y_offset = route
-        mask = x_bits << x_offset | y_bits << y_offset
+        x_offset, x_hops, y_offset, y_hops = self._legs(src, dst)
+        mask = (
+            self._ones[x_hops] << x_offset | self._ones[y_hops] << y_offset
+        )
+        hops = x_hops + y_hops
+        duration = self.traversal_cycles(hops)
         path = tuple(self.topology.xy_path(src, dst))
         earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
@@ -156,7 +159,9 @@ class CycleByCycleNocstar(NocstarInterconnect):
                 continue
             break
         retries = attempts - 1
-        self._reserve(route, mask, start, retries, hold)
+        self._reserve(
+            mask, start, duration, hops, retries, path if hold else ()
+        )
         self.sink.event(
             now, "nocstar_setup",
             src=src, dst=dst, hops=hops, retries=retries, hold=hold,

@@ -121,6 +121,10 @@ class PerLinkSmart(SmartNetwork):
         )
 
 
+#: Marks an op that sends to the hot tile, the mesh's last.
+HOT = "hot"
+
+
 def _dead_links(topology):
     """Links whose failure forces both detour tiers: (1, 2) blocks row
     0's XY and YX routes across it (a BFS detour), and row 0's XY
@@ -152,12 +156,26 @@ smart_ops = st.lists(
             ),
             # Pairs that the fault-aware router detours (see _detours).
             st.sampled_from(("bfs", "yx")),
+            # Many sources to one hot tile: waits run to tens of cycles.
+            st.tuples(
+                st.just(HOT),
+                st.integers(min_value=0, max_value=63),  # src (mod tiles)
+            ),
         ),
         st.integers(min_value=0, max_value=40),  # now, drawn out of order
     ),
     min_size=20,
     max_size=80,
 )
+
+
+def _pair(op, tiles, detours):
+    """The ``(src, dst)`` a drawn op sends between."""
+    if op in detours:
+        return detours[op]
+    if op[0] == HOT:
+        return op[1] % tiles, tiles - 1
+    return op[0] % tiles, op[1] % tiles
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,22 +186,40 @@ smart_ops = st.lists(
     smart_ops,
 )
 def test_bound_routes_match_the_per_link_oracle(tiles, hpc_max, kind, ops):
-    """Random contended traffic under every router resolves to the same
-    traversals, stops, queueing and busy cycles as the per-link send."""
+    """Random contended traffic under every router, with a hot
+    destination, resolves to the same traversals, stops, queueing and
+    busy cycles as the per-link send."""
     topology = MeshTopology(tiles)
     router = _router(kind, topology)
     smart = SmartNetwork(topology, hpc_max, router=router)
     oracle = PerLinkSmart(topology, hpc_max, router=router)
     detours = _detours(topology)
-    for pair, now in ops:
-        if pair in detours:
-            src, dst = detours[pair]
-        else:
-            src, dst = pair[0] % tiles, pair[1] % tiles
+    for op, now in ops:
+        src, dst = _pair(op, tiles, detours)
         assert smart.send(src, dst, now) == oracle.send(src, dst, now)
     for name in ("messages", "total_hops", "premature_stops",
                  "total_queue_cycles"):
         assert getattr(smart, name) == getattr(oracle, name)
+    assert smart.link_busy_cycles() == oracle.link_busy_cycles()
+
+
+@pytest.mark.parametrize("kind", ["cache", "faulty"])
+def test_hot_destination_waits_match_the_per_link_oracle(kind):
+    """Three rounds of every tile sending to the hot tile in one cycle
+    queue flits for tens of cycles at its links; each wait, crossed
+    through the skip maps, equals the cycle-by-cycle oracle's."""
+    topology = MeshTopology(64)
+    router = _router(kind, topology)
+    smart = SmartNetwork(topology, 8, router=router)
+    oracle = PerLinkSmart(topology, 8, router=router)
+    waits = []
+    for now in (0, 5, 30):
+        for src in range(64):
+            got = smart.send(src, 63, now)
+            assert got == oracle.send(src, 63, now)
+            waits.append(got.queue_cycles)
+    assert max(waits) >= 30
+    assert smart.total_queue_cycles == oracle.total_queue_cycles
     assert smart.link_busy_cycles() == oracle.link_busy_cycles()
 
 

@@ -45,7 +45,8 @@ def test_flood_costs_more_total_stall_than_leaders():
 
 
 class _CountingDict(dict):
-    """A dict that counts its ``get`` calls in ``probes``."""
+    """A dict that counts its ``get`` calls and membership tests in
+    ``probes``."""
 
     probes = 0
 
@@ -53,13 +54,17 @@ class _CountingDict(dict):
         _CountingDict.probes += 1
         return dict.get(self, key, default)
 
+    def __contains__(self, key):
+        _CountingDict.probes += 1
+        return dict.__contains__(self, key)
+
 
 def test_naive_leader_sweeps_probe_each_port_cycle_a_bounded_number_of_times():
     """Every core sends an invalidate to every home slice, so the sweeps
     of one burst arrive inside runs of write-port cycles that earlier
     sweeps filled.  Each booked write costs a bounded number of port
-    probes (cycle counts and skip-map reads), not a rescan of the run:
-    at 64 cores the rescans cost 33.5 per write."""
+    probes (full-cycle tests, cycle counts and skip-map reads), not a
+    rescan of the run: at 64 cores the rescans cost 33.5 per write."""
     system = System(cfg.distributed(64, leader_granularity=1))
     ports = system.shared_l2.write_ports
     _CountingDict.probes = 0

@@ -493,7 +493,7 @@ def _network_state(network):
     return {
         name: _plain(value)
         for name, value in vars(network).items()
-        if isinstance(value, (int, float, dict, set)) and name != "_routes"
+        if isinstance(value, (int, float, dict, set))
     }
 
 

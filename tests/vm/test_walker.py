@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.mem.cache import CacheHierarchy
 from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import PTE, PageTable
 from repro.vm.walker import (
     FixedLatencyWalker,
     PageTableWalker,
@@ -17,7 +17,7 @@ from repro.vm.walker import (
     _observe_walk,
 )
 
-from tests.vm.test_page_table import ChainPageTable
+from tests.vm.test_page_table import ChainPageTable, check_entries
 
 
 def make_walker(cores=2):
@@ -97,6 +97,29 @@ def test_pwc_is_per_core():
     assert other_core.levels[0] != "pwc"  # core 1's PWC is cold
 
 
+@pytest.mark.parametrize("entries", [0, -1])
+def test_walker_rejects_a_pwc_with_no_entries(entries):
+    """An empty PWC fails at construction, not on its first fill deep
+    inside a walk."""
+    with pytest.raises(ValueError, match="pwc_entries must be at least 1"):
+        PageTableWalker(PageTable(), CacheHierarchy(1), 1, pwc_entries=entries)
+
+
+def test_pwc_holds_at_most_its_entries():
+    """A one-entry PWC keeps only the last upper level it filled, so a
+    re-walk's three upper levels evict each other; three entries hold
+    them all."""
+    for entries, rewalk in ((1, ()), (3, ("pwc",) * 3)):
+        walker = PageTableWalker(
+            PageTable(), CacheHierarchy(1), 1, pwc_entries=entries
+        )
+        walker.walk(0, 1, PAGE_4K, 1000, now=0)
+        assert len(walker.pwcs[0]) == entries
+        levels = walker.walk(0, 1, PAGE_4K, 1000, now=10).levels
+        assert tuple(lv for lv in levels[:3] if lv == "pwc") == rewalk
+        assert len(walker.pwcs[0]) == entries
+
+
 def test_pollution_counts_non_l1_fills():
     walker = make_walker()
     cold = walker.walk(0, 1, PAGE_4K, 1000, now=0)
@@ -173,7 +196,7 @@ def test_unsupported_page_size_raises_value_error(page_size):
         walker.walk_cycles(0, 1, page_size, 1000, now=0)
     with pytest.raises(ValueError, match="unsupported page size"):
         walker.page_table.walk_info(1, page_size, 1000)
-    assert walker.walks == 0 and walker.page_table.walk_memo == {}
+    assert walker.walks == 0 and walker.page_table.walk_entries == {}
 
 
 @pytest.mark.parametrize("page_size", [0, 8192, PAGE_4K + 1])
@@ -188,9 +211,9 @@ def test_fixed_walker_rejects_unsupported_page_size(page_size):
 class ChainFixedWalker(FixedLatencyWalker):
     """``FixedLatencyWalker`` as it was before a fixed walk was one
     page-table call (kept verbatim as the oracle): ``_first_vpn``, then
-    ``PageTable.lookup`` -> ``map_page`` -> ``translation_vpn`` ->
-    ``page_shift``, plus ``walk_addresses`` on a first touch; run on a
-    ``ChainPageTable``, whose ``map_page`` is that chain."""
+    ``lookup`` -> ``map_page`` -> ``translation_vpn`` -> ``page_shift``,
+    plus ``walk_addresses`` on a first touch; run on a
+    ``ChainPageTable``, which keeps that VPN-keyed chain."""
 
     def walk(
         self, core: int, asid: int, size: int, page_number: int, now: int
@@ -228,13 +251,6 @@ fixed_walks = st.lists(
 )
 
 
-def _table_state(table):
-    return (
-        table._next_frame, table.nodes_allocated, table.pages_mapped,
-        table.walk_memo, table._ptes, table._nodes, table._chains,
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(ops=fixed_walks, observed=st.booleans())
 def test_fixed_walker_matches_the_call_chain(ops, observed):
@@ -242,7 +258,8 @@ def test_fixed_walker_matches_the_call_chain(ops, observed):
     frames in the same order as the old chain, interleaved with the
     variable walker's first touches on the same table, and returns the
     same latencies and PTEs, counts the same walks and gives the sink
-    the same samples and events (with the same ``vpn``)."""
+    the same samples and events (with the same ``vpn``); each mapped
+    page is one walk entry (see check_entries)."""
     sinks = [
         MetricsSink(trace=EventTrace()) if observed else NULL_SINK
         for _ in range(2)
@@ -256,7 +273,10 @@ def test_fixed_walker_matches_the_call_chain(ops, observed):
                 if op == "walk_info":
                     # The variable walker's first touch: nodes first.
                     if w is walker:
-                        got = w.page_table.walk_info(asid, size, page_number)
+                        upper, leaf, ppn = w.page_table.walk_info(
+                            asid, size, page_number
+                        )
+                        got = (upper + (leaf,), PTE(ppn, size, asid))
                     else:
                         got = w.page_table.walk_info(
                             asid, _first_vpn(size, page_number), size
@@ -268,9 +288,7 @@ def test_fixed_walker_matches_the_call_chain(ops, observed):
             outcomes.append(got)
         assert outcomes[0] == outcomes[1]
         assert walker.walks == oracle.walks
-        assert _table_state(walker.page_table) == _table_state(
-            oracle.page_table
-        )
+        check_entries(walker.page_table, oracle.page_table)
     if observed:
         assert sinks[0].trace.to_records() == sinks[1].trace.to_records()
         assert sinks[0].registry.snapshot() == sinks[1].registry.snapshot()
@@ -283,8 +301,8 @@ def test_fixed_rewalk_is_one_page_table_call(monkeypatch):
     walker = FixedLatencyWalker(table, 20)
     walker.walk_cycles(0, 1, PAGE_4K, 77, now=0)
     calls = []
-    for name in ("map_translation", "map_page", "lookup", "walk_addresses",
-                 "walk_info", "_node_chain"):
+    for name in ("map_translation", "walk_info", "_leaf_entry",
+                 "_node_chain"):
         real = getattr(table, name)
 
         def spy(*args, _name=name, _real=real):
