@@ -7,8 +7,8 @@ CACHE_DIR ?= .repro-cache
 .PHONY: install test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke bench-regression \
         bench-e2e-selftest bench-e2e-pins experiments-smoke policy-smoke \
-        verify bench bench-full bench-faults examples calibrate cache-clean \
-        clean
+        verify bench bench-full bench-figures bench-faults examples \
+        calibrate cache-clean clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -113,6 +113,14 @@ bench:
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(RUN) -m pytest benchmarks/ --benchmark-only
+
+# Every figure's table is a pin: the figure suite at reduced scale
+# rewrites benchmarks/results/*.txt, and any table that differs from
+# its committed copy fails the target (the diff shows which numbers
+# moved).  About 5 minutes.
+bench-figures:
+	$(RUN) -m pytest benchmarks --benchmark-only --ignore=benchmarks/e2e -q
+	git diff --exit-code -- 'benchmarks/results/*.txt'
 
 bench-faults:
 	$(RUN) benchmarks/bench_faults.py

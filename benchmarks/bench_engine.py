@@ -1,9 +1,10 @@
 """Engine fast-path bench: batched drive loop vs the reference loop.
 
 Standalone script (not a pytest bench): times one 64-core simulation
-under the batched engine (segment-compiled L1 hits + RouteCache) and
-under the ``REPRO_REFERENCE_ENGINE=1`` reference loop, prints both,
-and writes the machine-readable ``BENCH_engine.json`` artefact under
+under the batched drive loop (precompiled L1 misses) and under the
+``REPRO_REFERENCE_ENGINE=1`` reference loop (one L1 probe per record,
+on the same routes, sends and transaction), prints both, and writes
+the machine-readable ``BENCH_engine.json`` artefact under
 ``benchmarks/results/`` (override with argv[1]).
 
     PYTHONPATH=src python benchmarks/bench_engine.py [out.json]
@@ -23,9 +24,9 @@ import sys
 import time
 
 from repro.exec.cache import canonical_json
-from repro.noc.route_cache import REFERENCE_ENV
 from repro.analysis.tables import render_table
 from repro.sim import configs as cfg
+from repro.sim.engine import REFERENCE_ENV
 from repro.sim.scenario import RunUnit
 from repro.workloads.registry import get_workload
 

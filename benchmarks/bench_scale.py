@@ -37,8 +37,8 @@ import time
 
 from repro.analysis.tables import render_table
 from repro.exec.cache import canonical_json
-from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
+from repro.sim.engine import REFERENCE_ENV
 from repro.sim.scenario import RunUnit
 from repro.workloads.registry import get_workload
 

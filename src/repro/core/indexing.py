@@ -31,8 +31,12 @@ def modulo_index(asid: int, page_number: int, num_slices: int) -> int:
 def xor_fold_index(asid: int, page_number: int, num_slices: int) -> int:
     """XOR-fold successive bit groups so strides don't alias.
 
-    Requires a power-of-two slice count (true for 16/32/64-core tiles).
+    Reaches every slice only for a power-of-two slice count, which
+    :class:`~repro.sim.configs.SystemConfig` enforces; one slice homes
+    everything (there are no bits to fold).
     """
+    if num_slices == 1:
+        return 0
     bits = (num_slices - 1).bit_length()
     mask = num_slices - 1
     folded = 0

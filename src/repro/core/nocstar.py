@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
-from repro.core.link_arbiter import control_fanout
 from repro.faults.inject import (
     FALLBACK_CYCLES_PER_HOP,
     FALLBACK_INJECTION_CYCLES,
@@ -441,16 +440,3 @@ class NocstarInterconnect:
     def no_contention_fraction(self) -> float:
         sent = self.messages - self.local_messages
         return self.uncontended_messages / sent if sent else 1.0
-
-    def control_wires_per_core(self) -> int:
-        """Fan-out of control wires per core under XY routing."""
-        return control_fanout(self.topology.rows, self.topology.cols)
-
-    def reset(self) -> None:
-        self._busy.clear()
-        self._held.clear()
-        self._held_mask = 0
-        self.messages = self.local_messages = 0
-        self.total_hops = self.total_setup_retries = 0
-        self.uncontended_messages = 0
-        self.control_requests = 0

@@ -76,9 +76,6 @@ class Cache:
             del cache_set[next(iter(cache_set))]
         cache_set[line] = now
 
-    def invalidate_all(self) -> None:
-        self._sets.clear()
-
 
 @dataclass(frozen=True)
 class CacheLatencies:

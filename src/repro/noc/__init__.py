@@ -13,11 +13,7 @@ from repro.noc.latency import (
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContentionFreeMesh, Traversal
-from repro.noc.route_cache import (
-    RouteCache,
-    reference_mode,
-    shared_route_cache,
-)
+from repro.noc.route_cache import RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.synthetic import (
     TrafficResult,
@@ -41,7 +37,6 @@ __all__ = [
     "ContentionFreeMesh",
     "Traversal",
     "RouteCache",
-    "reference_mode",
     "shared_route_cache",
     "SmartNetwork",
     "TrafficResult",

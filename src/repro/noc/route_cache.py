@@ -28,37 +28,24 @@ Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
   scalability sweeps never fully touch.
 
 The cache holds **fault-free** routes only.  Its ``path`` is one of
-three route sources, each a ``path(src, dst)`` giving the links in
-travel order, that :class:`~repro.sim.system.System` picks between for
-the mesh and SMART models: the fault injector's
+two route sources, each a ``path(src, dst)`` giving the links in travel
+order, that :class:`~repro.sim.system.System` picks between for the
+mesh and SMART models: the fault injector's
 :class:`~repro.faults.routing.FaultAwareRouter` when links have failed,
-else this cache, else — under ``REPRO_REFERENCE_ENGINE=1``, with the
-unbatched drive loop of :mod:`repro.sim.engine` — the topology's live
-XY routes, which the differential harness compares bit-for-bit against
-the cached fast path.  Contended sends fall through to the live
-reservation model untouched: the cache supplies the path and the
-uncontended duration, never the arbitration outcome.
+else this cache.  Both drive loops of :mod:`repro.sim.engine` route on
+the same source.  Contended sends fall through to the live reservation
+model untouched: the cache supplies the path and the uncontended
+duration, never the arbitration outcome.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.noc.topology import Link, MeshTopology
-
-#: Environment switch selecting the unbatched, uncached reference
-#: engine.  Read at use time (not import time) so tests can flip it
-#: per run; empty and "0" mean "off".
-REFERENCE_ENV = "REPRO_REFERENCE_ENGINE"
-
-
-def reference_mode() -> bool:
-    """True when the reference (unbatched, uncached) engine is forced."""
-    return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
 
 
 class RouteCache:

@@ -12,15 +12,17 @@ splits the segment at the conflict point — exactly a SMART "premature
 stop".
 
 SSRs follow whatever route the flit is configured with: the ``router``
-:class:`~repro.sim.system.System` picks (see :mod:`repro.noc.mesh`).
-Every router's routes are fixed for a run (a fault-aware router's
-failure set never changes), so a send binds each ``(src, dst)`` route
-once, together with the occupancy sets and skip maps of its links: the
-hop loop indexes a tuple of sets instead of hashing a link per hop.  A
-flit waiting for a segment's first link crosses each run of busy
-cycles through that link's skip map (:mod:`repro.core.occupancy`; SMART
-never frees a cycle), not one cycle at a time: near a hot tile, such
-as the monolith at the mesh edge, waits run to tens of cycles."""
+:class:`~repro.sim.system.System` picks, the fault-free route cache or
+the fault injector's detours (see :mod:`repro.noc.route_cache`), under
+either drive loop.  Every router's routes are fixed for a run (a
+fault-aware router's failure set never changes), so a send binds each
+``(src, dst)`` route once, together with the occupancy sets and skip
+maps of its links: the hop loop indexes a tuple of sets instead of
+hashing a link per hop.  A flit waiting for a segment's first link
+crosses each run of busy cycles through that link's skip map
+(:mod:`repro.core.occupancy`; SMART never frees a cycle), not one cycle
+at a time: near a hot tile, such as the monolith at the mesh edge,
+waits run to tens of cycles."""
 
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ class SmartNetwork:
     """SMART mesh with HPCmax bypass and conflict-induced stops."""
 
     def __init__(
-        self, topology: MeshTopology, hpc_max: int = 8, sink=NULL_SINK,
-        router=None,
+        self, topology: MeshTopology, router, hpc_max: int = 8,
+        sink=NULL_SINK,
     ) -> None:
         if hpc_max < 1:
             raise ValueError("HPCmax must be at least 1")
@@ -54,9 +56,9 @@ class SmartNetwork:
         #: Bound event emitter, or None when unobserved — send() then
         #: skips building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
-        #: The route source; None means the topology's live XY routes.
-        self.router = router or topology
-        self._route = self.router.path
+        #: The route source: anything with ``path(src, dst)``.
+        self.router = router
+        self._route = router.path
         #: link -> cycles during which it carries a flit (per-cycle
         #: occupancy; see the reservation note in repro.core.nocstar).
         #: Pre-populated with every topology link, so each link has one

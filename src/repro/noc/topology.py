@@ -53,9 +53,6 @@ class MeshTopology:
         return self._legs(src, turn, dst, 1 if dx > sx else -1,
                           self.cols if dy > sy else -self.cols)
 
-    #: The router protocol's ``path``: the reference engine's live routes.
-    path = xy_path
-
     def yx_path(self, src: int, dst: int) -> List[Link]:
         """Directed links of the YX route (Y dimension first, then X).
 
@@ -77,19 +74,10 @@ class MeshTopology:
         return links
 
     @property
-    def center_tile(self) -> int:
-        """Tile nearest the grid centre (monolithic placement candidate)."""
-        return self.tile_at(self.cols // 2, self.rows // 2)
-
-    @property
     def edge_tile(self) -> int:
         """Bottom-centre tile — where the paper's monolithic TLB sits
         ("placed at one end of the chip", §II-C)."""
         return self.tile_at(self.cols // 2, self.rows - 1)
-
-    def mean_hops_to(self, dst: int) -> float:
-        """Average hop count from every tile to ``dst``."""
-        return sum(self.hops(t, dst) for t in range(self.num_tiles)) / self.num_tiles
 
     @property
     def diameter(self) -> int:

@@ -17,6 +17,7 @@ the paper evaluates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -95,7 +96,8 @@ class SystemConfig:
     l2_ways: int = 8
     monolithic_banks: Optional[int] = None
     #: Fig 4: override the *total* shared access latency (9/11/16/25cc),
-    #: replacing SRAM+network modelling with a fixed cost.
+    #: replacing SRAM+network modelling with a fixed cost.  Monolithic
+    #: only, with no network (``interconnect`` ``zero``).
     fixed_shared_latency: Optional[int] = None
     nocstar: NocstarConfig = field(default_factory=NocstarConfig)
     #: NOCSTAR with guaranteed-free links (Fig 15's NOCSTAR(ideal)).
@@ -116,7 +118,8 @@ class SystemConfig:
     translation_overlap: float = 0.45
     #: How translations map to slices/banks (§III-A: "optimized indexing
     #: mechanisms can be adopted"): "modulo" (the paper), "xor-fold",
-    #: or "asid-mix".  Ablation: benchmarks/test_ablation_indexing.py.
+    #: or "asid-mix".  The two folds need a power-of-two shard count.
+    #: Ablation: benchmarks/test_ablation_indexing.py.
     slice_indexing: str = "modulo"
     #: QoS extension (the paper's future work for multiprogrammed
     #: interference): cap the ways any single ASID may occupy per shared
@@ -148,6 +151,41 @@ class SystemConfig:
             )
         if self.arbitration not in (FIFO, PRIORITY):
             raise ValueError(f"unknown arbitration mode: {self.arbitration!r}")
+        if not (self.l1_scale > 0 and math.isfinite(self.l1_scale)):
+            raise ValueError(
+                f"l1_scale must be a positive factor, got {self.l1_scale}"
+            )
+        if self.fixed_shared_latency is not None:
+            if self.scheme != MONOLITHIC or self.interconnect != ZERO:
+                raise ValueError(
+                    "fixed_shared_latency replaces the network, so it needs "
+                    f"a monolithic scheme with interconnect {ZERO!r}, not "
+                    f"{self.scheme!r} over {self.interconnect!r}"
+                )
+            if self.fixed_shared_latency < 0:
+                raise ValueError(
+                    "fixed_shared_latency must be at least 0 cycles, got "
+                    f"{self.fixed_shared_latency}"
+                )
+        if self.slice_indexing in ("xor-fold", "asid-mix"):
+            self._check_power_of_two_shards()
+
+    def _check_power_of_two_shards(self) -> None:
+        """The folds XOR bit groups of the page number, so they reach
+        every shard only when the shard count is a power of two."""
+        if self.scheme == PRIVATE:
+            return  # private L2s have no shards to index
+        source, shards = "num_cores", self.num_cores
+        if self.scheme == MONOLITHIC:
+            source = "monolithic_banks"
+            shards = self.monolithic_banks or MonolithicSharedTlb.banks_for(
+                self.num_cores
+            )
+        if shards & (shards - 1):
+            raise ValueError(
+                f"slice_indexing {self.slice_indexing!r} needs a power-of-two "
+                f"shard count, but {source} gives {shards}"
+            )
 
     def renamed(self, name: str) -> "SystemConfig":
         return replace(self, name=name)

@@ -26,6 +26,9 @@ Two drive loops produce bit-identical results:
   paths byte-identical, which is why ``ENGINE_VERSION`` did not change
   for the fast path.
 
+The switch picks the drive loop and nothing else: both loops run on the
+same ``System``, with the same routes, network sends and transaction.
+
 The batched loop serves every storm-free run, from 8 cores to 1024
 tiles.  Both loops resolve an L1 miss through ``System.l2_transaction``
 — one table-driven transaction per ``System`` — whether or not the run
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import os
 import weakref
 from array import array
 from bisect import bisect_left
@@ -49,7 +53,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.models import FaultPlan, FaultSpec, derive_seed
-from repro.noc.route_cache import reference_mode
 from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.sim import configs as cfg
 from repro.sim.results import RunResult
@@ -72,6 +75,16 @@ DEFAULT_QUANTUM = 256
 #: non-empty plan is itself a cache-key field of the RunUnit, so
 #: key => result determinism still holds.
 ENGINE_VERSION = "1"
+
+#: Environment switch forcing the reference drive loop.  Read at use
+#: time (not import time) so tests can flip it per run; empty and "0"
+#: mean "off".
+REFERENCE_ENV = "REPRO_REFERENCE_ENGINE"
+
+
+def reference_mode() -> bool:
+    """True when the reference drive loop is forced."""
+    return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
 
 
 class WatchdogExpired(RuntimeError):
@@ -222,9 +235,8 @@ def simulate(
     # scan them all to reclaim almost nothing.  Collection is paused
     # from System construction until the System is released, when
     # reference counting has freed it; the few cycles a run does make
-    # (a mesh's self-bound send, fault-routing and observation state)
-    # go to the first collection after the pause.  A caller that
-    # disabled GC keeps it disabled.
+    # (fault-routing and observation state) go to the first collection
+    # after the pause.  A caller that disabled GC keeps it disabled.
     paused = gc.isenabled()
     if paused:
         gc.disable()

@@ -8,7 +8,7 @@ latency.  An L1 miss is resolved by :meth:`System.l2_transaction`,
 which delegates to one closure built at construction (private L2s, or
 shared slices and banks): it binds the live structures into locals and
 runs the common case on tables — home by arithmetic, contention-free
-mesh legs from the mesh's RouteCache rows, set probes through the
+mesh legs from the route cache's hop rows, set probes through the
 replacement policy state — while ports, walkers and every rarer shape
 (faults, observation, prefetch, remote walks, priority ports, QoS
 quotas, the other interconnects) are calls into their one model.
@@ -38,7 +38,7 @@ from repro.mem.cache import CacheHierarchy
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import reference_mode, shared_route_cache
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK
@@ -85,10 +85,8 @@ class System:
         n = config.num_cores
         self.topology = MeshTopology(n)
         #: Precomputed fault-free route/latency tables, shared across
-        #: systems of the same size.  None under the reference engine
-        #: (REPRO_REFERENCE_ENGINE=1), which recomputes routes live —
-        #: the differential harness proves both modes bit-identical.
-        self.routes = None if reference_mode() else shared_route_cache(n)
+        #: systems of the same size and by both drive loops.
+        self.routes = shared_route_cache(n)
         #: Runtime fault state; None keeps every component on its exact
         #: fault-free code path (an empty plan is normalised to None by
         #: the engine, so rate-0 runs are bit-identical to plain runs).
@@ -97,7 +95,7 @@ class System:
             self.faults = FaultInjector(faults, self.topology, sink=sink)
         # The mesh and SMART models' one route source (see
         # repro.noc.route_cache): detours once links have failed.
-        router = self.routes or self.topology
+        router = self.routes
         if self.faults is not None and self.faults.router.dead:
             router = self.faults.router
         #: True when the active network routes around failed links (so
@@ -140,13 +138,11 @@ class System:
             else:
                 self.l2_lookup_cycles = self.shared_l2.lookup_cycles
             if config.interconnect == cfg.MESH:
-                self.network = ContentionFreeMesh(
-                    self.topology, sink=sink, router=router
-                )
+                self.network = ContentionFreeMesh(self.topology, router)
                 self._network_fault_aware = True
             elif config.interconnect == cfg.SMART:
                 self.network = SmartNetwork(
-                    self.topology, config.smart_hpc, sink=sink, router=router
+                    self.topology, router, config.smart_hpc, sink=sink
                 )
                 self._network_fault_aware = True
         else:  # distributed / nocstar / ideal
@@ -166,9 +162,7 @@ class System:
                         self.topology, narrow=True
                     )
                 else:
-                    self.network = ContentionFreeMesh(
-                        self.topology, sink=sink, router=router
-                    )
+                    self.network = ContentionFreeMesh(self.topology, router)
                     self._network_fault_aware = True
             elif scheme == cfg.NOCSTAR:
                 # The idealised fabric abstracts links away entirely, so
@@ -182,6 +176,18 @@ class System:
 
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
+        #: The hop rows the transaction times contention-free mesh legs
+        #: from (hops x cycles per hop, counting the messages and hops
+        #: itself), or None when every leg calls ``network.send``.  Rows
+        #: serve a mesh on the fault-free routes whose per-link counts
+        #: no observer reads; detours and observed runs walk the path.
+        self.mesh_hop_rows = None
+        if (
+            isinstance(self.network, ContentionFreeMesh)
+            and router is self.routes
+            and not sink.enabled
+        ):
+            self.mesh_hop_rows = self.routes.hops
 
         # --- Walkers ------------------------------------------------------
         self.page_table = PageTable()
@@ -310,7 +316,7 @@ class System:
         or a remote walk at the home tile) or the miss reply, a walk at
         the requester and a fire-and-forget fill back to the slice.
         The common case runs on tables: the modulo home by arithmetic,
-        contention-free mesh legs from the mesh's RouteCache rows, set
+        contention-free mesh legs from :attr:`mesh_hop_rows`, set
         probes through the policy state.  Everything else is a guarded
         call into its one model.
         """
@@ -350,12 +356,12 @@ class System:
         ingress = MonolithicSharedTlb.INGRESS_CYCLES if monolithic else 0
         network = self.network
         send = network.send if network is not None else None
-        # Contention-free mesh legs come straight from the RouteCache
-        # hop rows whenever the mesh itself sends from them.  Manhattan
-        # routes are symmetric, so the requester's row gives both legs.
-        flat_mesh = getattr(network, "flat_tables", None) is not None
+        # Contention-free mesh legs come straight from the hop rows when
+        # the System allows it.  Manhattan routes are symmetric, so the
+        # requester's row gives both legs.
+        hop_rows = self.mesh_hop_rows
+        flat_mesh = hop_rows is not None
         if flat_mesh:
-            hop_rows = network.flat_tables
             cycles_per_hop = network.cycles_per_hop
         nocstar = self._is_nocstar
         ideal = nocstar and config.nocstar_ideal
@@ -520,16 +526,10 @@ class System:
         is its uncontended traversal; returns ``(hops, cycles)``."""
         network = self.network
         traversal_cycles = network.traversal_cycles
-        if self.routes is None:
-            hops_of = self.topology.hops
-        else:
-            hop_rows = self.routes.hops
-
-            def hops_of(src: int, dst: int) -> int:
-                return hop_rows[src][dst]
+        hop_rows = self.routes.hops
 
         def ideal_send(src: int, dst: int) -> Tuple[int, int]:
-            hops = hops_of(src, dst)
+            hops = hop_rows[src][dst]
             network.messages += 1
             network.total_hops += hops
             if hops:
@@ -665,9 +665,7 @@ class System:
         if self.faults is not None:
             arrival = self.faults.shootdown_send(src, dst, now)
             return now if arrival is None else arrival
-        if self.routes is not None:
-            return now + 2 * self.routes.hops[src][dst] + 1
-        return now + 2 * self.topology.hops(src, dst) + 1
+        return now + 2 * self.routes.hops[src][dst] + 1
 
     def flush_all_tlbs(self) -> None:
         """Full TLB flush (context-switch storms, §V)."""

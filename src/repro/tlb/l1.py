@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.tlb.set_assoc import Key, SetAssociativeTLB, SetGroups
-from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, translation_vpn
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,6 @@ class L1Tlb:
 
     def array(self, page_size: int) -> SetAssociativeTLB:
         return self._arrays[page_size]
-
-    def lookup(self, asid: int, vpn: int, page_size: int) -> bool:
-        """Probe the matching array with the size-granular page number."""
-        return self._arrays[page_size].lookup(
-            asid, page_size, translation_vpn(vpn, page_size)
-        )
-
-    def insert(self, asid: int, vpn: int, page_size: int) -> None:
-        self._arrays[page_size].insert(
-            asid, page_size, translation_vpn(vpn, page_size)
-        )
-
-    def invalidate(self, asid: int, page_size: int, page_number: int) -> bool:
-        return self._arrays[page_size].invalidate(asid, page_size, page_number)
 
     def group(self, entries: Iterable[Key]) -> Dict[int, SetGroups]:
         """``entries`` bucketed by page-size array, then by set.  Every

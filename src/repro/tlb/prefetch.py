@@ -24,7 +24,6 @@ class SequentialPrefetcher:
 
     distances: Tuple[int, ...] = ()
     issued: int = 0
-    useful: int = 0
 
     def __post_init__(self) -> None:
         if any(d <= 0 for d in self.distances):
@@ -45,7 +44,3 @@ class SequentialPrefetcher:
                     out.append((asid, page_size, neighbour))
         self.issued += len(out)
         return out
-
-    def record_useful(self) -> None:
-        """A demand access hit an entry this prefetcher installed."""
-        self.useful += 1

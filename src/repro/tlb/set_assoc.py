@@ -215,6 +215,3 @@ class SetAssociativeTLB:
         for cache_set in self._sets:
             if cache_set is not None:
                 yield from cache_set.members()
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.insertions = self.evictions = 0

@@ -62,3 +62,29 @@ def test_asid_mix_decorrelates_processes():
 
 def test_asid_mix_deterministic():
     assert asid_mix_index(3, 999, 32) == asid_mix_index(3, 999, 32)
+
+
+#: Every power-of-two slice count from one slice to 1,024 tiles.
+SLICE_COUNTS = [1 << k for k in range(11)]
+
+
+@pytest.mark.parametrize("name", ["modulo", "xor-fold", "asid-mix"])
+def test_indexers_reach_every_slice_and_nothing_else(name):
+    """From one slice to 1,024, over pages whose bits span several fold
+    groups: every home is in range and every slice is someone's home,
+    for each ASID tried.  One slice homes everything at once (the fold
+    used to spin on a zero-bit shift)."""
+    index = get_indexer(name)
+    for slices in SLICE_COUNTS:
+        pages = list(range(2 * slices)) + [
+            (page << 17) + 12_345 for page in range(1, 64)
+        ]
+        for asid in (0, 1, 7):
+            homes = {index(asid, page, slices) for page in pages}
+            assert homes == set(range(slices))
+
+
+def test_one_slice_homes_every_page_on_it():
+    for name in ("modulo", "xor-fold", "asid-mix"):
+        index = get_indexer(name)
+        assert {index(3, page, 1) for page in (0, 1, 2**40 + 5)} == {0}

@@ -155,19 +155,6 @@ def test_statistics():
     assert ic.mean_setup_retries > 0
 
 
-def test_control_wires_formula():
-    ic = make(64)  # 8x8
-    assert ic.control_wires_per_core() == (8 - 1) + (8 - 1) * 8
-
-
-def test_reset_clears_state():
-    ic = make()
-    ic.send(0, 3, now=0)
-    ic.reset()
-    assert ic.messages == 0
-    assert ic.send(0, 3, now=0).setup_retries == 0
-
-
 def test_retry_search_checks_every_cycle_of_a_multi_cycle_span():
     """Out-of-order bookings can collide with a span past its first
     cycle, and after a retry jump the whole new span is tested again."""
@@ -187,9 +174,6 @@ def test_released_hold_overlapping_a_later_reservation_counts_once():
     ic.release(held.links, at=10)  # backfills cycles 2..9, over cycle 6
     assert (later.ready, held.ready) == (7, 2)
     assert ic.link_busy_cycles() == {(0, 1): 9}  # cycles 1..9
-    ic.reset()
-    assert ic.link_busy_cycles() == {}
-    assert ic.send(0, 1, now=5).setup_retries == 0
 
 
 COUNTERS = (
@@ -343,13 +327,16 @@ def _check_routes(tiles, pairs):
     """Each pair's send takes the legacy builder's hops and traversal
     and books its mask (one bit per hop, naming exactly the XY path's
     links) in every traversal cycle; the path ``_path`` slices from the
-    legs, and the circuit a round-trip send holds, are the XY path."""
+    legs, and the circuit a round-trip send holds, are the XY path.
+    Each send starts after the previous one has ended (a held circuit
+    is released as it arrives), so no two contend."""
     topology = MeshTopology(tiles)
     for hpc_max in (3, 16):
         ic = NocstarInterconnect(topology, NocstarConfig(hpc_max=hpc_max))
         assert ic.send.__func__ is NocstarInterconnect.send  # fault-free
         legacy = LegacyRoutes(topology, hpc_max)
         assert ic._links == legacy._links
+        now = 0
         for src, dst in pairs:
             path, mask, duration = legacy._route(src * tiles + dst)
             xy = tuple(topology.xy_path(src, dst))
@@ -361,16 +348,18 @@ def _check_routes(tiles, pairs):
                 decoded.add(ic._links[low.bit_length() - 1])
                 bits ^= low
             assert decoded == set(xy)
-            ic.reset()
-            sent = ic.send(src, dst, now=0)
-            assert (sent.hops, sent.traversal_cycles) == (len(path), duration)
-            assert sent.links == ()
-            booked = {cycle: mask for cycle in range(1, 1 + duration)}
-            assert ic._busy == booked
             assert ic._path(src, dst) == xy
-            ic.reset()
-            held = ic.send(src, dst, now=0, hold=True)
-            assert held.links == xy and ic._busy == booked
+            for hold in (False, True):
+                before = len(ic._busy)
+                sent = ic.send(src, dst, now=now, hold=hold)
+                got = (sent.hops, sent.traversal_cycles, sent.setup_retries)
+                assert got == (len(path), duration, 0)
+                assert sent.links == (xy if hold else ())
+                booked = range(now + 1, now + 1 + duration)
+                assert [ic._busy[c] for c in booked] == [mask] * duration
+                assert len(ic._busy) == before + duration
+                ic.release(sent.links, at=sent.ready)
+                now = sent.ready
 
 
 @pytest.mark.parametrize("tiles", [1, 2, 3, 6, 7, 12, 16, 64, 128])

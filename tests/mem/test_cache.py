@@ -54,13 +54,6 @@ def test_hit_refreshes_decay_clock():
     assert cache.lookup(0x1000, now=180)  # refreshed at 90
 
 
-def test_invalidate_all():
-    cache = Cache("c", 4096, 4)
-    cache.fill(0x1000, 0)
-    cache.invalidate_all()
-    assert not cache.lookup(0x1000, 1)
-
-
 def test_hierarchy_first_access_is_dram():
     hierarchy = CacheHierarchy(2)
     level, latency = hierarchy.access(0, LINE, now=0)

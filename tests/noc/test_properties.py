@@ -7,6 +7,7 @@ from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
+from tests.noc.live_xy import LiveXY
 
 
 @settings(max_examples=30)
@@ -71,8 +72,8 @@ def test_bus_never_overlaps_transfers(messages):
 def test_every_network_arrival_at_or_after_send(messages):
     topo = MeshTopology(16)
     networks = [
-        ContentionFreeMesh(topo),
-        SmartNetwork(topo),
+        ContentionFreeMesh(topo, LiveXY(topo)),
+        SmartNetwork(topo, LiveXY(topo)),
         BusNetwork(topo),
         FlattenedButterfly(topo),
         FlattenedButterfly(topo, narrow=True),
@@ -89,7 +90,7 @@ def test_every_network_arrival_at_or_after_send(messages):
 @given(st.integers(min_value=2, max_value=64), st.data())
 def test_contention_free_mesh_latency_formula(n, data):
     topo = MeshTopology(n)
-    mesh = ContentionFreeMesh(topo)
+    mesh = ContentionFreeMesh(topo, LiveXY(topo))
     src = data.draw(st.integers(min_value=0, max_value=n - 1))
     dst = data.draw(st.integers(min_value=0, max_value=n - 1))
     t = mesh.send(src, dst, now=100)

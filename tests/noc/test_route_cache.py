@@ -1,9 +1,9 @@
 """Property tests for the precomputed RouteCache tables.
 
 The cache claims its tables are pure functions of the topology — every
-entry must agree with what the live models compute per send — and a
-network handed the fault-aware router sends along its detours instead,
-or refuses a partitioned pair.
+entry must agree with what the models compute per send on live XY
+routes — and a network handed the fault-aware router sends along its
+detours instead, or refuses a partitioned pair.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.route_cache import RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
+from tests.noc.live_xy import LiveXY
 
 tile_counts = st.integers(min_value=2, max_value=64)
 
@@ -44,28 +45,29 @@ def test_cached_hops_and_paths_match_topology(n, data):
 @settings(max_examples=30)
 @given(tile_counts, st.integers(min_value=1, max_value=6), st.data())
 def test_cached_mesh_send_equals_live_mesh_send(n, cycles_per_hop, data):
+    """A mesh on the cache sends as one on live XY routes, link counts
+    included, and the hop rows give the latency ``System`` times legs
+    from without sending."""
     topo = MeshTopology(n)
     cache = RouteCache(topo)
     live = ContentionFreeMesh(
-        topo, router_cycles=cycles_per_hop - 1 or 1, wire_cycles=1,
-        router=topo,
+        topo, LiveXY(topo), router_cycles=cycles_per_hop - 1 or 1,
+        wire_cycles=1,
     )
     cached = ContentionFreeMesh(
-        topo,
-        router_cycles=live.router_cycles,
+        topo, cache, router_cycles=live.router_cycles,
         wire_cycles=live.wire_cycles,
-        router=cache,
     )
-    assert cached.send.__func__ is ContentionFreeMesh.send  # hop table
     src, dst = _pair(data, n)
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    # The live mesh walks the path, so it also reports the links.
     walked = live.send(src, dst, now)
-    assert cached.send(src, dst, now) == walked._replace(links=())
+    assert cached.send(src, dst, now) == walked
     assert walked.links == cache.path(src, dst)
+    assert cached.link_traversals == live.link_traversals
     latency = cache.hops[src][dst] * live.cycles_per_hop
     assert type(latency) is int
-    assert latency == live.send(src, dst, now).arrival - now
+    assert latency == walked.arrival - now
+    assert cache.hops[src][dst] == walked.hops
 
 
 @settings(max_examples=30)
@@ -76,8 +78,8 @@ def test_cached_smart_send_equals_live_smart_send(n, data):
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
     # Fresh networks per draw: one uncontended send each, so the only
     # difference can come from the route source.
-    live = SmartNetwork(topo, router=topo).send(src, dst, now)
-    cached = SmartNetwork(topo, router=RouteCache(topo)).send(src, dst, now)
+    live = SmartNetwork(topo, LiveXY(topo)).send(src, dst, now)
+    cached = SmartNetwork(topo, RouteCache(topo)).send(src, dst, now)
     assert cached == live
 
 
@@ -95,10 +97,8 @@ def test_dead_links_bypass_the_cache(n, data):
     faults = FaultInjector(plan, topo)
     router = FaultAwareRouter(topo, [link])
 
-    mesh = ContentionFreeMesh(topo, router=faults.router)
-    assert mesh.send.__func__ is ContentionFreeMesh._send_observed
-    assert mesh.flat_tables is None
-    smart = SmartNetwork(topo, router=faults.router)
+    mesh = ContentionFreeMesh(topo, faults.router)
+    smart = SmartNetwork(topo, faults.router)
     assert smart._route == faults.router.path
     nocstar = NocstarInterconnect(topo, faults=faults)
     assert nocstar.send.__func__ is NocstarInterconnect._send_faulty

@@ -8,21 +8,29 @@ from repro.noc.mesh import Traversal
 from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
+from tests.noc.live_xy import LiveXY
+
+
+def _live_smart(tiles):
+    """An 8-hop-per-cycle SMART mesh routing live on XY paths."""
+    topology = MeshTopology(tiles)
+    return SmartNetwork(topology, LiveXY(topology), hpc_max=8)
 
 
 def test_rejects_bad_hpc():
+    topology = MeshTopology(16)
     with pytest.raises(ValueError):
-        SmartNetwork(MeshTopology(16), hpc_max=0)
+        SmartNetwork(topology, LiveXY(topology), hpc_max=0)
 
 
 def test_uncontended_within_hpc_is_two_cycles():
-    smart = SmartNetwork(MeshTopology(64), hpc_max=8)
+    smart = _live_smart(64)
     t = smart.send(0, 7, now=10)  # 7 hops, one segment
     assert t.arrival == 12  # 1 setup + 1 data cycle
 
 
 def test_long_path_needs_multiple_segments():
-    smart = SmartNetwork(MeshTopology(64), hpc_max=8)
+    smart = _live_smart(64)
     t = smart.send(0, 63, now=0)  # 14 hops = 2 segments
     # setup + segment + premature-stop relatch + segment
     assert t.arrival >= 3
@@ -30,19 +38,19 @@ def test_long_path_needs_multiple_segments():
 
 
 def test_local_message_is_free():
-    smart = SmartNetwork(MeshTopology(16))
+    smart = _live_smart(16)
     assert smart.send(4, 4, 0).arrival == 0
 
 
 def test_conflict_causes_stop_or_queue():
-    smart = SmartNetwork(MeshTopology(16), hpc_max=8)
+    smart = _live_smart(16)
     a = smart.send(0, 3, now=0)
     b = smart.send(0, 3, now=0)
     assert b.arrival > a.arrival
 
 
 def test_partial_conflict_premature_stop():
-    smart = SmartNetwork(MeshTopology(16), hpc_max=8)
+    smart = _live_smart(16)
     smart.send(1, 2, now=0)  # occupies link (1,2) at cycle 1
     before = smart.premature_stops
     t = smart.send(0, 3, now=0)  # wants links (0,1),(1,2),(2,3) at cycle 1
@@ -51,7 +59,7 @@ def test_partial_conflict_premature_stop():
 
 
 def test_disjoint_traffic_unaffected():
-    smart = SmartNetwork(MeshTopology(16), hpc_max=8)
+    smart = _live_smart(16)
     smart.send(0, 3, now=0)
     t = smart.send(12, 15, now=0)
     assert t.queue_cycles == 0
@@ -62,8 +70,8 @@ def test_faster_than_mesh_for_long_paths():
     from repro.noc.mesh import ContentionFreeMesh
 
     topo = MeshTopology(64)
-    smart = SmartNetwork(topo, hpc_max=8)
-    mesh = ContentionFreeMesh(topo)
+    smart = SmartNetwork(topo, LiveXY(topo), hpc_max=8)
+    mesh = ContentionFreeMesh(topo, LiveXY(topo))
     assert smart.send(0, 63, 0).arrival < mesh.send(0, 63, 0).arrival
 
 
@@ -143,7 +151,7 @@ def _router(kind, topology):
     if kind == "cache":
         return shared_route_cache(topology.num_tiles)
     if kind == "live":
-        return topology
+        return LiveXY(topology)
     return FaultAwareRouter(topology, _dead_links(topology))
 
 
@@ -191,8 +199,8 @@ def test_bound_routes_match_the_per_link_oracle(tiles, hpc_max, kind, ops):
     busy cycles as the per-link send."""
     topology = MeshTopology(tiles)
     router = _router(kind, topology)
-    smart = SmartNetwork(topology, hpc_max, router=router)
-    oracle = PerLinkSmart(topology, hpc_max, router=router)
+    smart = SmartNetwork(topology, router, hpc_max)
+    oracle = PerLinkSmart(topology, router, hpc_max)
     detours = _detours(topology)
     for op, now in ops:
         src, dst = _pair(op, tiles, detours)
@@ -210,8 +218,8 @@ def test_hot_destination_waits_match_the_per_link_oracle(kind):
     through the skip maps, equals the cycle-by-cycle oracle's."""
     topology = MeshTopology(64)
     router = _router(kind, topology)
-    smart = SmartNetwork(topology, 8, router=router)
-    oracle = PerLinkSmart(topology, 8, router=router)
+    smart = SmartNetwork(topology, router, 8)
+    oracle = PerLinkSmart(topology, router, 8)
     waits = []
     for now in (0, 5, 30):
         for src in range(64):

@@ -81,11 +81,6 @@ def test_all_links_count():
     assert len(topo.all_links()) == 2 * (4 * 3 + 4 * 3)
 
 
-def test_mean_hops_positive():
-    topo = MeshTopology(64)
-    assert 0 < topo.mean_hops_to(topo.center_tile) < topo.diameter
-
-
 @given(st.integers(min_value=1, max_value=128))
 def test_factoring_covers_all_tiles(n):
     topo = MeshTopology(n)

@@ -1,9 +1,15 @@
 """Configuration factories (Table II)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import NocstarConfig
+from repro.exec.cache import canonical_json
 from repro.sim import configs as cfg
+from repro.sim.engine import simulate
+from repro.workloads.generators import build_multithreaded
+from repro.workloads.registry import get_workload
 
 
 def test_private_factory():
@@ -135,3 +141,80 @@ def test_policy_is_a_cache_key_field():
         key_for(cfg.build_config("distributed-prio", 8).renamed("distributed")),
     }
     assert len(keys) == 3
+
+
+# ---------------------------------------------------------------------------
+# values that would simulate nonsense
+
+
+@pytest.mark.parametrize("cores", [3, 6, 12])
+@pytest.mark.parametrize("indexing", ["xor-fold", "asid-mix"])
+@pytest.mark.parametrize("name", ["distributed", "nocstar", "ideal"])
+def test_folds_reject_a_slice_count_that_is_not_a_power_of_two(
+    name, indexing, cores
+):
+    """The folds XOR page-number bit groups, which skip slices unless
+    there is a power of two of them (3 slices reached only {0, 2})."""
+    with pytest.raises(ValueError, match=f"num_cores gives {cores}"):
+        cfg.build_config(name, cores, slice_indexing=indexing)
+
+
+def test_folds_reject_a_bank_count_that_is_not_a_power_of_two():
+    with pytest.raises(ValueError, match="monolithic_banks gives 6"):
+        replace(
+            cfg.monolithic(16), monolithic_banks=6, slice_indexing="xor-fold"
+        )
+    # A 12-core monolith has 4 banks, so it may fold.
+    assert cfg.monolithic(12, slice_indexing="asid-mix").monolithic_banks == 4
+
+
+def test_folds_accept_powers_of_two_and_private_l2s():
+    for cores in (1, 2, 4, 16, 64):
+        cfg.distributed(cores, slice_indexing="xor-fold")
+        cfg.nocstar(cores, slice_indexing="asid-mix")
+    cfg.private(3, slice_indexing="xor-fold")  # private L2s have no slices
+
+
+@pytest.mark.parametrize("indexing", ["xor-fold", "asid-mix"])
+@pytest.mark.parametrize("name", ["distributed", "nocstar", "ideal"])
+def test_one_core_folds_simulate_as_modulo(name, indexing):
+    """One slice homes every page whatever the indexer, so the run ends
+    (the fold used to spin inside ``home()``) with the modulo bytes."""
+    workload = build_multithreaded(
+        get_workload("gups"), 1, accesses_per_core=20, seed=3
+    )
+    modulo = simulate(cfg.build_config(name, 1), workload)
+    folded = simulate(
+        cfg.build_config(name, 1, slice_indexing=indexing), workload
+    )
+    assert canonical_json(folded) == canonical_json(modulo)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["private", "distributed", "nocstar", "ideal", "monolithic",
+     "monolithic-smart"],
+)
+def test_fixed_shared_latency_needs_a_monolith_with_no_network(name):
+    """Elsewhere the field was ignored, or added to the network legs it
+    claims to replace."""
+    with pytest.raises(ValueError, match="fixed_shared_latency"):
+        replace(cfg.build_config(name, 4), fixed_shared_latency=16)
+    assert cfg.monolithic(4, fixed_latency=0).fixed_shared_latency == 0
+
+
+def test_fixed_shared_latency_rejects_negative_cycles():
+    """-5 cycles ended every slice lookup before it started."""
+    with pytest.raises(ValueError, match="fixed_shared_latency"):
+        cfg.monolithic(4, fixed_latency=-5)
+    with pytest.raises(ValueError, match="fixed_shared_latency"):
+        replace(
+            cfg.build_config("monolithic-smart", 4), fixed_shared_latency=-5
+        )
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_l1_scale_must_be_a_positive_factor(scale):
+    """-1.0 cut every L1 array to one 4-entry set."""
+    with pytest.raises(ValueError, match="l1_scale"):
+        cfg.nocstar(4, l1_scale=scale)

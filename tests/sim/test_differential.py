@@ -27,11 +27,12 @@ from hypothesis import strategies as st
 from repro.exec.cache import canonical_json
 from repro.exec.runner import Runner
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import REFERENCE_ENV, RouteCache
+from repro.noc.route_cache import RouteCache
 from repro.noc.topology import MeshTopology
 from repro.obs import write_obs_jsonl
 from repro.sim import configs as cfg
 from repro.sim import engine
+from repro.sim.engine import REFERENCE_ENV
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -40,6 +41,7 @@ from tests._corpus import (
     differential_corpus,
     faulty_scenario,
 )
+from tests.noc.live_xy import LiveXY
 
 CORPUS = differential_corpus()
 PINS = json.loads((Path(__file__).parent / "corpus_pins.json").read_text())
@@ -170,14 +172,16 @@ def test_mega_scale_run_takes_the_batched_loop(monkeypatch):
 def test_vectorized_hop_latency_matches_live_mesh(
     num_tiles, router_cycles, wire_cycles, data
 ):
-    """The hop table behind ``ContentionFreeMesh.flat_tables``, and the
-    latency derived from it (hops x cycles per hop), equal the live
-    contention-free mesh model, route by route."""
+    """The hop table behind ``System.mesh_hop_rows``, and the latency
+    derived from it (hops x cycles per hop), equal the contention-free
+    mesh model on live XY routes, route by route."""
     topology = MeshTopology(num_tiles)
     cache = RouteCache(topology)
     src = data.draw(st.integers(0, num_tiles - 1), label="src")
     dst = data.draw(st.integers(0, num_tiles - 1), label="dst")
-    mesh = ContentionFreeMesh(topology, router_cycles, wire_cycles)
+    mesh = ContentionFreeMesh(
+        topology, LiveXY(topology), router_cycles, wire_cycles
+    )
     live = mesh.send(src, dst, now=0)
     assert cache.hops[src][dst] * mesh.cycles_per_hop == live.arrival
     assert int(cache.hops_array[src][dst]) == live.hops

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.cache import canonical_json
-from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
 from repro.sim import engine
 from repro.sim.engine import (
+    REFERENCE_ENV,
     ShootdownTraffic,
     StormConfig,
     WatchdogExpired,

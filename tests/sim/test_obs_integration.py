@@ -11,10 +11,15 @@ import pytest
 
 from repro.exec.cache import canonical_json
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import REFERENCE_ENV
+from repro.noc.route_cache import shared_route_cache
 from repro.sim import configs as cfg
 from repro.sim import engine
-from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
+from repro.sim.engine import (
+    REFERENCE_ENV,
+    ShootdownTraffic,
+    StormConfig,
+    simulate,
+)
 from repro.sim.scenario import Scenario
 from repro.vm.walker import PageTableWalker
 from repro.workloads.generators import build_multithreaded
@@ -170,9 +175,9 @@ def test_observation_changes_only_the_mesh_send(monkeypatch):
     and observed runs take the same loop and the same latency-only walk
     (never ``walk()``), and their results differ only in ``metrics``
     and ``trace``.  The one path that differs is the mesh leg: a plain
-    run times every leg from the mesh's RouteCache rows and sends
-    nothing, an observed run sends every message through
-    ``_send_observed`` for link accounting."""
+    run times every leg from the route cache's hop rows and sends
+    nothing, an observed run sends every message through the mesh's one
+    ``send``, on the same routes, for link accounting."""
     monkeypatch.delenv(REFERENCE_ENV, raising=False)
     loops, walks, sends = [], [], []
     for name in ("_drive_batched", "_drive_reference"):
@@ -192,13 +197,11 @@ def test_observation_changes_only_the_mesh_send(monkeypatch):
         PageTableWalker, "walk",
         lambda *args, **kwargs: pytest.fail("walk() on a requester path"),
     )
-    for name in ("send", "_send_cached", "_send_observed"):
-        def spy_send(self, *args, _name=name,
-                     _real=getattr(ContentionFreeMesh, name)):
-            sends.append((_name, self.flat_tables is None))
-            return _real(self, *args)
+    def spy_send(self, *args, _real=ContentionFreeMesh.send):
+        sends.append(self.router)
+        return _real(self, *args)
 
-        monkeypatch.setattr(ContentionFreeMesh, name, spy_send)
+    monkeypatch.setattr(ContentionFreeMesh, "send", spy_send)
     cores = cfg.MEGA_CORE_COUNTS[0]
     config = cfg.distributed(cores)
     workload = _workload(cores, accesses=4, seed=1)
@@ -207,7 +210,8 @@ def test_observation_changes_only_the_mesh_send(monkeypatch):
     observed = simulate(config, workload, metrics=True, trace=True)
     assert loops == ["_drive_batched", "_drive_batched"]
     assert walks == [False] * plain.stats.walks + [True] * observed.stats.walks
-    assert sends == [("_send_observed", True)] * observed.network["messages"]
+    routes = shared_route_cache(cores)
+    assert sends == [routes] * observed.network["messages"]
     assert observed.metrics["counters"]["walk.count"] == observed.stats.walks
     assert observed.trace
 

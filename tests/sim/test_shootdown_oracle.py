@@ -25,7 +25,8 @@ def oracle_shootdown(system, initiator, entries, now):
     n = system.config.num_cores
     for core in range(n):
         for asid, size, page_number in entries:
-            system.l1s[core].invalidate(asid, size, page_number)
+            # L1Tlb.invalidate as it was: the entry's page-size array.
+            system.l1s[core].array(size).invalidate(asid, size, page_number)
         system.pending_penalty[core] += IPI_CYCLES
     if system.config.scheme == cfg.PRIVATE:
         for core in range(n):

@@ -6,10 +6,12 @@ import weakref
 import pytest
 
 from repro.faults.models import FaultPlan
-from repro.noc.route_cache import REFERENCE_ENV
+from repro.noc.mesh import ContentionFreeMesh
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.obs import NULL_SINK, MetricsSink
 from repro.sim import configs as cfg
+from repro.sim.engine import REFERENCE_ENV
 from repro.sim.system import System
 from repro.vm.address import PAGE_4K
 
@@ -127,13 +129,12 @@ def test_nocstar_ideal_fill_arbitrates_on_the_real_fabric():
 def test_flush_all_tlbs():
     system = System(cfg.nocstar(4))
     system.l2_transaction(0, 1, PAGE_4K, 7, now=0)
-    system.l1s[0].insert(1, 7, PAGE_4K)
+    l1 = system.l1s[0].array(PAGE_4K)
+    l1.insert(1, PAGE_4K, 7)
     system.flush_all_tlbs()
     assert system.stats.flushes == 1
     assert not system.shared_l2.probe_page_number(1, PAGE_4K, 7)
-    assert system.l1s[0].accesses == 0 or not system.l1s[0].lookup(
-        1, 7, PAGE_4K
-    )
+    assert not l1.probe(1, PAGE_4K, 7)
 
 
 def test_shootdown_private_invalidates_everywhere():
@@ -235,14 +236,11 @@ def test_system_is_freed_without_the_cycle_collector(config):
 @pytest.mark.parametrize(
     "name", ["monolithic", "monolithic-smart", "distributed"]
 )
-def test_system_picks_the_one_router_its_network_sends_on(
-    name, observed, monkeypatch
-):
+def test_system_picks_the_one_router_its_network_sends_on(name, observed):
     """Dead links hand the mesh or SMART model the fault injector's
-    router; any other faults, or none, the shared fault-free tables; the
-    reference engine the topology's live XY routes.  Only a mesh that is
-    unobserved and on the tables times its legs from the hop rows."""
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    router; any other faults, or none, the shared fault-free tables.
+    Each network keeps its one send.  Only the legs of a mesh that is
+    unobserved and on the tables are timed from the hop rows."""
     config = cfg.build_config(name, 16)
     sink = MetricsSink() if observed else NULL_SINK
     dead = System(
@@ -252,18 +250,62 @@ def test_system_picks_the_one_router_its_network_sends_on(
         config, sink=sink, faults=FaultPlan(16, arbiter_drop_prob=0.5)
     )
     plain = System(config, sink=sink)
-    monkeypatch.setenv(REFERENCE_ENV, "1")
-    reference = System(config, sink=sink)
-    assert reference.routes is None
+    routes = shared_route_cache(16)
+    assert plain.routes is drops.routes is dead.routes is routes
     assert dead.network.router is dead.faults.router
-    assert drops.network.router is drops.routes is plain.routes
-    assert plain.network.router is plain.routes
-    assert reference.network.router is reference.topology
-    for system in (dead, drops, plain, reference):
+    assert drops.network.router is plain.network.router is plain.routes
+    for system in (dead, drops, plain):
         network = system.network
+        assert network.send.__func__ is type(network).send
         if isinstance(network, SmartNetwork):
             assert network._route == network.router.path
-        elif network.router is system.routes and not observed:
-            assert network.flat_tables is system.routes.hops
-        else:
-            assert network.flat_tables is None
+        inlined = (
+            isinstance(network, ContentionFreeMesh)
+            and network.router is system.routes
+            and not observed
+        )
+        assert system.mesh_hop_rows is (
+            system.routes.hops if inlined else None
+        )
+
+
+def _routing(system):
+    """What the reference switch must not change: the route tables, the
+    network's router and send function, and the leg-inlining decision."""
+    network = system.network
+    send = getattr(network, "send", None)
+    return (
+        system.routes,
+        getattr(network, "router", None),
+        getattr(send, "__func__", send),
+        system.mesh_hop_rows,
+    )
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "private", "monolithic", "monolithic-smart", "monolithic-16cc",
+        "distributed", "distributed-bus", "distributed-fbfly-wide",
+        "nocstar", "nocstar-ideal", "ideal",
+    ],
+)
+def test_reference_switch_changes_no_route_or_send(
+    name, observed, monkeypatch
+):
+    """``REPRO_REFERENCE_ENGINE=1`` picks the drive loop and nothing
+    else: both settings build a System on the same route tables, router,
+    network send and leg-inlining decision."""
+    if name == "monolithic-16cc":
+        config = cfg.monolithic(16, fixed_latency=16)
+    else:
+        config = cfg.build_config(name, 16)
+    sink = MetricsSink() if observed else NULL_SINK
+    monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    fast = _routing(System(config, sink=sink))
+    monkeypatch.setenv(REFERENCE_ENV, "1")
+    reference = _routing(System(config, sink=sink))
+    assert fast[0] is shared_route_cache(16)
+    for ours, theirs in zip(fast, reference):
+        assert ours is theirs

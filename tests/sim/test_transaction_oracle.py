@@ -28,10 +28,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ROUND_TRIP, NocstarConfig
 from repro.faults.models import FaultPlan
-from repro.noc.route_cache import REFERENCE_ENV
+from repro.noc.mesh import Traversal
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.sim import configs as cfg
+from repro.sim.engine import REFERENCE_ENV
 from repro.sim.system import POLLUTION_CYCLES_PER_FILL, System
 from repro.tlb.l2_shared import (
     FIFO,
@@ -45,22 +47,36 @@ from repro.vm.walker import PageTableWalker
 from tests.sim.test_shootdown_oracle import _set_state
 
 
+def hop_table_send(mesh, hop_rows):
+    """``ContentionFreeMesh.send`` as it was on the fault-free tables of
+    an unobserved run: hops off the table, no per-link accounting."""
+
+    def send(src: int, dst: int, now: int) -> Traversal:
+        hops = hop_rows[src][dst]
+        mesh.messages += 1
+        mesh.total_hops += hops
+        return Traversal(arrival=now + hops * mesh.cycles_per_hop, hops=hops)
+
+    return send
+
+
 class ChainSystem(System):
     """A ``System`` whose L2 transaction is the method chain it replaced."""
 
     def __init__(self, config, **kwargs) -> None:
         super().__init__(config, **kwargs)
         # Attributes only the chain reads, set as System used to.
-        self._hops_table = self.routes.hops if self.routes is not None else None
+        self._hops_table = self.routes.hops
         self._ideal_cycles = None
-        if (
-            config.scheme == cfg.NOCSTAR
-            and config.nocstar_ideal
-            and self.routes is not None
-        ):
+        if config.scheme == cfg.NOCSTAR and config.nocstar_ideal:
             # ceil(hops / HPCmax) per pair, from the hop table.
             hops = self.routes.hops_array.astype(int)
             self._ideal_cycles = (-(-hops // config.nocstar.hpc_max)).tolist()
+        if self.mesh_hop_rows is not None:
+            # Where System times mesh legs from the hop rows, the mesh
+            # the chain calls sends off them, as it used to.
+            mesh = self.network
+            mesh.send = hop_table_send(mesh, self.mesh_hop_rows)
         prio = config.arbitration == PRIORITY
         self._klass_walk = WALK_CLASS if prio else 0
         self._klass_prefetch = PREFETCH_CLASS if prio else 0
@@ -142,12 +158,8 @@ class ChainSystem(System):
         # Request leg.
         if self._is_nocstar:
             if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[core][dst_tile]
-                    dur = self._ideal_cycles[core][dst_tile]
-                else:
-                    hops = self.topology.hops(core, dst_tile)
-                    dur = self.network.traversal_cycles(hops)
+                hops = self._hops_table[core][dst_tile]
+                dur = self._ideal_cycles[core][dst_tile]
                 arrival = now + (1 + dur if hops else 0)
                 self.network.messages += 1
                 self.network.total_hops += hops
@@ -226,12 +238,8 @@ class ChainSystem(System):
         """Send the response (or miss message) back to the requester."""
         if self._is_nocstar:
             if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[dst_tile][core]
-                    dur = self._ideal_cycles[dst_tile][core]
-                else:
-                    hops = self.topology.hops(dst_tile, core)
-                    dur = self.network.traversal_cycles(hops)
+                hops = self._hops_table[dst_tile][core]
+                dur = self._ideal_cycles[dst_tile][core]
                 self.network.messages += 1
                 self.network.total_hops += hops
                 self.network.uncontended_messages += 1 if hops else 0
@@ -330,7 +338,6 @@ def make_lean_transaction(
         or system.record_intervals
         or system.timeline is not None
         or sink.enabled
-        or system.routes is None
     ):
         return None
 
@@ -542,7 +549,7 @@ def snapshot(system):
             {k: v for k, v in vars(inj).items() if isinstance(v, int)},
             inj.rng.getstate(),
         ),
-        prefetcher=(system.prefetcher.issued, system.prefetcher.useful),
+        prefetcher=system.prefetcher.issued,
         pending=list(system.pending_penalty),
         intervals=list(system.intervals),
         timeline=system.timeline and list(system.timeline),
@@ -674,7 +681,9 @@ def test_bursts_on_one_home_match_the_method_chain(scheme, fixed_walker):
 def test_reference_mode_transaction_matches_the_method_chain(
     reference, monkeypatch
 ):
-    """With no RouteCache (reference mode) every leg is computed live."""
+    """The reference switch leaves the transaction as it is: under
+    either setting every scheme routes on the shared tables and matches
+    the method chain."""
     if reference:
         monkeypatch.setenv(REFERENCE_ENV, "1")
     else:
@@ -682,7 +691,7 @@ def test_reference_mode_transaction_matches_the_method_chain(
     for scheme in sorted(SCHEMES):
         config = SCHEMES[scheme](16)
         system, chain = System(config), ChainSystem(config)
-        assert (system.routes is None) == reference
+        assert system.routes is chain.routes is shared_route_cache(16)
         for i in range(60):
             args = (i * 7 % 16, i % 2, PAGE_4K, i * 37 % 300, i * 13 % 900)
             assert system.l2_transaction(*args) == chain.l2_transaction(*args)

@@ -2,7 +2,7 @@
 
 from repro.mem import sram
 from repro.tlb.l2_private import L2TlbConfig, PrivateL2Tlb
-from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, translation_vpn
 
 
 def test_default_is_haswell_1024e_9cc():
@@ -18,36 +18,38 @@ def test_lookup_cycles_follow_sram_model():
 
 def test_holds_4k_and_2m_concurrently():
     l2 = PrivateL2Tlb()
-    l2.insert(1, 100, PAGE_4K)
-    l2.insert(1, 512 * 7, PAGE_2M)
-    assert l2.lookup(1, 100, PAGE_4K)
-    assert l2.lookup(1, 512 * 7 + 3, PAGE_2M)
+    l2.insert_page_number(1, PAGE_4K, 100)
+    l2.insert_page_number(1, PAGE_2M, 7)
+    assert l2.lookup_page_number(1, PAGE_4K, 100)
+    assert l2.lookup_page_number(1, PAGE_2M, 7)
 
 
 def test_1g_pages_bypass_l2():
     l2 = PrivateL2Tlb()
-    l2.insert(1, 0, PAGE_1G)
-    assert not l2.lookup(1, 0, PAGE_1G)  # never cached, counted as miss
+    l2.insert_page_number(1, PAGE_1G, 0)
+    # Never cached, counted as a miss.
+    assert not l2.lookup_page_number(1, PAGE_1G, 0)
     assert l2.misses == 1
 
 
 def test_page_number_api_matches_vpn_api():
+    """The key is the size-granular page number of the VPN."""
     l2 = PrivateL2Tlb()
-    l2.insert(1, 512 * 5 + 9, PAGE_2M)
+    l2.insert_page_number(1, PAGE_2M, translation_vpn(512 * 5 + 9, PAGE_2M))
     assert l2.lookup_page_number(1, PAGE_2M, 5)
 
 
 def test_invalidate():
     l2 = PrivateL2Tlb()
-    l2.insert(1, 100, PAGE_4K)
+    l2.insert_page_number(1, PAGE_4K, 100)
     assert l2.invalidate(1, PAGE_4K, 100)
-    assert not l2.lookup(1, 100, PAGE_4K)
+    assert not l2.lookup_page_number(1, PAGE_4K, 100)
 
 
 def test_flush_and_stats():
     l2 = PrivateL2Tlb()
-    l2.insert(1, 1, PAGE_4K)
-    l2.lookup(1, 1, PAGE_4K)
-    l2.lookup(1, 2, PAGE_4K)
+    l2.insert_page_number(1, PAGE_4K, 1)
+    l2.lookup_page_number(1, PAGE_4K, 1)
+    l2.lookup_page_number(1, PAGE_4K, 2)
     assert l2.hits == 1 and l2.misses == 1 and l2.accesses == 2
     assert l2.flush() == 1

@@ -41,9 +41,3 @@ def test_issued_counter():
     pf.candidates(1, PAGE_4K, 10)
     pf.candidates(1, PAGE_4K, 20)
     assert pf.issued == 4
-
-
-def test_usefulness_tracking():
-    pf = SequentialPrefetcher(distances=(1,))
-    pf.record_useful()
-    assert pf.useful == 1

@@ -149,14 +149,6 @@ def test_occupancy_never_exceeds_capacity():
     assert tlb.occupancy <= 16
 
 
-def test_reset_stats():
-    tlb = make()
-    tlb.lookup(1, PAGE_4K, 1)
-    tlb.insert(1, PAGE_4K, 1)
-    tlb.reset_stats()
-    assert tlb.hits == tlb.misses == tlb.insertions == 0
-
-
 @settings(max_examples=50)
 @given(
     ops=st.lists(
