@@ -22,10 +22,17 @@ smoke:
 	$(RUN) -m repro run --jobs 2 --no-cache --cores 8 --accesses 2000
 
 # Observability smoke: a tiny metrics+trace run rendered through
-# `repro report` (exercises the sink, the obs JSONL, and the renderer).
+# `repro report` (exercises the sink, the obs JSONL, and the renderer),
+# then an observed 1,024-tile NOCSTAR run (25 accesses/core, about 5 s),
+# so the finalize path that decodes every link's busy cycles runs at
+# scale.
 report-smoke:
 	$(RUN) -m repro run --workload olio --cores 4 --accesses 800 \
 		--configs nocstar --no-cache --metrics \
+		--trace-out .obs-smoke.jsonl
+	$(RUN) -m repro report .obs-smoke.jsonl --top 4
+	$(RUN) -m repro run --workload graph500 --cores 1024 --accesses 25 \
+		--configs nocstar-1024 --no-cache --metrics \
 		--trace-out .obs-smoke.jsonl
 	$(RUN) -m repro report .obs-smoke.jsonl --top 4
 	rm -f .obs-smoke.jsonl

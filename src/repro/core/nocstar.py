@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
+import numpy as np
+
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
 from repro.faults.inject import (
     FALLBACK_CYCLES_PER_HOP,
@@ -51,6 +53,12 @@ from repro.faults.inject import (
 )
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
+
+
+#: Busy masks decoded per block by
+#: :meth:`NocstarInterconnect.link_busy_cycles`: at 1,024 tiles a block
+#: unpacks to 1,024 x 3,968 link bits, 4 MB of uint8.
+_DECODE_BLOCK = 1024
 
 
 class NocstarTraversal(NamedTuple):
@@ -76,6 +84,18 @@ class NocstarTraversal(NamedTuple):
 class NocstarInterconnect:
     """Discrete-event model of the NOCSTAR TLB network."""
 
+    def __new__(cls, *args, **kwargs) -> "NocstarInterconnect":
+        # Construction-time dispatch: a fabric that faults can reach
+        # (dead links or arbiter drops) is a _FaultyNocstar, so the
+        # fault-free hot path stays branch-free and byte-identical to
+        # the pre-fault model.  ``faults`` is __init__'s fourth argument.
+        faults = args[3] if len(args) > 3 else kwargs.get("faults")
+        if cls is NocstarInterconnect and faults is not None and (
+            faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
+        ):
+            cls = _FaultyNocstar
+        return super().__new__(cls)
+
     def __init__(
         self,
         topology: MeshTopology,
@@ -90,12 +110,6 @@ class NocstarInterconnect:
         #: paths then skip building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
-        if faults is not None and (
-            faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
-        ):
-            # Construction-time dispatch: the fault-free hot path stays
-            # branch-free and byte-identical to the pre-fault model.
-            self.send = self._send_faulty
         # Number the links run by run: each row's eastward then
         # westward run, then each column's southward then northward
         # run, in travel order.  Bit k is self._links[k].
@@ -422,14 +436,26 @@ class NocstarInterconnect:
 
         Round-trip holds still in flight are not counted; every hold is
         released before a run finishes, converting it into occupancy.
+        The masks are decoded in blocks: each block's masks become rows
+        of little-endian bytes, unpacked to one bit a column (bit ``k``,
+        link ``k``), and the columns summed.
         """
-        counts = [0] * len(self._links)
-        for mask in self._busy.values():
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += 1
-                mask ^= low
-        return {link: n for link, n in zip(self._links, counts) if n}
+        width = (len(self._links) + 7) // 8
+        counts = np.zeros(8 * width, dtype=np.int64)
+        masks = list(self._busy.values())
+        for first in range(0, len(masks), _DECODE_BLOCK):
+            rows = b"".join(
+                mask.to_bytes(width, "little")
+                for mask in masks[first:first + _DECODE_BLOCK]
+            )
+            bits = np.unpackbits(
+                np.frombuffer(rows, dtype=np.uint8).reshape(-1, width),
+                axis=1, bitorder="little",
+            )
+            counts += bits.sum(axis=0, dtype=np.int64)
+        return {
+            link: n for link, n in zip(self._links, counts.tolist()) if n
+        }
 
     @property
     def mean_setup_retries(self) -> float:
@@ -440,3 +466,19 @@ class NocstarInterconnect:
     def no_contention_fraction(self) -> float:
         sent = self.messages - self.local_messages
         return self.uncontended_messages / sent if sent else 1.0
+
+
+class _FaultyNocstar(NocstarInterconnect):
+    """A NOCSTAR fabric that faults can reach: every send is
+    :meth:`~NocstarInterconnect._send_faulty`.
+
+    The dispatch lives on the class: a bound method stored on the
+    instance would be a reference cycle, left for the cyclic collector.
+    ``send`` looks ``_send_faulty`` up on each access, so whatever wraps
+    that method (the end-to-end benchmark's layer spans) wraps these
+    sends too.
+    """
+
+    @property
+    def send(self):
+        return self._send_faulty

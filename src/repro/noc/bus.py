@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.core.occupancy import retire_below
 from repro.noc.mesh import Traversal
 from repro.noc.topology import MeshTopology
 
@@ -35,6 +36,11 @@ class BusNetwork:
         return all(
             start + i not in self._busy for i in range(self.transfer_cycles)
         )
+
+    def retire(self, horizon: int) -> None:
+        """Forget the bus cycles below ``horizon``, which no later
+        send probes."""
+        retire_below(horizon, self._busy)
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
         """Acquire the bus at the first free window at/after ``now``."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.core.occupancy import retire_below
 from repro.noc.mesh import Traversal
 from repro.noc.topology import MeshTopology
 
@@ -51,6 +52,12 @@ class FlattenedButterfly:
         if sy != dy:
             links.append((here, dst))
         return tuple(links)
+
+    def retire(self, horizon: int) -> None:
+        """Forget every link's busy cycles below ``horizon``, which no
+        later send probes."""
+        for occupied in self._occupied.values():
+            retire_below(horizon, occupied)
 
     def _acquire(self, link: Link, when: int, duration: int) -> int:
         occupied = self._occupied.setdefault(link, set())

@@ -20,16 +20,20 @@ fault-aware router's failure set never changes), so a send binds each
 maps of its links: the hop loop indexes a tuple of sets instead of
 hashing a link per hop.  A flit waiting for a segment's first link
 crosses each run of busy cycles through that link's skip map
-(:mod:`repro.core.occupancy`; SMART never frees a cycle), not one cycle
-at a time: near a hot tile, such as the monolith at the mesh edge,
-waits run to tens of cycles."""
+(:mod:`repro.core.occupancy`; a booked cycle stays busy until the drive
+loop retires it), not one cycle at a time: near a hot tile, such as the
+monolith at the mesh edge, waits run to tens of cycles.  Retiring
+empties and refills each link's set and skip map in place, because the
+bound routes hold those very objects, and adds the dropped cycles to
+the link's running total, so :meth:`SmartNetwork.link_busy_cycles`
+stays exact."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import DefaultDict, Dict, Set, Tuple
 
-from repro.core.occupancy import first_free
+from repro.core.occupancy import first_free, retire_below
 from repro.noc.mesh import Traversal
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
@@ -69,6 +73,8 @@ class SmartNetwork:
         #: link -> skip map over its occupied cycles, for first-link
         #: waits; built on a link's first bind.
         self._skips: DefaultDict[Link, Dict[int, int]] = defaultdict(dict)
+        #: link -> busy cycles retired from its set (see retire()).
+        self._retired: Dict[Link, int] = {}
         self._tiles = topology.num_tiles
         #: src * num_tiles + dst -> :data:`Bound`, filled on first use.
         self._bound: Dict[int, Bound] = {}
@@ -78,12 +84,25 @@ class SmartNetwork:
         self.total_queue_cycles = 0
 
     def link_busy_cycles(self) -> Dict[Link, int]:
-        """Cycles each link carried a flit (utilization numerator)."""
+        """Cycles each link carried a flit (utilization numerator),
+        retired cycles included."""
+        retired = self._retired
         return {
-            link: len(cycles)
+            link: len(cycles) + retired.get(link, 0)
             for link, cycles in self._occupied.items()
-            if cycles
+            if cycles or link in retired
         }
+
+    def retire(self, horizon: int) -> None:
+        """Drop every link's busy cycles below ``horizon``, which no
+        later send probes, counting them into the link's total."""
+        retired = self._retired
+        skips = self._skips
+        for link, cycles in self._occupied.items():
+            if cycles:
+                dropped = retire_below(horizon, cycles, skips.get(link))
+                if dropped:
+                    retired[link] = retired.get(link, 0) + dropped
 
     def _bind(self, src: int, dst: int) -> Bound:
         """Memoise the route ``src -> dst`` with its links' occupancy

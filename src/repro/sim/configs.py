@@ -167,8 +167,28 @@ class SystemConfig:
                     "fixed_shared_latency must be at least 0 cycles, got "
                     f"{self.fixed_shared_latency}"
                 )
+        if self.monolithic_banks is not None and self.monolithic_banks < 1:
+            raise ValueError(
+                "monolithic_banks must be at least 1, got "
+                f"{self.monolithic_banks}"
+            )
+        if self.scheme == MONOLITHIC:
+            total = self.entries_per_core * self.num_cores
+            if total % self.banks:
+                raise ValueError(
+                    f"monolithic_banks gives {self.banks} banks, which do "
+                    f"not divide the monolith's {total} entries"
+                )
         if self.slice_indexing in ("xor-fold", "asid-mix"):
             self._check_power_of_two_shards()
+
+    @property
+    def banks(self) -> int:
+        """The monolith's bank count: ``monolithic_banks``, or when it
+        is unset the paper's banking for ``num_cores``."""
+        if self.monolithic_banks is None:
+            return MonolithicSharedTlb.banks_for(self.num_cores)
+        return self.monolithic_banks
 
     def _check_power_of_two_shards(self) -> None:
         """The folds XOR bit groups of the page number, so they reach
@@ -177,10 +197,7 @@ class SystemConfig:
             return  # private L2s have no shards to index
         source, shards = "num_cores", self.num_cores
         if self.scheme == MONOLITHIC:
-            source = "monolithic_banks"
-            shards = self.monolithic_banks or MonolithicSharedTlb.banks_for(
-                self.num_cores
-            )
+            source, shards = "monolithic_banks", self.banks
         if shards & (shards - 1):
             raise ValueError(
                 f"slice_indexing {self.slice_indexing!r} needs a power-of-two "

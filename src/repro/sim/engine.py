@@ -46,6 +46,7 @@ from __future__ import annotations
 import gc
 import heapq
 import os
+import sys
 import weakref
 from array import array
 from bisect import bisect_left
@@ -75,6 +76,17 @@ DEFAULT_QUANTUM = 256
 #: non-empty plan is itself a cache-key field of the RunUnit, so
 #: key => result determinism still holds.
 ENGINE_VERSION = "1"
+
+#: Cycles the drive loop's frontier advances between two calls of
+#: ``System.retire``, which drops the reservation bookings below the
+#: frontier (no later send or reservation probes them).  A wider window
+#: keeps more dead bookings alive; a narrower one scans the stores more
+#: often for little memory.
+RETIRE_WINDOW = 4096
+
+#: A cycle no run reaches: the checkpoint of a disabled watchdog, and
+#: the retirement checkpoint of a System with nothing to retire.
+_NEVER = sys.maxsize
 
 #: Environment switch forcing the reference drive loop.  Read at use
 #: time (not import time) so tests can flip it per run; empty and "0"
@@ -284,6 +296,27 @@ def simulate(
     return result
 
 
+def _checkpoints(system: System, watchdog_cycles: Optional[int]):
+    """A drive loop's first watchdog and retirement checkpoints.
+
+    The loops test both with one comparison per heap pop, against the
+    earlier of the two: ``stop`` is the first frontier past the
+    watchdog, and ``retire_at`` the first at which the System's
+    reservation stores are retired.
+    """
+    stop = _NEVER if watchdog_cycles is None else watchdog_cycles + 1
+    retire_at = RETIRE_WINDOW if system.retirable else _NEVER
+    return stop, retire_at
+
+
+def _check_watchdog(t: int, stop: int, core: int, watchdog_cycles) -> None:
+    if t >= stop:
+        raise WatchdogExpired(
+            f"core {core} resumed at cycle {t}, past the "
+            f"{watchdog_cycles}-cycle watchdog"
+        )
+
+
 def _drive_reference(
     system: System,
     workload: Workload,
@@ -321,14 +354,23 @@ def _drive_reference(
     pending = system.pending_penalty
     l2_transaction = system.l2_transaction
     observed = sink.enabled
+    stop, retire_at = _checkpoints(system, watchdog_cycles)
+    check_at = min(stop, retire_at)
 
     while heap:
         t, core = heapq.heappop(heap)
-        if watchdog_cycles is not None and t > watchdog_cycles:
-            raise WatchdogExpired(
-                f"core {core} resumed at cycle {t}, past the "
-                f"{watchdog_cycles}-cycle watchdog"
-            )
+        if t >= check_at:
+            _check_watchdog(t, stop, core, watchdog_cycles)
+            if t >= retire_at:
+                # Storms and shootdowns fire at their own cycle when a
+                # core's jump crosses it, below the popped frontier, so
+                # the next of them bounds the horizon too.
+                system.retire(min(
+                    cycle for cycle in (t, next_storm, next_shoot)
+                    if cycle is not None
+                ))
+                retire_at = t + RETIRE_WINDOW
+            check_at = min(stop, retire_at)
         if pending[core]:
             t += pending[core]
             pending[core] = 0
@@ -561,14 +603,18 @@ def _drive_batched(
     pending = system.pending_penalty
     l2_transaction = system.l2_transaction
     observed = sink.enabled
+    stop, retire_at = _checkpoints(system, watchdog_cycles)
+    check_at = min(stop, retire_at)
 
     while heap:
         t, core = heap[0]
-        if watchdog_cycles is not None and t > watchdog_cycles:
-            raise WatchdogExpired(
-                f"core {core} resumed at cycle {t}, past the "
-                f"{watchdog_cycles}-cycle watchdog"
-            )
+        if t >= check_at:
+            _check_watchdog(t, stop, core, watchdog_cycles)
+            if t >= retire_at:
+                # The heap minimum bounds every later transaction.
+                system.retire(t)
+                retire_at = t + RETIRE_WINDOW
+            check_at = min(stop, retire_at)
         cc = compiled[core]
         if pending[core]:
             t += pending[core]

@@ -127,9 +127,8 @@ class System:
             self.private_l2 = [PrivateL2Tlb(l2cfg) for _ in range(n)]
             self.l2_lookup_cycles = self.private_l2[0].lookup_cycles
         elif scheme == cfg.MONOLITHIC:
-            banks = config.monolithic_banks or MonolithicSharedTlb.banks_for(n)
             self.shared_l2 = MonolithicSharedTlb(
-                config.entries_per_core * n, banks, config.l2_ways,
+                config.entries_per_core * n, config.banks, config.l2_ways,
                 indexer=get_indexer(config.slice_indexing),
                 policy=config.policy, arbitration=config.arbitration,
             )
@@ -176,6 +175,20 @@ class System:
 
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
+        #: The reservation stores that grow with run length, each with
+        #: ``retire(horizon)``: the slice or bank port sets, and a
+        #: SMART, bus or flattened-butterfly network's link bookings.
+        #: NOCSTAR keeps its cycle masks (DESIGN.md); a private run has
+        #: none, and the drive loops then never call :meth:`retire`.
+        self.retirable: List = []
+        if self.shared_l2 is not None:
+            self.retirable += (
+                self.shared_l2.read_ports + self.shared_l2.write_ports
+            )
+        if isinstance(
+            self.network, (SmartNetwork, BusNetwork, FlattenedButterfly)
+        ):
+            self.retirable.append(self.network)
         #: The hop rows the transaction times contention-free mesh legs
         #: from (hops x cycles per hop, counting the messages and hops
         #: itself), or None when every leg calls ``network.send``.  Rows
@@ -236,6 +249,17 @@ class System:
         closure built at construction; every drive loop enters here.
         """
         return self._transaction(core, asid, size, page_number, now)
+
+    def retire(self, horizon: int) -> None:
+        """Drop every booking below ``horizon`` from the stores in
+        :attr:`retirable`.
+
+        The drive loop guarantees that no later send or reservation
+        probes a cycle below ``horizon``; each store keeps the running
+        totals its counters need.
+        """
+        for store in self.retirable:
+            store.retire(horizon)
 
     def _build_walk(self):
         """A requester-side walk: ``walk(core, asid, size, page_number,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Container, Dict, Iterable, List, Optional
 
 from repro.core.indexing import IndexFn, modulo_index
-from repro.core.occupancy import first_free
+from repro.core.occupancy import first_free, retire_below
 from repro.mem import sram
 from repro.tlb.set_assoc import Key, SetAssociativeTLB
 from repro.vm.address import PAGE_1G
@@ -64,10 +64,16 @@ class _PortSet:
         self.priority = priority
         self._starts: Dict[int, int] = {}  # cycle -> accesses started
         #: Full cycle -> a later cycle, every cycle between them full
-        #: too (see :mod:`repro.core.occupancy`).  A full cycle never
-        #: frees, so an entry never goes stale.
+        #: too (see :mod:`repro.core.occupancy`).  A full cycle stays
+        #: full until it is retired, so an entry never goes stale.
         self._skip: Dict[int, int] = {}
         self.conflict_cycles = 0
+
+    def retire(self, horizon: int) -> None:
+        """Forget the starts below ``horizon``, which no later
+        reservation probes (conflict cycles are a running total)."""
+        if self._starts:
+            retire_below(horizon, self._starts, self._skip)
 
     def _full(self) -> Container[int]:
         """The cycles whose every port has started an access: the

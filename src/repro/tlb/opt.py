@@ -122,9 +122,7 @@ def structure_for(config) -> StructureSpec:
             private=True,
         )
     if config.scheme == "monolithic":
-        from repro.tlb.l2_shared import MonolithicSharedTlb
-
-        banks = config.monolithic_banks or MonolithicSharedTlb.banks_for(n)
+        banks = config.banks
         return StructureSpec(
             num_shards=banks,
             entries_per_shard=config.entries_per_core * n // banks,

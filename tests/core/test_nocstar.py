@@ -488,3 +488,42 @@ def test_ready_time_bounds(n, data):
     assert t.traversal_cycles == expected_dur
     if hops:
         assert t.ready >= 1 + expected_dur
+
+
+def _per_bit_busy_cycles(ic):
+    """The busy-mask decode as it was: one bit at a time."""
+    counts = [0] * len(ic._links)
+    for mask in ic._busy.values():
+        while mask:
+            low = mask & -mask
+            counts[low.bit_length() - 1] += 1
+            mask ^= low
+    return {link: n for link, n in zip(ic._links, counts) if n}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 16, 64, 1024)),
+    st.data(),
+)
+def test_block_decode_matches_the_per_bit_decode(tiles, data):
+    """The numpy decode of the busy masks counts each link's cycles as
+    the per-bit loop did, over masks that set the lowest and the top
+    link bit, across decode blocks."""
+    ic = NocstarInterconnect(MeshTopology(tiles))
+    top = len(ic._links) - 1
+    bit = st.one_of(st.integers(0, top), st.sampled_from((0, top)))
+    cycles = data.draw(st.lists(
+        st.tuples(st.integers(0, 5_000), st.lists(bit, max_size=12)),
+        max_size=40,
+    ))
+    for cycle, bits in cycles:
+        for k in bits:
+            ic._busy[cycle] = ic._busy.get(cycle, 0) | 1 << k
+    if data.draw(st.booleans(), label="many masks"):
+        # More masks than one decode block holds.
+        for cycle in range(10_000, 12_500):
+            ic._busy[cycle] = 1 << top | 1 << (cycle % (top + 1))
+    busy = ic.link_busy_cycles()
+    assert busy == _per_bit_busy_cycles(ic)
+    assert all(type(n) is int for n in busy.values())

@@ -244,3 +244,66 @@ def test_oracle_routers_take_both_detour_tiers(tiles):
     src, dst = detours["yx"]
     assert list(router.path(src, dst)) == topology.yx_path(src, dst)
     assert topology.yx_path(src, dst) != topology.xy_path(src, dst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((16, 64)),
+    st.sampled_from((1, 4, 8)),
+    st.sampled_from(("cache", "faulty")),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),  # frontier advance
+            st.one_of(
+                st.tuples(
+                    st.integers(min_value=0, max_value=63),
+                    st.integers(min_value=0, max_value=63),
+                ),
+                st.sampled_from(("bfs", "yx")),
+                st.tuples(st.just(HOT), st.integers(min_value=0, max_value=63)),
+            ),
+            st.integers(min_value=0, max_value=40),  # send's lead
+        ),
+        min_size=20,
+        max_size=80,
+    ),
+)
+def test_retiring_behind_the_frontier_changes_no_send(tiles, hpc_max, kind, ops):
+    """Retiring every cycle below a non-decreasing frontier, with each
+    send at or after it, leaves the traversals, stops, queueing,
+    per-link busy cycles and skip-map waits of a network that never
+    retires — and drops what lies behind the frontier."""
+    topology = MeshTopology(tiles)
+    router = _router(kind, topology)
+    retiring = SmartNetwork(topology, router, hpc_max)
+    kept = SmartNetwork(topology, router, hpc_max)
+    detours = _detours(topology)
+    frontier = 0
+    for advance, op, lead in ops:
+        frontier += advance
+        retiring.retire(frontier)
+        src, dst = _pair(op, tiles, detours)
+        now = frontier + lead
+        assert retiring.send(src, dst, now) == kept.send(src, dst, now)
+    for name in ("messages", "total_hops", "premature_stops",
+                 "total_queue_cycles"):
+        assert getattr(retiring, name) == getattr(kept, name)
+    assert retiring.link_busy_cycles() == kept.link_busy_cycles()
+    retiring.retire(frontier)
+    for link, cycles in retiring._occupied.items():
+        assert cycles == {c for c in kept._occupied[link] if c >= frontier}
+        assert all(c >= frontier for c in retiring._skips.get(link, ()))
+    assert retiring.link_busy_cycles() == kept.link_busy_cycles()
+
+
+def test_retired_link_sets_stay_bound():
+    """Retiring empties and refills each link's set in place, so a
+    route bound before the retirement still books into its links."""
+    smart = _live_smart(16)
+    smart.send(0, 3, now=0)
+    path, occupancy, _ = smart._bound[3]
+    smart.retire(100)
+    assert all(occupancy[i] is smart._occupied[link]
+               for i, link in enumerate(path))
+    smart.send(0, 3, now=100)
+    assert smart.link_busy_cycles() == {link: 2 for link in path}

@@ -6,7 +6,8 @@ configuration at 1-16 cores, with the knobs below overridden, runs a
 tiny workload under each loop, and both results must serialise to the
 same bytes.  The strategy also draws values ``SystemConfig`` rejects
 (non-power-of-two fold counts, a misplaced or negative fixed latency,
-a non-positive L1 scale); those must raise ``ValueError`` at
+a non-positive L1 scale, a bank count below 1 or one that does not
+divide the monolith's entries); those must raise ``ValueError`` at
 construction, before any loop runs.  One-core folds stay in the
 strategy: they used to hang inside the slice indexer.
 """
@@ -57,6 +58,7 @@ OVERRIDES = st.fixed_dictionaries(
         "l1_scale": st.sampled_from([0.5, 1.0, 1.5, 0.25, 0.0, -1.0]),
         "fixed_shared_latency": st.sampled_from([None, None, 0, 16, -5]),
         "leader_granularity": st.integers(1, 16),
+        "monolithic_banks": st.sampled_from([None, 1, 2, 3, 4, 8, 0, -4]),
         "nocstar": st.builds(
             NocstarConfig,
             hpc_max=st.integers(1, 16),
@@ -77,13 +79,18 @@ def rejected(fields) -> bool:
         or fields["interconnect"] != cfg.ZERO
     ):
         return True
-    if fields["slice_indexing"] == "modulo" or fields["scheme"] == cfg.PRIVATE:
-        return False
+    banks = fields["monolithic_banks"]
+    if banks is not None and banks < 1:
+        return True
     shards = fields["num_cores"]
     if fields["scheme"] == cfg.MONOLITHIC:
-        shards = fields["monolithic_banks"] or MonolithicSharedTlb.banks_for(
-            shards
-        )
+        if banks is None:
+            banks = MonolithicSharedTlb.banks_for(shards)
+        if fields["entries_per_core"] * shards % banks:
+            return True
+        shards = banks
+    if fields["slice_indexing"] == "modulo" or fields["scheme"] == cfg.PRIVATE:
+        return False
     return bool(shards & (shards - 1))
 
 

@@ -8,6 +8,7 @@ from repro.core.config import NocstarConfig
 from repro.exec.cache import canonical_json
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
+from repro.sim.system import System
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -21,6 +22,32 @@ def test_private_factory():
 def test_monolithic_banks_follow_core_count():
     assert cfg.monolithic(32).monolithic_banks == 4
     assert cfg.monolithic(64).monolithic_banks == 8
+
+
+@pytest.mark.parametrize(
+    "banks, message",
+    [
+        (-4, "monolithic_banks must be at least 1, got -4"),
+        (0, "monolithic_banks must be at least 1, got 0"),
+        (6, "monolithic_banks gives 6 banks, which do not divide the "
+            "monolith's 16384 entries"),
+    ],
+)
+def test_monolithic_banks_are_checked_at_construction(banks, message):
+    """A bank count below 1 used to raise IndexError inside System (or,
+    at 0, silently mean the default), and a non-divisor failed in the
+    shared TLB with a message that named no field."""
+    with pytest.raises(ValueError, match=message):
+        replace(cfg.monolithic(16), monolithic_banks=banks)
+
+
+def test_banks_resolve_the_default_once():
+    assert cfg.monolithic(16).banks == 4
+    assert replace(cfg.monolithic(16), monolithic_banks=None).banks == 4
+    assert replace(cfg.monolithic(64), monolithic_banks=None).banks == 8
+    config = replace(cfg.monolithic(16), monolithic_banks=2)
+    assert config.banks == 2
+    assert System(config).shared_l2.num_shards == 2
 
 
 def test_monolithic_noc_variants():

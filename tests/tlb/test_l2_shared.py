@@ -251,3 +251,45 @@ def test_policy_threads_through_to_shards():
     assert all(shard.policy == "arc" for shard in tlb.shards)
     mono = MonolithicSharedTlb(256, num_banks=4, ways=4, policy="twoq")
     assert all(bank.policy == "twoq" for bank in mono.shards)
+
+
+@settings(max_examples=80)
+@given(
+    num_ports=st.integers(1, 3),
+    priority=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 10),  # frontier advance
+            st.integers(0, 30),  # the access's lead over the frontier
+            st.integers(0, 2),  # service class; a sweep when count > 0
+            st.integers(0, 8),  # sweep length (0: a single reserve)
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_retiring_behind_the_frontier_changes_no_reservation(
+    num_ports, priority, ops
+):
+    """Retiring every start below a non-decreasing frontier, with each
+    reservation and sweep at or after it, gives the starts and conflict
+    cycles of a port set that never retires, and keeps exactly the
+    starts (and skip entries) at or above the frontier."""
+    retiring, kept = (_PortSet(num_ports, priority) for _ in range(2))
+    frontier = 0
+    for advance, lead, klass, count in ops:
+        frontier += advance
+        retiring.retire(frontier)
+        now = frontier + lead
+        if count:
+            got = retiring.reserve_many(now, count)
+            assert got == kept.reserve_many(now, count)
+        else:
+            assert retiring.reserve(now, klass) == kept.reserve(now, klass)
+        assert retiring.conflict_cycles == kept.conflict_cycles
+    retiring.retire(frontier)
+    assert retiring._starts == {
+        cycle: n for cycle, n in kept._starts.items() if cycle >= frontier
+    }
+    assert all(cycle >= frontier for cycle in retiring._skip)
+
