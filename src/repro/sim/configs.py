@@ -127,7 +127,7 @@ class SystemConfig:
     qos_way_quota: Optional[int] = None
     #: L2 replacement policy (repro.tlb.policies registry name).  Applies
     #: to the private/shared L2 level only; L1 arrays stay LRU because
-    #: the batched engine inlines their OrderedDict operations.
+    #: the batched engine's pre-pass replays them through LRU sets.
     policy: str = "lru"
     #: Shared-TLB port arbitration: "fifo" (historical, default) or
     #: "priority" (shootdown > walk > prefetch service classes).

@@ -13,9 +13,11 @@ Two drive loops produce bit-identical results:
 * the **batched fast path** (default): absent storms and shootdowns,
   nothing outside a core ever touches its L1 TLBs, so each core's
   L1 hit/miss sequence is a pure function of its merged trace stream.
-  A pre-pass replays every stream through the real L1 arrays once,
-  compiling it into cycle prefix sums plus each miss with the cycle
-  offsets before and after its record; the drive loop then moves a
+  A pre-pass replays every stream once through scratch LRU sets of the
+  L1 arrays' geometry, adds the replay's counts to the arrays' counters
+  (their sets stay unbuilt), and compiles the stream into cycle prefix
+  sums plus each miss with the cycle offsets before and after its
+  record; the drive loop then moves a
   core from miss to miss, deciding each heap pop with one comparison
   and bisecting the prefix sums only when a quantum expires, instead
   of one Python iteration per record.
@@ -58,6 +60,7 @@ from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.sim import configs as cfg
 from repro.sim.results import RunResult
 from repro.sim.system import System
+from repro.tlb.policies import LruState
 from repro.vm.address import PAGE_4K
 from repro.workloads.trace import Workload, interleave_streams
 
@@ -444,30 +447,41 @@ class _CompiledCore:
 _NO_MISS = (float("inf"), None, None)
 
 
-def _compile_core(streams, arrays) -> _CompiledCore:
-    """Replay one core's merged stream through its real L1 arrays.
+#: What ``pop`` returns for a key absent from a scratch L1 set, whose
+#: residents all map to ``None``.
+_ABSENT = object()
 
-    The replay performs exactly the lookup/insert sequence the
-    reference loop would (one lookup per record, insert on miss), so
-    the arrays end the pre-pass in the same state — same hit/miss/
-    eviction counters, same LRU order — as after an unbatched run.
+
+def _compile_core(streams, arrays) -> Tuple[_CompiledCore, Tuple]:
+    """Replay one core's merged stream through scratch L1 sets.
+
+    ``arrays`` maps each page size to one of the core's L1 arrays.  The
+    replay runs the lookup/insert sequence the reference loop would (one
+    probe per record, an insert on each miss) on fresh LRU sets of each
+    array's geometry, so it sees the same hits, misses and evictions.
     Each miss is recorded with the cycle offsets before and after its
-    record (see :class:`_CompiledCore`).  Valid only while nothing else
-    touches the L1s mid-run, which is the batched mode's gate (no
-    storms, no shootdowns).
+    record (see :class:`_CompiledCore`).  The arrays' counters gain the
+    replay's counts; their sets are not touched, so a lazily built
+    array stays unbuilt.  Valid only while nothing else touches the L1s
+    mid-run, which is the batched mode's gate (no storms, no
+    shootdowns): nothing downstream of the drive loop reads L1 entries.
+
+    Returns the compiled core and the counts, one
+    ``(size, (hits, misses, evictions))`` per array; every miss inserts.
     """
     merged = interleave_streams(streams)
     # Machine-sized prefix sums: 8 bytes a record, not a boxed int.
     prefix = array("q", [0]) * (len(merged) + 1)
     misses: List[Tuple[int, int, Tuple[int, int, int]]] = []
     add_miss = misses.append
-    # The probe below is SetAssociativeTLB.lookup inlined (this is the
-    # hottest loop of a batched run: one probe per trace record), with
-    # the hit/miss counters accumulated locally and folded back in bulk
-    # — nothing reads them mid-run.  Misses are rare, so insert() stays
-    # a method call.  Must mirror lookup() exactly.
+    # This is the hottest loop of a batched run (one probe per trace
+    # record): a probe is one ``pop``, which a hit undoes by re-inserting
+    # its key at the MRU end, and the counts accumulate locally.
     per_size = {
-        size: (array._sets, array.index_shift, array.num_sets, [0, 0])
+        size: (
+            [LruState(array.ways) for _ in range(array.num_sets)],
+            array.index_shift, array.num_sets, [0, 0, 0],
+        )
         for size, array in arrays.items()
     }
     acc = 0
@@ -485,20 +499,30 @@ def _compile_core(streams, arrays) -> _CompiledCore:
             last_size = size
         cache_set = sets[(page_number >> shift) % num_sets]
         key = (asid, size, page_number)
-        # A lazily-constructed set (None) is empty: always a miss, and
-        # insert() below materialises it through _set_for.
-        if cache_set is not None and key in cache_set:
-            cache_set.move_to_end(key)
+        if cache_set.pop(key, _ABSENT) is None:
+            cache_set[key] = None
             counts[0] += 1
             continue
         counts[1] += 1
         add_miss((prefix[i - 1], acc, key))
-        arrays[size].insert(asid, size, page_number)
+        if cache_set.admit(key) is not None:
+            counts[2] += 1
     add_miss(_NO_MISS)
-    for size, (_, _, _, counts) in per_size.items():
-        arrays[size].hits += counts[0]
-        arrays[size].misses += counts[1]
-    return _CompiledCore(prefix, misses)
+    counted = tuple(
+        (size, tuple(counts)) for size, (_, _, _, counts) in per_size.items()
+    )
+    _add_counts(arrays, counted)
+    return _CompiledCore(prefix, misses), counted
+
+
+def _add_counts(arrays, counted) -> None:
+    """Add a compile's per-array counts to the arrays' counters."""
+    for size, (hits, missed, evictions) in counted:
+        l1_array = arrays[size]
+        l1_array.hits += hits
+        l1_array.misses += missed
+        l1_array.insertions += missed
+        l1_array.evictions += evictions
 
 
 #: Compiled cores memoised per live Workload object (keyed by id, with
@@ -507,8 +531,6 @@ def _compile_core(streams, arrays) -> _CompiledCore:
 #: share one workload build pay it once per core instead of once per
 #: System.
 _COMPILE_CACHE: Dict[int, Tuple[object, Dict]] = {}
-
-_COUNTERS = ("hits", "misses", "insertions", "evictions")
 
 
 def _compile_cache_for(workload) -> Dict:
@@ -526,11 +548,12 @@ def _compile_cache_for(workload) -> Dict:
 def _compile_core_cached(workload, core: int, arrays) -> _CompiledCore:
     """Memoising wrapper around :func:`_compile_core`.
 
-    A cache hit replays only the counter deltas (hits/misses/
-    insertions/evictions); the array *contents* are left empty, which
-    is sound because nothing downstream of the drive loop reads L1
-    entries — only counters (and batched mode guarantees no storms or
-    shootdowns ever probe them mid-run).
+    The first compile for a core and L1 geometry stores its prefix
+    sums, misses and counts; a cache hit adds the stored counts to the
+    arrays' counters.  Either way the arrays' sets stay as they were,
+    which is sound because nothing downstream of the drive loop reads
+    L1 entries — only counters (and batched mode guarantees no storms
+    or shootdowns ever probe them mid-run).
     """
     cache = _compile_cache_for(workload)
     key = (core,) + tuple(
@@ -540,30 +563,13 @@ def _compile_core_cached(workload, core: int, arrays) -> _CompiledCore:
         )
     )
     hit = cache.get(key)
-    if hit is not None:
-        prefix, misses, deltas = hit
-        for size, delta in deltas:
-            array = arrays[size]
-            for name, value in zip(_COUNTERS, delta):
-                setattr(array, name, getattr(array, name) + value)
-        return _CompiledCore(prefix, misses)
-    before = {
-        size: [getattr(a, name) for name in _COUNTERS]
-        for size, a in arrays.items()
-    }
-    cc = _compile_core(workload.core_streams(core), arrays)
-    deltas = tuple(
-        (
-            size,
-            tuple(
-                getattr(a, name) - old
-                for name, old in zip(_COUNTERS, before[size])
-            ),
-        )
-        for size, a in arrays.items()
-    )
-    cache[key] = (cc.prefix, cc.misses, deltas)
-    return cc
+    if hit is None:
+        cc, counted = _compile_core(workload.core_streams(core), arrays)
+        cache[key] = (cc.prefix, cc.misses, counted)
+        return cc
+    prefix, misses, counted = hit
+    _add_counts(arrays, counted)
+    return _CompiledCore(prefix, misses)
 
 
 def _drive_batched(

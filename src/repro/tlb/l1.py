@@ -51,8 +51,9 @@ class L1Tlb:
     def __init__(self, config: L1TlbConfig = L1TlbConfig()) -> None:
         self.config = config
         # Lazy sets: a 1024-tile system builds 3072 L1 arrays, most of
-        # whose sets a short trace never touches; the engine's compile
-        # fast path materialises on demand.
+        # whose sets a short trace never touches.  The reference loop
+        # builds a set on first touch; the batched loop's pre-pass
+        # replays into scratch sets and builds none.
         self._arrays: Dict[int, SetAssociativeTLB] = {
             PAGE_4K: SetAssociativeTLB(
                 config.entries_4k, config.ways_4k, "l1-4k", lazy_sets=True

@@ -38,11 +38,11 @@ run results stay byte-identical across jobs=1/jobs=N and cache replay,
 and what makes the policies independently verifiable against the
 reference oracles in ``tests/tlb/_policy_oracles.py``.
 
-The engine's batched fast path inlines LRU OrderedDict operations on
-the *L1* arrays (``repro.sim.engine._compile_core``), so L1 TLBs always
-run LRU — :class:`LruState` subclasses :class:`~collections.OrderedDict`
-precisely so that inlined path keeps working unchanged.  ``policy=``
-applies to the L2 structures (private L2s, shared slices/banks).
+L1 TLBs always run LRU: the engine's batched fast path counts their
+hits and misses by replaying each core's stream through scratch
+:class:`LruState` sets (``repro.sim.engine._compile_core``), one dict
+``pop`` per record.  ``policy=`` applies to the L2 structures (private
+L2s, shared slices/banks).
 
 ``opt`` is deliberately *not* constructible here: Belady's algorithm
 needs the future, so it exists only as the offline bound in
@@ -61,8 +61,12 @@ class ReplacementPolicy:
     """Abstract per-set replacement state (see the module docstring).
 
     Subclasses implement the full contract; this base only documents
-    it and provides ``remove_many`` as a loop over ``remove``.
+    it and provides ``remove_many`` as a loop over ``remove``.  It has
+    no instance dict, so a subclass that declares ``__slots__`` (as
+    :class:`LruState` does) carries none either.
     """
+
+    __slots__ = ()
 
     #: Registry name; subclasses override.
     name = ""
@@ -99,25 +103,28 @@ class ReplacementPolicy:
         raise NotImplementedError
 
 
-class LruState(OrderedDict, ReplacementPolicy):
+class LruState(dict, ReplacementPolicy):
     """Least-recently-used — the refactored default.
 
     Byte-identical to the pre-refactor hardcoded behaviour: residents
-    live in one OrderedDict ordered LRU -> MRU, hits ``move_to_end``,
-    full-set admits ``popitem(last=False)``.  ``touch`` is aliased to
-    the bound ``OrderedDict.move_to_end`` so the hit path costs exactly
-    what it did before the extraction (and so the engine's inlined L1
-    replay stays valid).
+    are the keys of one plain dict (values ``None``), whose insertion
+    order is the LRU -> MRU order.  A hit deletes and re-inserts its
+    key; a full-set admit evicts the first key.  Dict equality ignores
+    order, so compare two states as ``list(state)``.  The only instance
+    state beyond the dict is the ``ways`` slot, so a set costs what a
+    plain dict of its keys costs, plus that slot.
     """
+
+    __slots__ = ("ways",)
 
     name = "lru"
 
     def __init__(self, ways: int) -> None:
-        OrderedDict.__init__(self)
         self.ways = ways
 
-    # A hit is exactly an OrderedDict MRU move — no wrapper frame.
-    touch = OrderedDict.move_to_end
+    def touch(self, key: Key) -> None:
+        del self[key]
+        self[key] = None
 
     def members(self) -> Iterator[Key]:
         return iter(self)
@@ -125,7 +132,8 @@ class LruState(OrderedDict, ReplacementPolicy):
     def admit(self, key: Key) -> Optional[Key]:
         evicted = None
         if len(self) >= self.ways:
-            evicted, _ = self.popitem(last=False)
+            evicted = next(iter(self))
+            del self[evicted]
         self[key] = None
         return evicted
 

@@ -13,8 +13,9 @@ slices and sets without aliasing.
 ``policy`` names the per-set replacement state machine
 (:mod:`repro.tlb.policies`): ``lru`` (default, byte-identical to the
 historical hardcoded behaviour), ``arc``, or ``twoq``.  The engine's
-batched fast path inlines LRU OrderedDict operations on L1 arrays, so
-L1 TLBs must stay on the default policy; L2 structures may run any.
+batched fast path replays each core's stream through scratch LRU sets
+of its L1 arrays' geometry, so L1 TLBs must stay on the default policy;
+L2 structures may run any.
 """
 
 from __future__ import annotations

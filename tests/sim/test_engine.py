@@ -1,6 +1,7 @@
 """Engine mechanics: trace consumption, storms, SMT, determinism."""
 
 import gc
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -86,6 +87,28 @@ def test_storm_flushes_cause_refetches():
     assert stormy.stats.flushes >= 1
     assert stormy.stats.l1_misses > quiet.stats.l1_misses
     assert stormy.cycles > quiet.cycles
+
+
+def test_storms_a_jump_crosses_are_bunched_and_late_ones_never_fire():
+    """Pins a known modelling quirk (ROADMAP, "Model fixes"): the
+    reference loop fires at most one storm per heap pop, so the storms
+    a core's 10,000-cycle jump crosses come one per later pop, and those
+    still pending when the last core drains never fire.  The 11,167-cycle
+    run fires 2 storms where its 116-cycle period implies 96.  A fix
+    changes RunResults, so it waits for the next ``ENGINE_VERSION``."""
+    wl = Workload(
+        "storm-bunching",
+        [[[(9, 1, PAGE_4K, 1000), (10_000, 1, PAGE_4K, 2000),
+           (300, 1, PAGE_4K, 3000)]]],
+        seed=0, superpages=False,
+    )
+    result = simulate(
+        replace(cfg.distributed(1), ptw_fixed=100), wl,
+        storm=StormConfig(period=116),
+    )
+    assert result.cycles == 11_167
+    assert result.cycles // 116 == 96
+    assert result.stats.flushes == 2
 
 
 def test_storm_period_validated():
@@ -211,20 +234,26 @@ def drawn_workloads(draw):
     return Workload("drawn", traces, seed=0, superpages=True)
 
 
+def _counters(array):
+    return array.hits, array.misses, array.insertions, array.evictions
+
+
 @settings(max_examples=60, deadline=None)
 @given(workload=drawn_workloads())
 def test_compiled_prefix_sums_are_int64_and_every_miss_reads_them(workload):
     """``_compile_core`` writes the running sum of ``gap + 1`` into an
     ``array('q')``, and each L1 miss, found by replaying the merged
     stream through fresh L1 arrays with lookup and insert, carries the
-    sums before and through its record."""
+    sums before and through its record.  It adds that replay's hits,
+    misses, insertions and evictions to each array's counters, returns
+    them, and builds none of the arrays' sets."""
     compiled = System(cfg.private(workload.num_cores)).l1s
     replayed = System(cfg.private(workload.num_cores)).l1s
     for core in range(workload.num_cores):
         streams = workload.core_streams(core)
         merged = interleave_streams(streams)
         l1 = compiled[core]
-        cc = engine._compile_core(
+        cc, counted = engine._compile_core(
             streams, {size: l1.array(size) for size in l1._arrays}
         )
         assert cc.prefix.typecode == "q"
@@ -240,6 +269,50 @@ def test_compiled_prefix_sums_are_int64_and_every_miss_reads_them(workload):
                     (cc.prefix[m], cc.prefix[m + 1], (asid, size, page_number))
                 )
         assert cc.misses == misses + [engine._NO_MISS]
+        for size, (hits, missed, evictions) in counted:
+            assert _counters(l1.array(size)) == (
+                hits, missed, missed, evictions
+            )
+        for size in l1._arrays:
+            array = l1.array(size)
+            assert _counters(array) == _counters(replayed[core].array(size))
+            assert array._sets == [None] * array.num_sets
+
+
+@settings(max_examples=30, deadline=None)
+@given(workload=drawn_workloads())
+def test_batched_runs_leave_every_l1_set_unbuilt(workload):
+    """A batched ``simulate`` counts L1 hits and misses without building
+    any of its System's L1 sets, on the first compile and on a compile
+    cache hit alike, and both runs give the same bytes."""
+    systems, compiles = [], []
+    real_finalize = System.finalize_stats
+    real_compile = engine._compile_core
+
+    def finalize(self):
+        systems.append(self)
+        return real_finalize(self)
+
+    def compile_core(*args):
+        compiles.append(args)
+        return real_compile(*args)
+
+    config = cfg.distributed(workload.num_cores)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(REFERENCE_ENV, raising=False)
+        mp.setattr(System, "finalize_stats", finalize)
+        mp.setattr(engine, "_compile_core", compile_core)
+        first = canonical_json(simulate(config, workload))
+        assert len(compiles) == workload.num_cores
+        second = canonical_json(simulate(config, workload))
+        assert len(compiles) == workload.num_cores  # a cache hit
+    assert first == second
+    assert len(systems) == 2
+    for system in systems:
+        for l1 in system.l1s:
+            for size in l1._arrays:
+                array = l1.array(size)
+                assert array._sets == [None] * array.num_sets
 
 
 def _both_loops(config, workload, **kwargs):

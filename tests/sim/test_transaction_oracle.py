@@ -9,7 +9,9 @@ Two references are kept here, verbatim, only as tests:
   ``_response``, ``_async_fill``, ``_walk_at``, ``_charge``);
 * :func:`make_lean_transaction` — the hand-inlined mesh-distributed
   transaction the vectorized engine used to call instead, which folds
-  its counters into the live objects only at ``finalize``.
+  its counters into the live objects only at ``finalize``.  Its slice
+  sets' LRU moves use the plain-dict idiom of ``LruState`` (a hit
+  re-inserts its key, a full set drops its first key).
 
 A hypothesis test drives both ``System`` and the chain with the same
 random ``(core, asid, size, page_number, now)`` sequence (out-of-order
@@ -395,7 +397,8 @@ def make_lean_transaction(
                 cache_set = sets[set_idx] = make_set(shard_ways)
             key = (asid, size, page_number)
             if key in cache_set:
-                cache_set.move_to_end(key)
+                del cache_set[key]  # to the MRU end
+                cache_set[key] = None
                 slice_hits[home] += 1
                 totals[0] += 1
                 totals[2] += 2  # request + response
@@ -440,7 +443,7 @@ def make_lean_transaction(
             write_ports[home].conflict_cycles += wstart - walk_done
         if cache_set is not None:  # 1GB translations are never cached
             if len(cache_set) >= shard_ways:
-                cache_set.popitem(last=False)
+                del cache_set[next(iter(cache_set))]  # the LRU key
                 slice_evicts[home] += 1
             cache_set[key] = None
             slice_inserts[home] += 1

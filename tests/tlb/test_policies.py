@@ -13,6 +13,9 @@ Three equivalence suites, per the replacement-policy contract:
   '94 pseudocode) — ditto, A1out ghost FIFO included.
 """
 
+import struct
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,14 +146,34 @@ def test_lru_full_set_same_asid_quota_edge():
     assert new.evictions == seed.evictions == 1
 
 
-def test_lru_state_is_ordered_dict():
-    """The engine's batched fast path inlines OrderedDict ops on L1
-    sets; LruState must stay a real OrderedDict for that to hold."""
-    from collections import OrderedDict
-
+def test_lru_state_is_a_slotted_dict_in_lru_order():
+    """``LruState`` is a dict whose only other state is its ``ways``
+    slot: no instance dict, the size of a plain dict of the same keys
+    plus that slot, and iteration runs LRU -> MRU through hits, admits,
+    removes and full-set evictions.  Dict equality ignores order, so
+    states compare as lists."""
     state = LruState(4)
-    assert isinstance(state, OrderedDict)
-    assert LruState.touch is OrderedDict.move_to_end
+    assert isinstance(state, dict)
+    assert not hasattr(state, "__dict__")
+    k = [(1, PAGE_4K, page) for page in range(6)]
+    for key in k[:4]:
+        assert state.admit(key) is None
+    assert sys.getsizeof(state) == (
+        sys.getsizeof(dict.fromkeys(k[:4])) + struct.calcsize("P")
+    )
+    assert list(state) == k[:4]
+    state.touch(k[1])
+    assert list(state) == [k[0], k[2], k[3], k[1]]
+    assert state.admit(k[4]) == k[0]  # full: the LRU key goes
+    assert list(state) == [k[2], k[3], k[1], k[4]]
+    assert state.remove(k[3]) and not state.remove(k[3])
+    assert list(state) == [k[2], k[1], k[4]]
+    assert state.admit(k[5]) is None  # room again
+    state.touch(k[2])
+    assert list(state) == [k[1], k[4], k[5], k[2]]
+    assert state.admit(k[0]) == k[1]
+    assert list(state) == list(state.members()) == [k[4], k[5], k[2], k[0]]
+    assert state == dict.fromkeys(reversed(list(state)))  # order-blind
 
 
 # ---------------------------------------------------------------------------
