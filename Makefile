@@ -8,7 +8,7 @@ CACHE_DIR ?= .repro-cache
         bench-sweep-smoke bench-scale-smoke bench-regression \
         bench-e2e-selftest bench-e2e-pins bench-e2e-ab experiments-smoke \
         policy-smoke verify bench bench-full bench-figures bench-faults \
-        examples calibrate cache-clean clean
+        examples calibrate loc cache-clean clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -154,6 +154,14 @@ examples:
 calibrate:
 	$(RUN) tools/calibrate.py 16 10000
 	$(RUN) tools/calibrate.py 32 8000
+
+# Line totals of the tracked Python files under src/, tests/,
+# benchmarks/ and tools/: the net-line numbers a change reports.
+loc:
+	@for dir in src tests benchmarks tools; do \
+		printf '%-12s %6d\n' "$$dir/" \
+			"$$(git ls-files -z -- "$$dir/*.py" | xargs -0 cat | wc -l)"; \
+	done
 
 cache-clean:
 	rm -rf $(CACHE_DIR)

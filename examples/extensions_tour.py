@@ -6,7 +6,6 @@
 2. QoS way-partitioning (the paper's future work): protecting a mix's
    victim application from a thrashing neighbour.
 3. The distributed TLB over every Table I fabric, in vivo.
-4. ASID recycling pressure.
 
 Run:  python examples/extensions_tour.py
 """
@@ -16,7 +15,6 @@ from dataclasses import replace
 from repro.analysis.tables import render_table
 from repro.sim import configs as cfg
 from repro.api import Runner, simulate
-from repro.vm import AsidManager
 from repro.workloads import WORKLOADS, build_multiprogrammed
 from repro.workloads.microbench import build_slice_hammer
 
@@ -72,23 +70,10 @@ def fabric_demo() -> None:
     print(render_table(["fabric", "speedup vs private"], rows))
 
 
-def asid_demo() -> None:
-    print("\n4) ASID recycling pressure (8 hardware tags, 20 processes):")
-    manager = AsidManager(capacity=8)
-    shootdowns = 0
-    for round_robin in range(3):
-        for pid in range(20):
-            if manager.activate(pid).required_shootdown:
-                shootdowns += 1
-    print(f"   {manager.recycles} recycles -> {shootdowns} ASID shootdowns "
-          "(each invalidates one context's entries chip-wide)")
-
-
 def main() -> None:
     indexing_demo()
     qos_demo()
     fabric_demo()
-    asid_demo()
 
 
 if __name__ == "__main__":

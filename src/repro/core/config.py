@@ -18,7 +18,11 @@ class NocstarConfig:
     one cycle when ``hpc_max >= mesh diameter``.  ``acquire`` selects
     how links are reserved; the paper finds 2x one-way wins (Fig 16).
     ``priority_rotation_cycles`` is the round-robin period of the link
-    arbiters' static priority (§III-B2, anti-starvation).
+    arbiters' static priority (§III-B2, anti-starvation).  Nothing in
+    the simulator reads it: the reservation model grants a setup the
+    first cycle all its links are free, with no rotating priority, and
+    :mod:`repro.noc.synthetic` takes its own ``rotation_cycles``.  It
+    stays because every NOCSTAR unit's cache key holds it.
     """
 
     hpc_max: int = 16

@@ -38,6 +38,14 @@ policing, and the fault injector's dead-link test.  A one-cycle
 traversal (every route up to HPCmax hops) is tested with one AND and
 booked with one OR in line; only a conflict or a longer span runs the
 search, :meth:`NocstarInterconnect._first_free`.
+
+Faults enter at the arbitration alone.  A fabric built with a fault
+injector takes every setup through
+:meth:`NocstarInterconnect._faulty_setup` (a dead link on the path, a
+transient arbiter drop with backoff, the setup timeout and the fallback
+over the coherence mesh); the message count, the local short-cut, the
+XY legs, the mask, the span and the earliest cycle are one code path
+for both.
 """
 
 from __future__ import annotations
@@ -47,10 +55,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
-from repro.faults.inject import (
-    FALLBACK_CYCLES_PER_HOP,
-    FALLBACK_INJECTION_CYCLES,
-)
+from repro.noc.mesh import coherence_cycles
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -82,19 +87,14 @@ class NocstarTraversal(NamedTuple):
 
 
 class NocstarInterconnect:
-    """Discrete-event model of the NOCSTAR TLB network."""
+    """Discrete-event model of the NOCSTAR TLB network.
 
-    def __new__(cls, *args, **kwargs) -> "NocstarInterconnect":
-        # Construction-time dispatch: a fabric that faults can reach
-        # (dead links or arbiter drops) is a _FaultyNocstar, so the
-        # fault-free hot path stays branch-free and byte-identical to
-        # the pre-fault model.  ``faults`` is __init__'s fourth argument.
-        faults = args[3] if len(args) > 3 else kwargs.get("faults")
-        if cls is NocstarInterconnect and faults is not None and (
-            faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
-        ):
-            cls = _FaultyNocstar
-        return super().__new__(cls)
+    ``faults`` is the run's fault injector, or None.  With one, every
+    setup arbitrates through faults (:meth:`_faulty_setup`).
+    :class:`~repro.sim.system.System` hands the fabric its injector only
+    when dead links or arbiter drops can reach a setup, so any other
+    plan keeps the fault-free arbitration and its bytes.
+    """
 
     def __init__(
         self,
@@ -242,6 +242,10 @@ class NocstarInterconnect:
         hops = x_hops + y_hops
         duration = self._spans[hops]
         earliest = now if speculative_setup else now + 1
+        if self.faults is not None:
+            return self._faulty_setup(
+                src, dst, now, earliest, mask, hops, duration, hold
+            )
         # A free one-cycle span is one AND; a conflict or a longer span
         # takes the search.
         if duration == 1 and not self._busy.get(earliest, 0) & mask:
@@ -260,43 +264,35 @@ class NocstarInterconnect:
             )
         return NocstarTraversal(start + duration, hops, retries, duration, links)
 
-    #: The route-cached send's former name, still listed as a wrap
-    #: target by benchmarks/e2e/layers.py; never dispatched to.
-    _send_routed = send
+    #: Former names of ``send`` (the route-cached and the faulty send),
+    #: still listed as wrap targets by benchmarks/e2e/layers.py.
+    _send_routed = _send_faulty = send
 
-    def _send_faulty(
+    def _faulty_setup(
         self,
         src: int,
         dst: int,
         now: int,
-        speculative_setup: bool = False,
-        hold: bool = False,
-    ) -> "NocstarTraversal":
-        """:meth:`send` under fault injection.
+        earliest: int,
+        mask: int,
+        hops: int,
+        duration: int,
+        hold: bool,
+    ) -> NocstarTraversal:
+        """:meth:`send`'s arbitration under fault injection, from the
+        legs' ``mask`` on.
 
         Resilience policy: a permanently dead link on the arbiters' XY
         path makes the setup unwinnable, so the message falls back to
         buffered-mesh routing immediately.  Otherwise the setup retries
-        through contention (:meth:`send`'s search, one attempt a cycle)
-        and through transient arbiter drops (exponential backoff, capped
-        at ``max_backoff``); if the grant has not landed within
+        through contention (:meth:`_first_free`'s search, one attempt a
+        cycle) and through transient arbiter drops (exponential backoff,
+        capped at ``max_backoff``); if the grant has not landed within
         ``setup_timeout`` cycles the circuit-switched fabric is
         abandoned and the message falls back too.
         """
-        self.messages += 1
-        if src == dst:
-            self.local_messages += 1
-            return NocstarTraversal(
-                ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
-            )
         inj = self.faults
-        x_offset, x_hops, y_offset, y_hops = self._legs(src, dst)
-        ones = self._ones
-        mask = ones[x_hops] << x_offset | ones[y_hops] << y_offset
-        hops = x_hops + y_hops
-        duration = self._spans[hops]
         path = self._path(src, dst)
-        earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
             return self._fallback(src, dst, earliest, hops, attempts=1)
         deadline = earliest + inj.plan.setup_timeout
@@ -369,8 +365,9 @@ class NocstarInterconnect:
         """Deliver over the buffered coherence mesh after abandoning setup.
 
         The failed attempts still burned control energy; the traversal
-        is then charged at buffered-mesh cost (injection plus
-        router+wire per hop) over the fault-aware route.  Returns
+        is then charged the coherence mesh's cost
+        (:func:`~repro.noc.mesh.coherence_cycles`) over the fault-aware
+        route.  Returns
         ``links=()`` — no circuit is held, so round-trip hold/release
         bookkeeping is skipped by the existing guards.
         """
@@ -379,7 +376,7 @@ class NocstarInterconnect:
         self.control_requests += xy_hops * attempts
         self.total_setup_retries += attempts
         self.total_hops += hops
-        ready = giveup + FALLBACK_INJECTION_CYCLES + FALLBACK_CYCLES_PER_HOP * hops
+        ready = giveup + coherence_cycles(hops)
         inj.record_fallback(giveup, src, dst, hops)
         return NocstarTraversal(
             ready=ready,
@@ -466,19 +463,3 @@ class NocstarInterconnect:
     def no_contention_fraction(self) -> float:
         sent = self.messages - self.local_messages
         return self.uncontended_messages / sent if sent else 1.0
-
-
-class _FaultyNocstar(NocstarInterconnect):
-    """A NOCSTAR fabric that faults can reach: every send is
-    :meth:`~NocstarInterconnect._send_faulty`.
-
-    The dispatch lives on the class: a bound method stored on the
-    instance would be a reference cycle, left for the cyclic collector.
-    ``send`` looks ``_send_faulty`` up on each access, so whatever wraps
-    that method (the end-to-end benchmark's layer spans) wraps these
-    sends too.
-    """
-
-    @property
-    def send(self):
-        return self._send_faulty

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.energy.components import DEFAULT_PARAMS, EnergyParams
-from repro.mem import sram
+from repro.energy.model import EnergyModel
 
 DESIGNS = ("monolithic", "distributed", "nocstar")
 
@@ -30,31 +30,28 @@ def message_energy_pj(
     nocstar_slice_entries: int = 920,
     params: EnergyParams = DEFAULT_PARAMS,
 ) -> Dict[str, float]:
-    """Energy breakdown (pJ) of one shared-L2 access over ``hops`` hops."""
+    """Energy breakdown (pJ) of one shared-L2 access over ``hops`` hops,
+    charged through an :class:`EnergyModel` as a simulated access is."""
     if hops < 0:
         raise ValueError("hop count cannot be negative")
+    model = EnergyModel(params)
     if design == "monolithic":
-        breakdown = {
-            "sram": sram.read_energy_pj(slice_entries * num_cores),
-            "link": params.link_hop_pj * hops,
-            "switch": params.router_hop_pj * hops,
-            "control": 0.0,
-        }
+        model.l2_lookup(slice_entries * num_cores)
+        model.mesh_hops(hops)
     elif design == "distributed":
-        breakdown = {
-            "sram": sram.read_energy_pj(slice_entries),
-            "link": params.link_hop_pj * hops,
-            "switch": params.router_hop_pj * hops,
-            "control": 0.0,
-        }
+        model.l2_lookup(slice_entries)
+        model.mesh_hops(hops)
     elif design == "nocstar":
-        breakdown = {
-            "sram": sram.read_energy_pj(nocstar_slice_entries),
-            "link": params.link_hop_pj * hops,
-            "switch": params.nocstar_switch_hop_pj * hops,
-            "control": params.control_request_pj * hops,
-        }
+        model.l2_lookup(nocstar_slice_entries)
+        model.nocstar_hops(hops)
+        model.control(hops)
     else:
         raise ValueError(f"unknown design: {design}")
-    breakdown["total"] = sum(breakdown.values())
-    return breakdown
+    charged = model.breakdown
+    return {
+        "sram": charged.sram_pj,
+        "link": charged.link_pj,
+        "switch": charged.switch_pj,
+        "control": charged.control_pj,
+        "total": charged.total_pj,
+    }

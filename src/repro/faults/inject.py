@@ -22,14 +22,15 @@ from typing import Dict, Optional
 
 from repro.faults.models import FaultPlan
 from repro.faults.routing import FaultAwareRouter
+# A NOCSTAR fallback rides the coherence NoC; its cost terms keep their
+# fallback names here.
+from repro.noc.mesh import (
+    COHERENCE_CYCLES_PER_HOP as FALLBACK_CYCLES_PER_HOP,
+    COHERENCE_INJECTION_CYCLES as FALLBACK_INJECTION_CYCLES,
+    coherence_cycles,
+)
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK
-
-#: Cycles per hop of the buffered-mesh fallback path (router + wire),
-#: matching the coherence NoC's cost in ``System._plain_send``.
-FALLBACK_CYCLES_PER_HOP = 2
-#: Injection cycle of a fallback message (entering the buffered mesh).
-FALLBACK_INJECTION_CYCLES = 1
 
 
 class FaultInjector:
@@ -120,8 +121,7 @@ class FaultInjector:
             self.shootdown_unreachable += 1
             self.sink.event(now, "fault_degraded", core=src, home=dst)
             return None
-        hops = len(path)
-        cost = 2 * hops + 1
+        cost = coherence_cycles(len(path))
         t = now
         backoff = 1
         retries = 0

@@ -15,6 +15,10 @@ path and counts every link it crosses.  ``System`` decides when its L2
 transaction may instead time the legs from the route cache's hop rows
 (fault-free routes, no observer reading the link counts); it then
 counts the messages and hops itself.
+
+:func:`coherence_cycles` is the cost of the chip's coherence NoC, the
+buffered mesh that carries shootdown relays and invalidates and every
+NOCSTAR message that abandons its setup.
 """
 
 from __future__ import annotations
@@ -22,6 +26,18 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Tuple
 
 from repro.noc.topology import Link, MeshTopology
+
+
+#: The coherence NoC: one cycle to inject a message, then router +
+#: wire per hop.
+COHERENCE_INJECTION_CYCLES = 1
+COHERENCE_CYCLES_PER_HOP = 2
+
+
+def coherence_cycles(hops: int) -> int:
+    """Cycles one message takes over ``hops`` links of the coherence
+    NoC."""
+    return COHERENCE_INJECTION_CYCLES + COHERENCE_CYCLES_PER_HOP * hops
 
 
 class Traversal(NamedTuple):

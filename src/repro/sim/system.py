@@ -37,7 +37,7 @@ from repro.mem import sram
 from repro.mem.cache import CacheHierarchy
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
-from repro.noc.mesh import ContentionFreeMesh
+from repro.noc.mesh import ContentionFreeMesh, coherence_cycles
 from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
@@ -164,12 +164,18 @@ class System:
                     self.network = ContentionFreeMesh(self.topology, router)
                     self._network_fault_aware = True
             elif scheme == cfg.NOCSTAR:
-                # The idealised fabric abstracts links away entirely, so
-                # link faults have nothing physical to act on there.
-                net_faults = None if config.nocstar_ideal else self.faults
+                # Faults reach a setup only through dead links or arbiter
+                # drops, and never in the idealised fabric, which
+                # abstracts links away; any other plan leaves the fabric
+                # on the fault-free arbitration, which has no setup
+                # timeout.
+                inj = self.faults
+                reaches = inj is not None and not config.nocstar_ideal and (
+                    inj.router.dead or inj.plan.arbiter_drop_prob > 0.0
+                )
                 self.network = NocstarInterconnect(
                     self.topology, config.nocstar, sink=sink,
-                    faults=net_faults,
+                    faults=inj if reaches else None,
                 )
                 self._network_fault_aware = not config.nocstar_ideal
 
@@ -683,13 +689,12 @@ class System:
         counted and the message arrives at ``now``, at zero cost; it is
         not skipped, so an invalidate still books the slice's write
         port and drops its entries (a known quirk, kept for byte
-        identity; see ROADMAP "Model fixes").  With no dead links and
-        no drop probability the injector's cost formula reduces to
-        exactly the expression below."""
+        identity; see ROADMAP "Model fixes").  Both paths charge the
+        coherence NoC's :func:`~repro.noc.mesh.coherence_cycles`."""
         if self.faults is not None:
             arrival = self.faults.shootdown_send(src, dst, now)
             return now if arrival is None else arrival
-        return now + 2 * self.routes.hops[src][dst] + 1
+        return now + coherence_cycles(self.routes.hops[src][dst])
 
     def flush_all_tlbs(self) -> None:
         """Full TLB flush (context-switch storms, §V)."""

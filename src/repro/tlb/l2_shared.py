@@ -27,9 +27,6 @@ from repro.mem import sram
 from repro.tlb.set_assoc import Key, SetAssociativeTLB
 from repro.vm.address import PAGE_1G
 
-#: Extra cycles for the bank-select mux / H-tree of a banked monolith.
-BANK_MUX_CYCLES = 2
-
 
 #: Arbitration modes for the per-bank/slice ports.
 FIFO = "fifo"
@@ -300,6 +297,7 @@ class MonolithicSharedTlb(_ShardedTlb):
         super().__init__(total_entries, ways, num_banks, "mono-bank",
                          indexer=indexer, policy=policy,
                          arbitration=arbitration)
+        # + 1: the bank-select mux / H-tree in front of the banks.
         self.lookup_cycles = sram.lookup_cycles(total_entries) + 1
 
     @staticmethod

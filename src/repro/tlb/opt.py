@@ -13,9 +13,9 @@ Canonical stream
 The offline order is the engine's statically deterministic interleave:
 each core's SMT streams are merged round-robin
 (:func:`~repro.workloads.trace.interleave_streams`, the order both
-engine drive loops issue a core's records in), then one record is taken
-per core per round across
-cores.  It is *an* order, not *the* timing-dependent DES order — what
+engine drive loops issue a core's records in), then the cores' merged
+streams are merged by the same round robin, one record per core per
+round.  It is *an* order, not *the* timing-dependent DES order — what
 matters for the bound is that OPT and every online policy replay the
 **same** sequence, which is what makes per-slice dominance
 (hit-rate(OPT) >= hit-rate(policy)) hold by construction.
@@ -64,20 +64,16 @@ Access = Tuple[int, int, int, int]
 
 
 def canonical_stream(workload) -> List[Access]:
-    """The workload's canonical offline order (see module docstring)."""
-    merged = [interleave_streams(streams) for streams in workload.traces]
-    stream: List[Access] = []
-    positions = [0] * len(merged)
-    remaining = sum(len(m) for m in merged)
-    while remaining:
-        for core, records in enumerate(merged):
-            pos = positions[core]
-            if pos < len(records):
-                positions[core] = pos + 1
-                _, asid, size, page_number = records[pos]
-                stream.append((core, asid, size, page_number))
-                remaining -= 1
-    return stream
+    """The workload's canonical offline order (see module docstring):
+    each core's merged stream, tagged with its core, and the cores'
+    tagged streams merged by the same round robin."""
+    return interleave_streams([
+        [
+            (core, asid, size, page_number)
+            for _, asid, size, page_number in interleave_streams(streams)
+        ]
+        for core, streams in enumerate(workload.traces)
+    ])
 
 
 @dataclass(frozen=True)

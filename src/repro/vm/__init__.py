@@ -9,7 +9,6 @@ from repro.vm.address import (
     vpn_to_va,
 )
 from repro.vm.address_space import AddressSpace, Extent, SharedRegion
-from repro.vm.asid import AsidAssignment, AsidManager
 from repro.vm.page_table import PageTable, PTE
 from repro.vm.superpage import SuperpagePolicy
 from repro.vm.walker import (
@@ -29,8 +28,6 @@ __all__ = [
     "AddressSpace",
     "Extent",
     "SharedRegion",
-    "AsidAssignment",
-    "AsidManager",
     "PageTable",
     "PTE",
     "SuperpagePolicy",

@@ -71,8 +71,3 @@ def translation_vpn(vpn: int, page_size: int) -> int:
 def pages_spanned(page_size: int) -> int:
     """Number of 4KB pages covered by one page of ``page_size``."""
     return page_size // PAGE_4K
-
-
-def is_aligned(vpn: int, page_size: int) -> bool:
-    """True if a 4KB VPN is aligned to the start of a ``page_size`` page."""
-    return vpn % pages_spanned(page_size) == 0

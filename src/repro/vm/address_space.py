@@ -19,7 +19,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from repro.vm.address import PAGE_4K, pages_spanned, translation_vpn
+from repro.vm.address import PAGE_4K, pages_spanned
 
 #: ASID tag used for globally shared mappings (kernel, shared libraries).
 GLOBAL_ASID = 0
@@ -98,7 +98,7 @@ class AddressSpace:
         self._bases.insert(idx, extent.base_vpn)
 
     def replace_extent(self, old: Extent, new: Iterable[Extent]) -> None:
-        """Atomically swap ``old`` for replacement extents (promotion/demotion)."""
+        """Atomically swap ``old`` for replacement extents (promotion)."""
         idx = self._extents.index(old)
         del self._extents[idx]
         del self._bases[idx]
@@ -119,13 +119,6 @@ class AddressSpace:
         if extent is None:
             raise KeyError(f"VPN {vpn:#x} is not mapped in ASID {self.asid}")
         return extent.page_size, (GLOBAL_ASID if extent.shared else self.asid)
-
-    def translation_key(self, vpn: int) -> Tuple[int, int, int]:
-        """Return ``(tag_asid, page_size, page_number)`` — the unique
-        identity of the translation covering ``vpn``, collapsing all 4KB
-        VPNs inside a superpage onto one key."""
-        page_size, tag_asid = self.classify(vpn)
-        return tag_asid, page_size, translation_vpn(vpn, page_size)
 
     @property
     def footprint_pages(self) -> int:

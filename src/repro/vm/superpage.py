@@ -7,10 +7,9 @@ superpages (§V).  This module provides:
 * :func:`SuperpagePolicy.layout` — split a requested footprint into a
   2MB-backed extent and a 4KB-backed remainder at a given superpage
   fraction, mirroring what THP achieves at steady state; and
-* promotion/demotion of individual 2MB regions, which is the engine of
-  the TLB-storm microbenchmark (§V, pathological workloads): promoting
-  512 4KB pages to one superpage invalidates 512 distinct TLB entries,
-  and demotion invalidates the superpage entry.
+* promotion of individual 2MB regions, which is the engine of the
+  TLB-storm microbenchmark (§V, pathological workloads): promoting 512
+  4KB pages to one superpage invalidates 512 distinct TLB entries.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M, translation_vpn
+from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
 from repro.vm.address_space import AddressSpace, Extent, VpnAllocator
 
 
 @dataclass(frozen=True)
 class InvalidationBatch:
-    """TLB entries that must be shot down after a promotion/demotion.
+    """TLB entries that must be shot down after a promotion.
 
     Each element is a ``(page_size, page_number)`` pair (tagged with the
     address space's ASID by the caller).
@@ -91,17 +90,6 @@ class SuperpagePolicy:
             (PAGE_4K, vpn) for vpn in range(base_vpn, base_vpn + PAGES_PER_2M)
         )
         return InvalidationBatch(invalidated)
-
-    @staticmethod
-    def demote(space: AddressSpace, base_vpn: int) -> InvalidationBatch:
-        """Break the 2MB page at ``base_vpn`` back into 512 4KB pages."""
-        extent = _aligned_region(space, base_vpn, PAGE_2M)
-        pieces = _split_out(extent, base_vpn)
-        demoted = Extent(base_vpn, PAGES_PER_2M, PAGE_4K, extent.shared)
-        space.replace_extent(extent, pieces + [demoted])
-        return InvalidationBatch(
-            ((PAGE_2M, translation_vpn(base_vpn, PAGE_2M)),)
-        )
 
 
 def _aligned_region(space: AddressSpace, base_vpn: int, page_size: int) -> Extent:

@@ -107,13 +107,6 @@ class ZipfSampler:
             return self._perm[ranks]
         return ranks
 
-    def head_mass(self, head: int) -> float:
-        """Fraction of accesses landing on the ``head`` hottest pages."""
-        head = min(head, self.n)
-        if self._cdf is None:
-            return head / self.n
-        return float(self._cdf[head - 1])
-
 
 @dataclass
 class PagePool:

@@ -269,6 +269,34 @@ def test_system_picks_the_one_router_its_network_sends_on(name, observed):
         )
 
 
+@pytest.mark.parametrize(
+    "ideal, plan, falls_back",
+    [
+        (False, FaultPlan(16, failed_links=((12, 13),), setup_timeout=1), True),
+        (False, FaultPlan(16, failed_slices=(3,), setup_timeout=1), False),
+        (False, FaultPlan(16, walker_slowdown=2.0, setup_timeout=1), False),
+        (True, FaultPlan(16, failed_links=((12, 13),), setup_timeout=1), False),
+    ],
+    ids=["dead-link", "dead-slice", "slow-walker", "ideal-dead-link"],
+)
+def test_only_faults_that_reach_a_link_time_nocstar_setups_out(
+    ideal, plan, falls_back
+):
+    """A setup one cycle behind contention outlives a one-cycle setup
+    timeout.  With a dead link anywhere, NOCSTAR arbitrates through
+    faults and falls back to the coherence mesh; dead slices and slow
+    walkers, or the idealised fabric, keep the fault-free arbitration,
+    which waits for the links."""
+    config = cfg.nocstar_ideal(16) if ideal else cfg.nocstar(16)
+    system = System(config, faults=plan)
+    network = system.network
+    assert network.send(0, 3, 10).ready == 12
+    second = network.send(0, 3, 10)
+    assert system.faults.fallback_messages == int(falls_back)
+    if not falls_back:
+        assert (second.ready, second.setup_retries) == (13, 1)
+
+
 def _routing(system):
     """What the reference switch must not change: the route tables, the
     network's router and send function, and the leg-inlining decision."""

@@ -58,12 +58,6 @@ def test_pages_spanned():
     assert addr.pages_spanned(addr.PAGE_2M) == 512
 
 
-def test_is_aligned():
-    assert addr.is_aligned(1024, addr.PAGE_2M)
-    assert not addr.is_aligned(1025, addr.PAGE_2M)
-    assert addr.is_aligned(12345, addr.PAGE_4K)
-
-
 @given(st.integers(min_value=0, max_value=addr.MAX_VPN))
 def test_translation_vpn_monotone_in_vpn(vpn):
     """Collapsing to superpage numbers preserves ordering."""

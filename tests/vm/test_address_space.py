@@ -69,12 +69,6 @@ def test_find_extent_between_extents():
     assert space.find_extent(105).base_vpn == 100
 
 
-def test_translation_key_collapses_superpage():
-    space = AddressSpace(2, [Extent(512, 512, page_size=PAGE_2M)])
-    keys = {space.translation_key(512 + i) for i in (0, 100, 511)}
-    assert keys == {(2, PAGE_2M, 1)}
-
-
 def test_footprint_pages():
     space = AddressSpace(1, [Extent(0, 10), Extent(100, 32)])
     assert space.footprint_pages == 42

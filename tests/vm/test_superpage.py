@@ -1,4 +1,4 @@
-"""Superpage layout, promotion, and demotion."""
+"""Superpage layout and promotion."""
 
 import pytest
 
@@ -69,22 +69,6 @@ def test_promote_middle_region_keeps_neighbours():
     assert space.classify(0)[0] == PAGE_4K
     assert space.classify(700)[0] == PAGE_2M
     assert space.classify(1500)[0] == PAGE_4K
-
-
-def test_demote_invalidates_the_superpage_entry():
-    space = AddressSpace(1, [Extent(0, 1024, PAGE_2M)])
-    batch = SuperpagePolicy.demote(space, 512)
-    assert batch.entries == ((PAGE_2M, 1),)
-    assert space.classify(600)[0] == PAGE_4K
-    assert space.classify(100)[0] == PAGE_2M
-
-
-def test_promote_then_demote_round_trips():
-    space = AddressSpace(1, [Extent(0, 1024)])
-    SuperpagePolicy.promote(space, 0)
-    SuperpagePolicy.demote(space, 0)
-    assert space.classify(0) == (PAGE_4K, 1)
-    assert space.footprint_pages == 1024
 
 
 def test_promote_rejects_unaligned_base():
