@@ -22,13 +22,7 @@ from typing import Dict, Optional
 
 from repro.faults.models import FaultPlan
 from repro.faults.routing import FaultAwareRouter
-# A NOCSTAR fallback rides the coherence NoC; its cost terms keep their
-# fallback names here.
-from repro.noc.mesh import (
-    COHERENCE_CYCLES_PER_HOP as FALLBACK_CYCLES_PER_HOP,
-    COHERENCE_INJECTION_CYCLES as FALLBACK_INJECTION_CYCLES,
-    coherence_cycles,
-)
+from repro.noc.mesh import coherence_cycles
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK
 

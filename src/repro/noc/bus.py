@@ -3,14 +3,13 @@
 A single shared medium: every transfer is a chip-wide broadcast that
 occupies the whole bus, so latency is excellent when idle and
 throughput is one message at a time — the paper rejects it for
-bandwidth and (broadcast) power, not latency.
+bandwidth and (broadcast) power, not latency.  The bus books its
+transfer windows in one :class:`~repro.core.occupancy.Bookings`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.core.occupancy import retire_below
+from repro.core.occupancy import Bookings
 from repro.noc.mesh import Traversal
 from repro.noc.topology import MeshTopology
 
@@ -27,31 +26,23 @@ class BusNetwork:
             raise ValueError("a bus transfer takes at least one cycle")
         self.topology = topology
         self.transfer_cycles = transfer_cycles
-        self._busy: Dict[int, bool] = {}
+        self._bookings = Bookings()
         self.messages = 0
         self.total_hops = 0
         self.total_queue_cycles = 0
 
-    def _free(self, start: int) -> bool:
-        return all(
-            start + i not in self._busy for i in range(self.transfer_cycles)
-        )
-
     def retire(self, horizon: int) -> None:
         """Forget the bus cycles below ``horizon``, which no later
         send probes."""
-        retire_below(horizon, self._busy)
+        self._bookings.retire(horizon)
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
         """Acquire the bus at the first free window at/after ``now``."""
         self.messages += 1
         if src == dst:
             return Traversal(arrival=now, hops=0)
-        start = now
-        while not self._free(start):
-            start += 1
-        for i in range(self.transfer_cycles):
-            self._busy[start + i] = True
+        start = self._bookings.first_window(now, self.transfer_cycles)
+        self._bookings.book(start, self.transfer_cycles)
         queued = start - now
         self.total_queue_cycles += queued
         self.total_hops += 1  # a bus transfer is "one hop" of full-chip wire

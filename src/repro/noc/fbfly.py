@@ -4,14 +4,15 @@ Express links fully connect every row and every column: any
 destination is at most two hops away (one X-express, one Y-express).
 The wide variant moves a whole packet per link-cycle; the narrow
 variant quarters the datapath and pays serialisation on every link —
-Table I's FBFly-wide / FBFly-narrow rows.
+Table I's FBFly-wide / FBFly-narrow rows.  Each express link books its
+transfer windows in its own :class:`~repro.core.occupancy.Bookings`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.occupancy import retire_below
+from repro.core.occupancy import Bookings
 from repro.noc.mesh import Traversal
 from repro.noc.topology import MeshTopology
 
@@ -34,7 +35,7 @@ class FlattenedButterfly:
         #: serialisation per packet (Table I's FBFly-narrow).
         self.serialization_cycles = 4 if narrow else 0
         self.cycles_per_hop = router_cycles + wire_cycles
-        self._occupied: Dict[Link, set] = {}
+        self._bookings: Dict[Link, Bookings] = {}
         self.messages = 0
         self.total_hops = 0
         self.total_queue_cycles = 0
@@ -56,16 +57,8 @@ class FlattenedButterfly:
     def retire(self, horizon: int) -> None:
         """Forget every link's busy cycles below ``horizon``, which no
         later send probes."""
-        for occupied in self._occupied.values():
-            retire_below(horizon, occupied)
-
-    def _acquire(self, link: Link, when: int, duration: int) -> int:
-        occupied = self._occupied.setdefault(link, set())
-        start = when
-        while any(start + i in occupied for i in range(duration)):
-            start += 1
-        occupied.update(range(start, start + duration))
-        return start
+        for store in self._bookings.values():
+            store.retire(horizon)
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
         self.messages += 1
@@ -73,11 +66,16 @@ class FlattenedButterfly:
         if not links:
             return Traversal(arrival=now, hops=0)
         duration = 1 + self.serialization_cycles  # link cycles per packet
+        bookings = self._bookings
         t = now
         queued = 0
         for link in links:
             t += self.cycles_per_hop - 1  # router stage before the link
-            start = self._acquire(link, t, duration)
+            store = bookings.get(link)
+            if store is None:
+                store = bookings[link] = Bookings()
+            start = store.first_window(t, duration)
+            store.book(start, duration)
             queued += start - t
             t = start + duration
         self.total_hops += len(links)

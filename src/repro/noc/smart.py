@@ -16,32 +16,31 @@ SSRs follow whatever route the flit is configured with: the ``router``
 the fault injector's detours (see :mod:`repro.noc.route_cache`), under
 either drive loop.  Every router's routes are fixed for a run (a
 fault-aware router's failure set never changes), so a send binds each
-``(src, dst)`` route once, together with the occupancy sets and skip
-maps of its links: the hop loop indexes a tuple of sets instead of
-hashing a link per hop.  A flit waiting for a segment's first link
-crosses each run of busy cycles through that link's skip map
-(:mod:`repro.core.occupancy`; a booked cycle stays busy until the drive
-loop retires it), not one cycle at a time: near a hot tile, such as the
-monolith at the mesh edge, waits run to tens of cycles.  Retiring
-empties and refills each link's set and skip map in place, because the
-bound routes hold those very objects, and adds the dropped cycles to
-the link's running total, so :meth:`SmartNetwork.link_busy_cycles`
-stays exact."""
+``(src, dst)`` route once, together with its links' bookings
+(:class:`~repro.core.occupancy.Bookings`, one per link) and their
+``cycles`` dicts: the hop loop probes and books a tuple of plain dicts
+instead of hashing a link per hop.  A flit waiting for a segment's
+first link crosses each run of busy cycles through that link's skip
+map (a booked cycle stays busy until the drive loop retires it), not
+one cycle at a time: near a hot tile, such as the monolith at the mesh
+edge, waits run to tens of cycles.  Retiring empties and refills each
+link's dicts in place, because the bound routes hold those very
+objects, and counts the dropped cycles into the link's running total,
+so :meth:`SmartNetwork.link_busy_cycles` stays exact."""
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import DefaultDict, Dict, Set, Tuple
+from typing import Dict, Tuple
 
-from repro.core.occupancy import first_free, retire_below
+from repro.core.occupancy import Bookings
 from repro.noc.mesh import Traversal
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
-#: A bound route: its links in travel order, their occupancy sets and
-#: their skip maps.
+#: A bound route: its links in travel order, their bookings and the
+#: bookings' ``cycles`` dicts.
 Bound = Tuple[
-    Tuple[Link, ...], Tuple[Set[int], ...], Tuple[Dict[int, int], ...]
+    Tuple[Link, ...], Tuple[Bookings, ...], Tuple[Dict[int, int], ...]
 ]
 
 
@@ -63,18 +62,13 @@ class SmartNetwork:
         #: The route source: anything with ``path(src, dst)``.
         self.router = router
         self._route = router.path
-        #: link -> cycles during which it carries a flit (per-cycle
-        #: occupancy; see the reservation note in repro.core.nocstar).
-        #: Pre-populated with every topology link, so each link has one
-        #: set for every bound route that crosses it to share.
-        self._occupied: Dict[Link, Set[int]] = {
-            link: set() for link in topology.all_links()
+        #: link -> the cycles during which it carries a flit, one flit
+        #: a cycle.  Pre-populated with every topology link, so each
+        #: link has one store for every bound route that crosses it to
+        #: share.
+        self._bookings: Dict[Link, Bookings] = {
+            link: Bookings() for link in topology.all_links()
         }
-        #: link -> skip map over its occupied cycles, for first-link
-        #: waits; built on a link's first bind.
-        self._skips: DefaultDict[Link, Dict[int, int]] = defaultdict(dict)
-        #: link -> busy cycles retired from its set (see retire()).
-        self._retired: Dict[Link, int] = {}
         self._tiles = topology.num_tiles
         #: src * num_tiles + dst -> :data:`Bound`, filled on first use.
         self._bound: Dict[int, Bound] = {}
@@ -86,38 +80,31 @@ class SmartNetwork:
     def link_busy_cycles(self) -> Dict[Link, int]:
         """Cycles each link carried a flit (utilization numerator),
         retired cycles included."""
-        retired = self._retired
         return {
-            link: len(cycles) + retired.get(link, 0)
-            for link, cycles in self._occupied.items()
-            if cycles or link in retired
+            link: store.busy_cycles
+            for link, store in self._bookings.items()
+            if store.busy_cycles
         }
 
     def retire(self, horizon: int) -> None:
         """Drop every link's busy cycles below ``horizon``, which no
         later send probes, counting them into the link's total."""
-        retired = self._retired
-        skips = self._skips
-        for link, cycles in self._occupied.items():
-            if cycles:
-                dropped = retire_below(horizon, cycles, skips.get(link))
-                if dropped:
-                    retired[link] = retired.get(link, 0) + dropped
+        for store in self._bookings.values():
+            store.retire(horizon)
 
     def _bind(self, src: int, dst: int) -> Bound:
-        """Memoise the route ``src -> dst`` with its links' occupancy
-        sets and skip maps (a partitioned pair raises and binds
+        """Memoise the route ``src -> dst`` with its links' bookings
+        and their cycle dicts (a partitioned pair raises and binds
         nothing)."""
         path = tuple(self._route(src, dst))
+        stores = tuple(self._bookings[link] for link in path)
         bound = self._bound[src * self._tiles + dst] = (
-            path,
-            tuple(self._occupied[link] for link in path),
-            tuple(self._skips[link] for link in path),
+            path, stores, tuple(store.cycles for store in stores),
         )
         return bound
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        path, occupancy, skips = (
+        path, stores, occupancy = (
             self._bound.get(src * self._tiles + dst) or self._bind(src, dst)
         )
         npath = len(path)
@@ -140,7 +127,7 @@ class SmartNetwork:
             # made send() quadratic in the queueing delay.
             first_occupied = occupancy[index]
             if t in first_occupied:
-                free = first_free(t, first_occupied, skips[index])
+                free = stores[index].first_free(t)
                 queued += free - t
                 t = free
             end = index + hpc
@@ -156,7 +143,7 @@ class SmartNetwork:
                 occupied = occupancy[i]
                 if t in occupied:
                     break
-                occupied.add(t)
+                occupied[t] = 1
                 i += 1
             t += 1  # the bypass segment crosses in one cycle
             if i == end:

@@ -14,15 +14,16 @@ translation, hashed to a bank/slice by low-order page-number bits
   cost moves into the interconnect, which the simulator layer models.
 
 Port contention (2R/1W, pipelined — one access can start per cycle per
-port, §IV) is tracked here via per-bank/slice reservation state.
+port, §IV) is tracked here: each bank/slice has a read and a write port
+set, each a :class:`~repro.core.occupancy.Bookings` of its ports.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.indexing import IndexFn, modulo_index
-from repro.core.occupancy import first_free, retire_below
+from repro.core.occupancy import Bookings
 from repro.mem import sram
 from repro.tlb.set_assoc import Key, SetAssociativeTLB
 from repro.vm.address import PAGE_1G
@@ -39,13 +40,12 @@ WALK_CLASS = 1
 PREFETCH_CLASS = 2
 
 
-class _PortSet:
+class _PortSet(Bookings):
     """Pipelined access ports: one new access per port per cycle.
 
-    Occupancy is tracked per cycle (not as a busy-until watermark) so
-    the engine's bounded out-of-order reservations only conflict when
-    two accesses genuinely claim the same cycle — see the reservation
-    note in :mod:`repro.core.nocstar`.
+    A :class:`~repro.core.occupancy.Bookings` whose capacity is the
+    port count, so the engine's bounded out-of-order reservations only
+    conflict when two accesses genuinely claim the same cycle.
 
     Under ``priority`` arbitration, a contended reservation of service
     class ``klass > 0`` yields ``klass`` extra cycles to whatever beat
@@ -56,42 +56,25 @@ class _PortSet:
     to the historical behaviour.
     """
 
+    __slots__ = ("priority", "conflict_cycles")
+
     def __init__(self, num_ports: int, priority: bool = False) -> None:
-        self.num_ports = num_ports
+        super().__init__(num_ports)
         self.priority = priority
-        self._starts: Dict[int, int] = {}  # cycle -> accesses started
-        #: Full cycle -> a later cycle, every cycle between them full
-        #: too (see :mod:`repro.core.occupancy`).  A full cycle stays
-        #: full until it is retired, so an entry never goes stale.
-        self._skip: Dict[int, int] = {}
         self.conflict_cycles = 0
-
-    def retire(self, horizon: int) -> None:
-        """Forget the starts below ``horizon``, which no later
-        reservation probes (conflict cycles are a running total)."""
-        if self._starts:
-            retire_below(horizon, self._starts, self._skip)
-
-    def _full(self) -> Container[int]:
-        """The cycles whose every port has started an access: the
-        started cycles themselves when there is one port."""
-        if self.num_ports == 1:
-            return self._starts
-        return _FullCycles(self._starts, self.num_ports)
 
     def reserve(self, now: int, klass: int = 0) -> int:
         """Return the cycle the access can start (>= now)."""
         start = now
-        starts = self._starts
-        if starts.get(start, 0) >= self.num_ports:
-            full = self._full()
-            start = first_free(start, full, self._skip)
+        cycles = self.cycles
+        if cycles.get(start, 0) >= self.capacity:
+            start = self.first_free(start)
             if klass and self.priority:
                 # Lower-priority traffic lost the arbitration: pay the
                 # class penalty, then take the next genuinely free cycle.
-                start = first_free(start + klass, full, self._skip)
+                start = self.first_free(start + klass)
             self.conflict_cycles += start - now
-        starts[start] = starts.get(start, 0) + 1
+        cycles[start] = cycles.get(start, 0) + 1
         return start
 
     def reserve_many(self, now: int, count: int) -> int:
@@ -105,32 +88,17 @@ class _PortSet:
         is crossed through the skip map, so sweeps that arrive inside
         the same busy run do not rescan it.
         """
-        starts = self._starts
-        full = self._full()
-        skip = self._skip
-        ports = self.num_ports
+        cycles = self.cycles
+        first_free = self.first_free
+        ports = self.capacity
         start = cycle = now
         for _ in range(count):
-            start = first_free(cycle, full, skip)
-            used = starts[start] = starts.get(start, 0) + 1
+            start = first_free(cycle)
+            used = cycles[start] = cycles.get(start, 0) + 1
             # The next access cannot start in a cycle this one filled.
             cycle = start + 1 if used >= ports else start
         self.conflict_cycles += start - now
         return start
-
-
-class _FullCycles:
-    """The full cycles of a port set with ``ports`` ports, as a
-    container over its start counts."""
-
-    __slots__ = ("starts", "ports")
-
-    def __init__(self, starts: Dict[int, int], ports: int) -> None:
-        self.starts = starts
-        self.ports = ports
-
-    def __contains__(self, cycle: object) -> bool:
-        return self.starts.get(cycle, 0) >= self.ports
 
 
 class _ShardedTlb:

@@ -1,4 +1,4 @@
-"""Virtual-memory substrate: addresses, page tables, walkers, address spaces."""
+"""Virtual-memory substrate: addresses, extents, page tables, walkers."""
 
 from repro.vm.address import (
     PAGE_4K,
@@ -8,7 +8,7 @@ from repro.vm.address import (
     va_to_vpn,
     vpn_to_va,
 )
-from repro.vm.address_space import AddressSpace, Extent, SharedRegion
+from repro.vm.address_space import Extent
 from repro.vm.page_table import PageTable, PTE
 from repro.vm.superpage import SuperpagePolicy
 from repro.vm.walker import (
@@ -25,9 +25,7 @@ __all__ = [
     "translation_vpn",
     "va_to_vpn",
     "vpn_to_va",
-    "AddressSpace",
     "Extent",
-    "SharedRegion",
     "PageTable",
     "PTE",
     "SuperpagePolicy",

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
-from repro.vm.address_space import AddressSpace, Extent, VpnAllocator
+from repro.vm.address_space import GLOBAL_ASID, Extent, VpnAllocator
 from repro.vm.superpage import SuperpagePolicy
 from repro.workloads.io import page_size_column
 from repro.workloads.spec import WorkloadSpec
@@ -43,7 +43,6 @@ _SCATTER_SEED = 0x5CA77E12
 #: The globally shared library/OS pool every process maps (§II-A).
 LIB_POOL_PAGES = 2048
 LIB_ALPHA = 1.1
-GLOBAL_ASID = 0
 
 
 #: Process-wide memo of Zipf CDFs keyed by ``(n, alpha)``.  At sweep

@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import NocstarConfig
 from repro.core.nocstar import NocstarInterconnect, NocstarTraversal
-from repro.faults.inject import (
-    FALLBACK_CYCLES_PER_HOP,
-    FALLBACK_INJECTION_CYCLES,
-    FaultInjector,
-)
+from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
 from repro.faults.routing import UnreachableError
+from repro.noc.mesh import COHERENCE_CYCLES_PER_HOP, COHERENCE_INJECTION_CYCLES
 from repro.noc.topology import MeshTopology
 from repro.obs import EventTrace, MetricsSink
+from repro.sim import configs as cfg
+from repro.sim.system import System
 from tests.core.test_nocstar import COUNTERS
 
 
@@ -25,11 +24,14 @@ def _injector(num_tiles=16, **plan_kwargs):
 
 def test_benign_plan_keeps_the_fault_free_send_path():
     # Slice failures and walker slowdowns never touch the interconnect:
-    # the construction-time dispatch must leave the hot path unbound.
-    topology, injector = _injector(failed_slices=(3,), walker_slowdown=2.0)
-    noc = NocstarInterconnect(topology, faults=injector)
-    assert "send" not in noc.__dict__  # class method, not the faulty shim
-    plain = NocstarInterconnect(topology)
+    # the System hands its fabric no injector, so every send takes the
+    # fault-free arbitration.
+    plan = FaultPlan(num_tiles=16, failed_slices=(3,), walker_slowdown=2.0)
+    system = System(cfg.nocstar(16), faults=plan)
+    assert system.faults is not None
+    noc = system.network
+    assert noc.faults is None
+    plain = System(cfg.nocstar(16)).network
     for src, dst, now in ((0, 15, 5), (3, 12, 40), (7, 7, 41)):
         assert noc.send(src, dst, now) == plain.send(src, dst, now)
 
@@ -44,8 +46,8 @@ def test_dead_xy_link_falls_back_immediately():
     assert traversal.hops == len(fallback_path)
     assert traversal.ready == (
         11  # earliest = now + 1 (non-speculative setup)
-        + FALLBACK_INJECTION_CYCLES
-        + FALLBACK_CYCLES_PER_HOP * len(fallback_path)
+        + COHERENCE_INJECTION_CYCLES
+        + COHERENCE_CYCLES_PER_HOP * len(fallback_path)
     )
     assert injector.fallback_messages == 1
     assert injector.fallback_hops == len(fallback_path)
@@ -61,7 +63,7 @@ def test_certain_drops_hit_the_setup_timeout_then_fall_back():
     assert injector.fallback_messages == 1
     assert traversal.links == ()
     # Gave up no earlier than the deadline, then paid buffered-mesh cost.
-    assert traversal.ready >= 1 + 16 + FALLBACK_INJECTION_CYCLES
+    assert traversal.ready >= 1 + 16 + COHERENCE_INJECTION_CYCLES
 
 
 def test_transient_drops_retry_with_backoff_then_deliver():
@@ -112,16 +114,14 @@ def test_faulty_send_counts_energy_and_messages_like_the_seed_path():
 
 
 class CycleByCycleNocstar(NocstarInterconnect):
-    """``_send_faulty`` as it was before it shared the fault-free setup
+    """The faulty send as it was before it shared the fault-free setup
     search: contention retried one cycle at a time through
     ``_path_free``.  Kept verbatim, only as the oracle below, save that
     it reads the path from the topology and its hops and mask from the
     arithmetic legs, and returns the path only when it holds the
     circuit."""
 
-    def _send_faulty(
-        self, src, dst, now, speculative_setup=False, hold=False
-    ):
+    def send(self, src, dst, now, speculative_setup=False, hold=False):
         self.messages += 1
         if src == dst:
             self.local_messages += 1
@@ -233,7 +233,7 @@ def test_faulty_send_search_matches_cycle_by_cycle_retries(
         outcomes = []
         for net in nets:
             try:
-                sent = net._send_faulty(src, dst, now, speculative, hold)
+                sent = net.send(src, dst, now, speculative, hold)
             except RuntimeError:  # a crossed hold
                 sent = RuntimeError
             else:
@@ -263,11 +263,11 @@ def test_setup_timing_out_behind_a_hold_is_policed_at_its_last_attempt(
     when it would not."""
     topology, injector = _injector(setup_timeout=1)
     noc = cls(topology, NocstarConfig(hpc_max=1), faults=injector)
-    held = noc._send_faulty(0, 3, 0, speculative_setup=True, hold=True)
+    held = noc.send(0, 3, 0, speculative_setup=True, hold=True)
     assert (held.ready, held.traversal_cycles) == (3, 3)  # held from 3
     if raises:
         with pytest.raises(RuntimeError, match="unreleased round-trip"):
-            noc._send_faulty(0, 3, now, speculative_setup=True)
+            noc.send(0, 3, now, speculative_setup=True)
     else:
-        fallback = noc._send_faulty(0, 3, now, speculative_setup=True)
+        fallback = noc.send(0, 3, now, speculative_setup=True)
         assert (fallback.links, fallback.setup_retries) == ((), 1)

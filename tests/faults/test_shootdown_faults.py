@@ -83,7 +83,7 @@ def test_unreachable_slice_is_still_booked_and_invalidated():
     for entry in entries:
         system.shared_l2.insert_page_number(*entry)
     system.apply_shootdown(0, entries, 1000)
-    assert system.shared_l2.write_ports[5]._starts == {
+    assert system.shared_l2.write_ports[5].cycles == {
         cycle: 1 for cycle in range(1000, 1008)
     }
     assert system.shared_l2.shards[5].occupancy == 0

@@ -78,7 +78,17 @@ def test_faster_than_mesh_for_long_paths():
 class PerLinkSmart(SmartNetwork):
     """The send as it was before routes were bound: it asks the router
     for the path on every message and finds each hop's occupancy set in
-    the per-link dict (kept verbatim as the oracle)."""
+    the per-link dict (kept verbatim as the oracle), with no skip map."""
+
+    def __init__(self, topology, router, hpc_max=8):
+        super().__init__(topology, router, hpc_max)
+        self._occupied = {link: set() for link in topology.all_links()}
+
+    def link_busy_cycles(self):
+        return {
+            link: len(cycles)
+            for link, cycles in self._occupied.items() if cycles
+        }
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
         path = self._route(src, dst)
@@ -290,20 +300,22 @@ def test_retiring_behind_the_frontier_changes_no_send(tiles, hpc_max, kind, ops)
         assert getattr(retiring, name) == getattr(kept, name)
     assert retiring.link_busy_cycles() == kept.link_busy_cycles()
     retiring.retire(frontier)
-    for link, cycles in retiring._occupied.items():
-        assert cycles == {c for c in kept._occupied[link] if c >= frontier}
-        assert all(c >= frontier for c in retiring._skips.get(link, ()))
+    for link, store in retiring._bookings.items():
+        assert store.cycles == {
+            c: 1 for c in kept._bookings[link].cycles if c >= frontier
+        }
+        assert all(c >= frontier for c in store.skip)
     assert retiring.link_busy_cycles() == kept.link_busy_cycles()
 
 
 def test_retired_link_sets_stay_bound():
-    """Retiring empties and refills each link's set in place, so a
-    route bound before the retirement still books into its links."""
+    """Retiring empties and refills each link's cycle dict in place, so
+    a route bound before the retirement still books into its links."""
     smart = _live_smart(16)
     smart.send(0, 3, now=0)
-    path, occupancy, _ = smart._bound[3]
+    path, _, occupancy = smart._bound[3]
     smart.retire(100)
-    assert all(occupancy[i] is smart._occupied[link]
+    assert all(occupancy[i] is smart._bookings[link].cycles
                for i, link in enumerate(path))
     smart.send(0, 3, now=100)
     assert smart.link_busy_cycles() == {link: 2 for link in path}

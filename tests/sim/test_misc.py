@@ -6,7 +6,6 @@ import repro
 from repro.sim import configs as cfg
 from repro.sim.engine import StormConfig, simulate
 from repro.vm.address import PAGE_4K
-from repro.vm.address_space import Extent, SharedRegion
 from repro.workloads.trace import Workload, flatten_streams
 
 
@@ -41,14 +40,6 @@ def test_workload_properties():
     assert wl.num_cores == 2
     assert wl.smt == 1
     assert wl.total_accesses == 120
-
-
-def test_shared_region_dataclass():
-    region = SharedRegion(
-        extent=Extent(0, 16, shared=True), mappers=(1, 2, 3)
-    )
-    assert region.extent.shared
-    assert 2 in region.mappers
 
 
 def test_storm_without_flush_only_invalidates():

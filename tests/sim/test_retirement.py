@@ -117,7 +117,7 @@ def test_a_storm_the_frontier_jumped_past_keeps_its_write_port_cycles(
         superpages=False,
     )
     _, plain, _ = recorder.run(monkeypatch, NEVER, config, workload)
-    assert 119 in plain.shared_l2.write_ports[0]._starts
+    assert 119 in plain.shared_l2.write_ports[0].cycles
     storm = StormConfig(period=116)
     kept, _, _ = recorder.run(
         monkeypatch, NEVER, config, workload, storm=storm
@@ -148,10 +148,11 @@ def _storm_run():
 
 def _stores(system):
     """Every retirable store's booked cycles, in a fixed order."""
-    stores = [set(ports._starts) for ports in _ports(system)]
-    stores += [set(cycles) for cycles in getattr(
-        system.network, "_occupied", {}
-    ).values()]
+    stores = [set(ports.cycles) for ports in _ports(system)]
+    if isinstance(system.network, SmartNetwork):
+        stores += [
+            set(link.cycles) for link in system.network._bookings.values()
+        ]
     return stores
 
 
@@ -180,7 +181,7 @@ def test_a_retiring_run_keeps_one_window_and_exact_totals(make, monkeypatch):
         busy = system.network.link_busy_cycles()
         assert busy == twin.network.link_busy_cycles()
         assert sum(busy.values()) == sum(
-            len(cycles) for cycles in twin.network._occupied.values()
+            len(link.cycles) for link in twin.network._bookings.values()
         )
     last = horizons[-1]
     assert last > retired.cycles - WINDOW - DEFAULT_QUANTUM

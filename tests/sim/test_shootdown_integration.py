@@ -69,11 +69,11 @@ def test_naive_leader_sweeps_probe_each_port_cycle_a_bounded_number_of_times():
     ports = system.shared_l2.write_ports
     _CountingDict.probes = 0
     for port in ports:
-        port._starts = _CountingDict()
-        port._skip = _CountingDict()
+        port.cycles = _CountingDict()
+        port.skip = _CountingDict()
     entries = [(1, PAGE_4K, 512 + i) for i in range(512)]
     system.apply_shootdown(0, entries, now=1000)
-    writes = sum(sum(port._starts.values()) for port in ports)
+    writes = sum(sum(port.cycles.values()) for port in ports)
     assert writes == 64 * 512  # 64 senders x 8 entries per home slice
     assert _CountingDict.probes <= 6 * writes
 

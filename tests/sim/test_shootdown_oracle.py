@@ -107,7 +107,7 @@ def snapshot(system):
     if system.shared_l2 is not None:
         shared = system.shared_l2
         ports = [
-            (dict(p._starts), p.conflict_cycles)
+            (dict(p.cycles), p.conflict_cycles)
             for p in shared.read_ports + shared.write_ports
         ]
     return (
@@ -228,4 +228,4 @@ def test_shootdown_drops_resident_entries_everywhere():
     ]
     # Slice 3 homes every entry (modulo 4): one write slot per entry
     # sent, the duplicate included.
-    assert sum(system.shared_l2.write_ports[3]._starts.values()) == 4
+    assert sum(system.shared_l2.write_ports[3].cycles.values()) == 4

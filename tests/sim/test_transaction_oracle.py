@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ROUND_TRIP, NocstarConfig
+from repro.core.occupancy import Bookings
 from repro.faults.models import FaultPlan
 from repro.noc.mesh import Traversal
 from repro.noc.route_cache import shared_route_cache
@@ -350,10 +351,10 @@ def make_lean_transaction(
     lookup_cycles = system.l2_lookup_cycles
     read_ports = shared.read_ports
     write_ports = shared.write_ports
-    read_starts = [ports._starts for ports in read_ports]
-    write_starts = [ports._starts for ports in write_ports]
-    num_read = read_ports[0].num_ports
-    num_write = write_ports[0].num_ports
+    read_starts = [ports.cycles for ports in read_ports]
+    write_starts = [ports.cycles for ports in write_ports]
+    num_read = read_ports[0].capacity
+    num_write = write_ports[0].capacity
     slice_sets = [shard._sets for shard in shared.shards]
     shard0 = shared.shards[0]
     shard_shift = shard0.index_shift
@@ -485,7 +486,10 @@ def _array_state(array):
 
 
 def _plain(value):
-    """Containers as dicts and lists, sets sorted: compared by content."""
+    """Containers as dicts and lists, sets sorted, bookings as their
+    booked and retired cycles: compared by content."""
+    if isinstance(value, Bookings):
+        return _plain(value.cycles), value.retired
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (set, frozenset)):
@@ -503,7 +507,7 @@ def _network_state(network):
     return {
         name: _plain(value)
         for name, value in vars(network).items()
-        if isinstance(value, (int, float, dict, set))
+        if isinstance(value, (int, float, dict, set, Bookings))
     }
 
 
@@ -535,7 +539,7 @@ def snapshot(system):
     if system.shared_l2 is not None:
         arrays = system.shared_l2.shards
         ports = [
-            (dict(p._starts), p.conflict_cycles)
+            (dict(p.cycles), p.conflict_cycles)
             for p in system.shared_l2.read_ports + system.shared_l2.write_ports
         ]
     else:

@@ -161,7 +161,7 @@ def test_reserve_many_equals_chained_reserves(
         for _ in range(count):
             last = chained.reserve(last)
         assert sweep.reserve_many(now, count) == last
-        assert sweep._starts == chained._starts
+        assert sweep.cycles == chained.cycles
         assert sweep.conflict_cycles == chained.conflict_cycles
         for cycle, klass in between:
             assert sweep.reserve(cycle, klass) == chained.reserve(cycle, klass)
@@ -288,8 +288,8 @@ def test_retiring_behind_the_frontier_changes_no_reservation(
             assert retiring.reserve(now, klass) == kept.reserve(now, klass)
         assert retiring.conflict_cycles == kept.conflict_cycles
     retiring.retire(frontier)
-    assert retiring._starts == {
-        cycle: n for cycle, n in kept._starts.items() if cycle >= frontier
+    assert retiring.cycles == {
+        cycle: n for cycle, n in kept.cycles.items() if cycle >= frontier
     }
-    assert all(cycle >= frontier for cycle in retiring._skip)
+    assert all(cycle >= frontier for cycle in retiring.skip)
 

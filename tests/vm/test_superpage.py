@@ -1,9 +1,9 @@
-"""Superpage layout and promotion."""
+"""Superpage layout."""
 
 import pytest
 
 from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
-from repro.vm.address_space import AddressSpace, Extent, VpnAllocator
+from repro.vm.address_space import VpnAllocator
 from repro.vm.superpage import SuperpagePolicy
 
 
@@ -52,39 +52,3 @@ def test_layout_superpage_extent_is_aligned():
     extents = SuperpagePolicy(0.8).layout(VpnAllocator(), 4096)
     super_extent = next(e for e in extents if e.page_size == PAGE_2M)
     assert super_extent.base_vpn % PAGES_PER_2M == 0
-
-
-def test_promote_invalidates_512_4k_entries():
-    space = AddressSpace(1, [Extent(0, 1024)])
-    batch = SuperpagePolicy.promote(space, 0)
-    assert len(batch) == 512
-    assert all(size == PAGE_4K for size, _ in batch.entries)
-    assert space.classify(100) == (PAGE_2M, 1)
-    assert space.classify(600) == (PAGE_4K, 1)
-
-
-def test_promote_middle_region_keeps_neighbours():
-    space = AddressSpace(1, [Extent(0, 2048)])
-    SuperpagePolicy.promote(space, 512)
-    assert space.classify(0)[0] == PAGE_4K
-    assert space.classify(700)[0] == PAGE_2M
-    assert space.classify(1500)[0] == PAGE_4K
-
-
-def test_promote_rejects_unaligned_base():
-    space = AddressSpace(1, [Extent(0, 1024)])
-    with pytest.raises(ValueError):
-        SuperpagePolicy.promote(space, 100)
-
-
-def test_promote_rejects_wrong_backing():
-    space = AddressSpace(1, [Extent(0, 1024, PAGE_2M)])
-    with pytest.raises(ValueError):
-        SuperpagePolicy.promote(space, 0)  # already a superpage
-
-
-def test_promote_preserves_shared_flag():
-    space = AddressSpace(1, [Extent(0, 1024, shared=True)])
-    SuperpagePolicy.promote(space, 0)
-    _, tag = space.classify(100)
-    assert tag == 0  # still globally shared

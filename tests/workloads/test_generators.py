@@ -62,6 +62,7 @@ def test_zipf_permutation_scatters_head():
 def test_page_pool_split():
     pool = PagePool.build(VpnAllocator(), 2048, asid=1,
                           superpage_fraction=0.5, shared=False)
+    assert pool.asid == 1  # a private pool keeps its own ASID
     assert pool.super_pages == 1024
     sizes, numbers = pool.translate(np.array([0, 1023, 1024, 2047]))
     assert list(sizes) == [PAGE_2M, PAGE_2M, PAGE_4K, PAGE_4K]

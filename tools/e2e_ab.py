@@ -11,11 +11,20 @@ of the host's speed does not land on one side only.  A run's result is
 the last line of its standard output (one JSON object).
 
 For each end-to-end metric that ``BENCHMARK.json`` declares, the summary
-prints both trees' medians and ranges, the change's median as a
-percentage of the parent's, and how many pairs the change won in the
-metric's ``better`` direction (ties count for neither side).  It names
-every run that is not ``correct``; the exit status is 1 when any run
-failed, 2 on bad arguments.
+prints the metric's bound, both trees' medians with their lower and
+upper quartiles and ranges, the change's median as a percentage of the
+parent's, how many pairs the change won in the metric's ``better``
+direction (ties count for neither side), and a verdict:
+
+* ``worse``: the change's median is worse than the parent's by more
+  than the bound (a fraction of the parent's median);
+* ``unresolved``: the parent's quartile spread is wider than the bound,
+  so the runs cannot tell, unless every change run beats every parent
+  run;
+* ``ok``: neither.
+
+It names every run that is not ``correct``; the exit status is 1 when
+any run failed, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ RUNNER = Path("benchmarks") / "e2e" / "run.py"
 
 
 def declared_metrics() -> List[Dict]:
-    """The end-to-end metrics (name, unit, better) ``BENCHMARK.json``
-    declares."""
+    """The end-to-end metrics (name, unit, better, bound)
+    ``BENCHMARK.json`` declares."""
     with open(ROOT / "BENCHMARK.json") as fh:
         return json.load(fh)["end_to_end"]
 
@@ -67,6 +76,35 @@ def _fmt(value: float) -> str:
     return format(value, ",.5g")
 
 
+def quartiles(values: List[float]) -> Tuple[float, float]:
+    """The lower and upper quartiles of ``values`` (linear
+    interpolation between order statistics, as numpy's default)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return lower, upper
+
+
+def verdict(metric: Dict, parent: List[float], change: List[float]) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric's runs (see
+    the module docstring); ``-`` when the metric has no bound or the
+    parent's median is 0."""
+    bound = metric.get("bound")
+    base = statistics.median(parent)
+    if bound is None or not base:
+        return "-"
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    if sign * (base - statistics.median(change)) / abs(base) > bound:
+        return "worse"
+    lower, upper = quartiles(parent)
+    if (upper - lower) / abs(base) > bound and not (
+        min(sign * value for value in change)
+        > max(sign * value for value in parent)
+    ):
+        return "unresolved"
+    return "ok"
+
+
 def summarize(
     metrics: List[Dict], parent: List[str], change: List[str]
 ) -> Tuple[str, bool]:
@@ -80,18 +118,22 @@ def summarize(
             runs[side].append(values or {})
             if problem:
                 problems.append(f"{side} run {number}: {problem}")
-    rows = [["metric", "unit", "better", "parent median (range)",
-             "change median (range)", "change", "pairs won"]]
+    rows = [["metric", "unit", "better", "bound",
+             "parent median [quartiles] (range)",
+             "change median [quartiles] (range)", "change", "pairs won",
+             "verdict"]]
     for metric in metrics:
         name = metric["name"]
         sign = 1.0 if metric["better"] == "higher" else -1.0
+        bound = metric.get("bound")
+        head = [name, metric["unit"], metric["better"],
+                "-" if bound is None else f"{bound:.0%}"]
         cells = [
             [run[name] for run in runs[side] if name in run]
             for side in ("parent", "change")
         ]
         if not all(cells):
-            rows.append([name, metric["unit"], metric["better"],
-                         "-", "-", "-", "-"])
+            rows.append(head + ["-"] * 5)
             continue
         medians = [statistics.median(values) for values in cells]
         pairs = [
@@ -104,11 +146,11 @@ def summarize(
             f"{(medians[1] - medians[0]) / abs(medians[0]):+.1%}"
             if medians[0] else "-"
         )
-        rows.append([
-            name, metric["unit"], metric["better"],
-            *(f"{_fmt(median)} ({_fmt(min(values))}–{_fmt(max(values))})"
+        rows.append(head + [
+            *(f"{_fmt(median)} [{'–'.join(map(_fmt, quartiles(values)))}] "
+              f"({_fmt(min(values))}–{_fmt(max(values))})"
               for median, values in zip(medians, cells)),
-            delta, f"{won}/{len(pairs)}",
+            delta, f"{won}/{len(pairs)}", verdict(metric, *cells),
         ])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths))
