@@ -55,6 +55,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
+from repro.energy.components import ARBITERS_POWER_MW, SWITCH_POWER_MW
 from repro.noc.mesh import coherence_cycles
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
@@ -95,6 +96,10 @@ class NocstarInterconnect:
     when dead links or arbiter drops can reach a setup, so any other
     plan keeps the fault-free arbitration and its bytes.
     """
+
+    #: Leakage per tile, mW: the latchless switch and its four link
+    #: arbiters (Fig 9).
+    TILE_POWER_MW = SWITCH_POWER_MW + ARBITERS_POWER_MW
 
     def __init__(
         self,

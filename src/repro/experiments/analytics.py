@@ -33,7 +33,7 @@ from repro.noc.tradeoffs import evaluate_designs
 from repro.sim.run import Comparison
 
 from repro.experiments.spec import CampaignSpec, Scale
-from repro.tlb.opt import OPT, offline_policy_eval, pct_of_opt, structure_for
+from repro.tlb.opt import OPT, geometry, offline_policy_eval, pct_of_opt
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -212,11 +212,11 @@ def _reduce_policy_zoo(spec, scale_name, scale, comparisons):
 
     Rebuilds each grid point's workload (same generator inputs the
     executor used, so the trace is identical) and replays it offline
-    through :mod:`repro.tlb.opt` against each configuration's L2
-    geometry.  One offline evaluation covers every policy plus the
-    Belady bound, and is memoised per (grid point, geometry): lineup
-    members sharing a geometry — e.g. every ``distributed-*`` policy
-    variant — pay for it once.
+    through :mod:`repro.tlb.opt` against each configuration's built
+    L2.  One offline evaluation covers every policy plus the Belady
+    bound, and is memoised per (grid point, geometry of the built L2):
+    lineup members sharing a geometry — e.g. every ``distributed-*``
+    policy variant — pay for it once.
     """
     rows = []
     speed: Dict[str, List[float]] = {}
@@ -236,11 +236,7 @@ def _reduce_policy_zoo(spec, scale_name, scale, comparisons):
         for name in sorted(lineup.results):
             result = lineup.results[name]
             config = configs[name]
-            geometry = structure_for(config)
-            geo_key = wl_key + (
-                (geometry.num_shards, geometry.entries_per_shard,
-                 geometry.ways, geometry.index_shift, geometry.private),
-            )
+            geo_key = wl_key + (geometry(config.l2_structures()),)
             evals = eval_cache.get(geo_key)
             if evals is None:
                 evals = offline_policy_eval(built, config)

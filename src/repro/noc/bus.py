@@ -17,6 +17,9 @@ from repro.noc.topology import MeshTopology
 class BusNetwork:
     """One arbitration domain; per-cycle occupancy (engine-safe)."""
 
+    #: Leakage per tile, mW: wire drivers only.
+    TILE_POWER_MW = 0.5
+
     def __init__(
         self,
         topology: MeshTopology,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.occupancy import Bookings
-from repro.noc.mesh import Traversal
+from repro.noc.mesh import ContentionFreeMesh, Traversal
 from repro.noc.topology import MeshTopology
 
 Link = Tuple[int, int]  # (src_tile, dst_tile) express link
@@ -21,6 +21,9 @@ Link = Tuple[int, int]  # (src_tile, dst_tile) express link
 
 class FlattenedButterfly:
     """Row/column express links with per-cycle occupancy."""
+
+    #: Leakage per tile, mW: a high-radix crossbar, twice a mesh router.
+    TILE_POWER_MW = 2 * ContentionFreeMesh.TILE_POWER_MW
 
     def __init__(
         self,

@@ -57,6 +57,10 @@ class Traversal(NamedTuple):
 class ContentionFreeMesh:
     """Deterministic mesh: tr + tw cycles per hop, no queueing."""
 
+    #: Leakage of one tile's buffered router, mW (a modelling constant:
+    #: DESIGN.md's energy substitution).
+    TILE_POWER_MW = 3.0
+
     def __init__(
         self,
         topology: MeshTopology,

@@ -47,6 +47,10 @@ Bound = Tuple[
 class SmartNetwork:
     """SMART mesh with HPCmax bypass and conflict-induced stops."""
 
+    #: Leakage of one tile's SMART router, mW: a buffered mesh router
+    #: plus its bypass and SSR logic (DESIGN.md's energy substitution).
+    TILE_POWER_MW = 3.4
+
     def __init__(
         self, topology: MeshTopology, router, hpc_max: int = 8,
         sink=NULL_SINK,

@@ -19,10 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import NocstarConfig
-from repro.tlb.l2_shared import FIFO, PRIORITY, MonolithicSharedTlb
+from repro.core.indexing import get_indexer
+from repro.tlb.l2_private import L2TlbConfig, PrivateL2Tlb
+from repro.tlb.l2_shared import (
+    FIFO,
+    PRIORITY,
+    DistributedSharedTlb,
+    MonolithicSharedTlb,
+)
 from repro.tlb.policies import POLICY_NAMES
 
 #: A factory takes a core count (plus overrides) and returns a config.
@@ -189,6 +196,34 @@ class SystemConfig:
         if self.monolithic_banks is None:
             return MonolithicSharedTlb.banks_for(self.num_cores)
         return self.monolithic_banks
+
+    def l2_structures(
+        self,
+    ) -> Union[List[PrivateL2Tlb], MonolithicSharedTlb, DistributedSharedTlb]:
+        """The L2 organisation this configuration names, freshly built:
+        one :class:`PrivateL2Tlb` per core, the banked
+        :class:`MonolithicSharedTlb`, or one :class:`DistributedSharedTlb`
+        slice per core (distributed, NOCSTAR and ideal).
+
+        :class:`~repro.sim.system.System` and the offline replay
+        (:mod:`repro.tlb.opt`) both build their L2 here.  No QoS way
+        quota is set: ``System`` applies it, and the replay models none.
+        """
+        n = self.num_cores
+        if self.scheme == PRIVATE:
+            l2 = L2TlbConfig(self.entries_per_core, self.l2_ways, self.policy)
+            return [PrivateL2Tlb(l2) for _ in range(n)]
+        indexer = get_indexer(self.slice_indexing)
+        if self.scheme == MONOLITHIC:
+            return MonolithicSharedTlb(
+                self.entries_per_core * n, self.banks, self.l2_ways,
+                indexer=indexer, policy=self.policy,
+                arbitration=self.arbitration,
+            )
+        return DistributedSharedTlb(
+            n, self.entries_per_core, self.l2_ways,
+            indexer=indexer, policy=self.policy, arbitration=self.arbitration,
+        )
 
     def _check_power_of_two_shards(self) -> None:
         """The folds XOR bit groups of the page number, so they reach

@@ -1,6 +1,13 @@
 """The simulated machine: TLB hierarchy + interconnect + walkers.
 
 One :class:`System` instance models a whole chip for one configuration.
+Its L2 is the organisation
+:meth:`~repro.sim.configs.SystemConfig.l2_structures` builds (the
+offline replay in :mod:`repro.tlb.opt` builds the same); ``System``
+adds the fabric, the walkers and the QoS way quota, and prices static
+power and lookup energy off the built L2's SRAM macros and the
+fabric's per-tile ``TILE_POWER_MW``.
+
 The engine drives it with trace records; everything below the L1 TLB
 probe happens against explicit per-cycle reservation state (link/port
 occupancy maps, walker queues), which is how contention becomes
@@ -24,12 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ROUND_TRIP
-from repro.core.indexing import get_indexer
 from repro.core.nocstar import NocstarInterconnect
-from repro.energy.components import (
-    ARBITERS_POWER_MW,
-    SWITCH_POWER_MW,
-)
 from repro.energy.model import EnergyModel
 from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
@@ -44,12 +46,11 @@ from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK
 from repro.sim import configs as cfg
 from repro.tlb.l1 import L1Tlb, L1TlbConfig
-from repro.tlb.l2_private import L2TlbConfig, PrivateL2Tlb
+from repro.tlb.l2_private import PrivateL2Tlb
 from repro.tlb.l2_shared import (
     PREFETCH_CLASS,
     PRIORITY,
     WALK_CLASS,
-    DistributedSharedTlb,
     MonolithicSharedTlb,
 )
 from repro.tlb.prefetch import SequentialPrefetcher
@@ -59,10 +60,6 @@ from repro.vm.address import PAGE_1G
 from repro.vm.page_table import PageTable
 from repro.vm.walker import FixedLatencyWalker, PageTableWalker, WalkerQueue
 
-#: Leakage of one buffered mesh router / SMART router, mW (documented
-#: modelling constants; see DESIGN.md energy substitution).
-MESH_ROUTER_MW = 3.0
-SMART_ROUTER_MW = 3.4
 #: Fixed cost of taking a shootdown IPI on a core (handler entry/exit).
 IPI_CYCLES = 30
 #: Cache-disruption penalty charged to a core per walk another core's
@@ -121,21 +118,14 @@ class System:
         self.mono_tile = self.topology.edge_tile
         scheme = config.scheme
         if scheme == cfg.PRIVATE:
-            l2cfg = L2TlbConfig(
-                config.entries_per_core, config.l2_ways, policy=config.policy
-            )
-            self.private_l2 = [PrivateL2Tlb(l2cfg) for _ in range(n)]
+            self.private_l2 = config.l2_structures()
             self.l2_lookup_cycles = self.private_l2[0].lookup_cycles
-        elif scheme == cfg.MONOLITHIC:
-            self.shared_l2 = MonolithicSharedTlb(
-                config.entries_per_core * n, config.banks, config.l2_ways,
-                indexer=get_indexer(config.slice_indexing),
-                policy=config.policy, arbitration=config.arbitration,
-            )
-            if config.fixed_shared_latency is not None:
-                self.l2_lookup_cycles = config.fixed_shared_latency
-            else:
-                self.l2_lookup_cycles = self.shared_l2.lookup_cycles
+        else:
+            self.shared_l2 = config.l2_structures()
+            self.l2_lookup_cycles = self.shared_l2.lookup_cycles
+        if config.fixed_shared_latency is not None:
+            self.l2_lookup_cycles = config.fixed_shared_latency
+        if scheme == cfg.MONOLITHIC:
             if config.interconnect == cfg.MESH:
                 self.network = ContentionFreeMesh(self.topology, router)
                 self._network_fault_aware = True
@@ -144,40 +134,30 @@ class System:
                     self.topology, router, config.smart_hpc, sink=sink
                 )
                 self._network_fault_aware = True
-        else:  # distributed / nocstar / ideal
-            self.shared_l2 = DistributedSharedTlb(
-                n, config.entries_per_core, config.l2_ways,
-                indexer=get_indexer(config.slice_indexing),
-                policy=config.policy, arbitration=config.arbitration,
+        elif scheme == cfg.DISTRIBUTED:
+            if config.interconnect == cfg.BUS:
+                self.network = BusNetwork(self.topology)
+            elif config.interconnect == cfg.FBFLY_WIDE:
+                self.network = FlattenedButterfly(self.topology)
+            elif config.interconnect == cfg.FBFLY_NARROW:
+                self.network = FlattenedButterfly(self.topology, narrow=True)
+            else:
+                self.network = ContentionFreeMesh(self.topology, router)
+                self._network_fault_aware = True
+        elif scheme == cfg.NOCSTAR:
+            # Faults reach a setup only through dead links or arbiter
+            # drops, and never in the idealised fabric, which abstracts
+            # links away; any other plan leaves the fabric on the
+            # fault-free arbitration, which has no setup timeout.
+            inj = self.faults
+            reaches = inj is not None and not config.nocstar_ideal and (
+                inj.router.dead or inj.plan.arbiter_drop_prob > 0.0
             )
-            self.l2_lookup_cycles = self.shared_l2.lookup_cycles
-            if scheme == cfg.DISTRIBUTED:
-                if config.interconnect == cfg.BUS:
-                    self.network = BusNetwork(self.topology)
-                elif config.interconnect == cfg.FBFLY_WIDE:
-                    self.network = FlattenedButterfly(self.topology)
-                elif config.interconnect == cfg.FBFLY_NARROW:
-                    self.network = FlattenedButterfly(
-                        self.topology, narrow=True
-                    )
-                else:
-                    self.network = ContentionFreeMesh(self.topology, router)
-                    self._network_fault_aware = True
-            elif scheme == cfg.NOCSTAR:
-                # Faults reach a setup only through dead links or arbiter
-                # drops, and never in the idealised fabric, which
-                # abstracts links away; any other plan leaves the fabric
-                # on the fault-free arbitration, which has no setup
-                # timeout.
-                inj = self.faults
-                reaches = inj is not None and not config.nocstar_ideal and (
-                    inj.router.dead or inj.plan.arbiter_drop_prob > 0.0
-                )
-                self.network = NocstarInterconnect(
-                    self.topology, config.nocstar, sink=sink,
-                    faults=inj if reaches else None,
-                )
-                self._network_fault_aware = not config.nocstar_ideal
+            self.network = NocstarInterconnect(
+                self.topology, config.nocstar, sink=sink,
+                faults=inj if reaches else None,
+            )
+            self._network_fault_aware = not config.nocstar_ideal
 
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
@@ -296,11 +276,7 @@ class System:
         shift = arrays[0].index_shift
         num_sets = arrays[0].num_sets
         lookup_cycles = self.l2_lookup_cycles
-        visible = self._visible
-        overlap_off = visible == 1.0
-        hit_stall = (
-            lookup_cycles if overlap_off else int(lookup_cycles * visible)
-        )
+        hit_stall = int(lookup_cycles * self._visible)
         event = self._event
         walk = self._build_walk()
         prefetch = self._build_prefetch()
@@ -332,9 +308,7 @@ class System:
                 array.insertions += 1
             if prefetch is not None:
                 prefetch(core, asid, size, page_number, done)
-            if overlap_off:
-                return lookup_cycles + done - lookup_done
-            return int(lookup_cycles * visible) + done - lookup_done
+            return hit_stall + done - lookup_done
 
         return transaction
 
@@ -367,7 +341,6 @@ class System:
         klass = WALK_CLASS if config.arbitration == PRIORITY else 0
         lookup_cycles = self.l2_lookup_cycles
         visible = self._visible
-        overlap_off = visible == 1.0
         event = self._event
         timeline = self.timeline
         intervals = self.intervals if self.record_intervals else None
@@ -521,8 +494,6 @@ class System:
                 if prefetch is not None and not hit:
                     prefetch(core, asid, size, page_number, ready)
                 access = ready - now - walk_cycles
-                if overlap_off:
-                    return access + walk_cycles
                 return int(access * visible) + walk_cycles
 
             # The requester walks, then sends the fill to the home slice
@@ -545,8 +516,6 @@ class System:
                 prefetch(core, asid, size, page_number, walk_done)
             if timeline is not None:
                 timeline.append(("walk", ready, walk_done))
-            if overlap_off:
-                return walk_done - now
             return int((ready - now) * visible) + walk_done - ready
 
         return transaction
@@ -710,28 +679,23 @@ class System:
     # ------------------------------------------------------------------
     # Bookkeeping
 
+    def _l2_macros(self) -> Tuple[int, int, int]:
+        """The L2 as SRAM: its macro count, the entries of each macro,
+        and the lookups the macros served."""
+        shared = self.shared_l2
+        if shared is None:
+            private = self.private_l2
+            accesses = sum(l2.accesses for l2 in private)
+            return len(private), private[0].entries, accesses
+        return shared.macros, shared.macro_entries, shared.accesses
+
     def static_power_mw(self) -> float:
-        config = self.config
-        n = config.num_cores
-        if config.scheme == cfg.PRIVATE:
-            return n * sram.budget(config.entries_per_core).power_mw
-        if config.scheme == cfg.MONOLITHIC:
-            power = sram.budget(config.entries_per_core * n).power_mw
-            if config.interconnect == cfg.SMART:
-                power += n * SMART_ROUTER_MW
-            elif config.interconnect == cfg.MESH:
-                power += n * MESH_ROUTER_MW
-            return power
-        power = n * sram.budget(config.entries_per_core).power_mw
-        if config.scheme == cfg.NOCSTAR:
-            power += n * (SWITCH_POWER_MW + ARBITERS_POWER_MW)
-        elif config.scheme == cfg.DISTRIBUTED:
-            if config.interconnect == cfg.BUS:
-                power += n * 0.5  # wire drivers only
-            elif config.interconnect in (cfg.FBFLY_WIDE, cfg.FBFLY_NARROW):
-                power += n * 2 * MESH_ROUTER_MW  # high-radix crossbars
-            else:
-                power += n * MESH_ROUTER_MW
+        """Leakage of the L2's SRAM macros plus the fabric's per-tile
+        power (none without a network)."""
+        macros, entries, _ = self._l2_macros()
+        power = macros * sram.budget(entries).power_mw
+        if self.network is not None:
+            power += self.config.num_cores * self.network.TILE_POWER_MW
         return power
 
     def finalize_stats(self) -> None:
@@ -806,29 +770,19 @@ class System:
     def energy_summary(self, cycles: int) -> Dict[str, float]:
         model = EnergyModel(static_power_mw=self.static_power_mw())
         model.l1_lookup(self.stats.l1_accesses)
-        if self.config.scheme == cfg.PRIVATE:
-            entries = self.config.entries_per_core
-            accesses = sum(l2.accesses for l2 in self.private_l2)
-            model.l2_lookup(entries, accesses)
-        else:
-            if self._is_monolithic:
-                entries = self.config.entries_per_core * self.config.num_cores
-            else:
-                entries = self.config.entries_per_core
-            model.l2_lookup(entries, self.shared_l2.accesses)
+        _, entries, accesses = self._l2_macros()
+        model.l2_lookup(entries, accesses)
+        network = self.network
         if self._is_nocstar:
-            hops = self.network.total_hops
-            if self.faults is not None:
-                # Fallback hops traversed the buffered mesh, not the
-                # latchless switches: charge them at the mesh rate.
-                fallback = self.faults.fallback_hops
-                model.nocstar_hops(hops - fallback)
-                model.mesh_hops(fallback)
-            else:
-                model.nocstar_hops(hops)
-            model.control(self.network.control_requests)
-        elif self.network is not None:
-            model.mesh_hops(self.network.total_hops)
+            # Fallback hops traversed the buffered mesh, not the
+            # latchless switches: charge them at the mesh rate.
+            inj = self.faults
+            fallback = inj.fallback_hops if inj is not None else 0
+            model.nocstar_hops(network.total_hops - fallback)
+            model.mesh_hops(fallback)
+            model.control(network.control_requests)
+        elif network is not None:
+            model.mesh_hops(network.total_hops)
         # Run-level walk energy is charged at the paper's 2TB-footprint
         # rate (the multi-GB page table keeps leaf PTEs effectively
         # uncached), so walk *elimination* carries the energy weight the
@@ -841,28 +795,18 @@ class System:
         return model.breakdown.as_dict()
 
     def network_summary(self) -> Dict[str, float]:
+        network = self.network
+        if network is None:
+            return {}
+        messages = network.messages
+        summary = {"messages": messages}
         if self._is_nocstar:
-            return {
-                "messages": self.network.messages,
-                "mean_setup_retries": self.network.mean_setup_retries,
-                "no_contention_fraction": self.network.no_contention_fraction,
-                "mean_hops": (
-                    self.network.total_hops / self.network.messages
-                    if self.network.messages
-                    else 0.0
-                ),
-            }
-        if self.network is not None:
-            messages = self.network.messages
-            return {
-                "messages": messages,
-                "mean_hops": (
-                    self.network.total_hops / messages
-                    if messages and hasattr(self.network, "total_hops")
-                    else 0.0
-                ),
-            }
-        return {}
+            summary["mean_setup_retries"] = network.mean_setup_retries
+            summary["no_contention_fraction"] = network.no_contention_fraction
+        summary["mean_hops"] = (
+            network.total_hops / messages if messages else 0.0
+        )
+        return summary
 
     def fault_summary(self) -> Optional[Dict[str, int]]:
         """Degradation counters of this run, or None when fault-free."""

@@ -30,10 +30,11 @@ class L2TlbConfig:
 
 
 class PrivateL2Tlb:
-    """One core's private L2 TLB."""
+    """One core's private L2 TLB: one SRAM macro of ``entries``."""
 
     def __init__(self, config: L2TlbConfig = L2TlbConfig()) -> None:
         self.config = config
+        self.entries = config.entries
         self.array = SetAssociativeTLB(
             config.entries, config.ways, "l2-private", policy=config.policy
         )

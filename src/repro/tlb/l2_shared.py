@@ -6,12 +6,18 @@ translation, hashed to a bank/slice by low-order page-number bits
 
 * :class:`MonolithicSharedTlb` is one large structure at a fixed chip
   location, split into a few banks (Fig 1c; the paper settles on 4
-  banks for 16/32 cores, 8 for 64).  Its lookup latency is that of the
-  large SRAM array.
+  banks for 16/32 cores, 8 for 64).  It is one SRAM macro of its whole
+  capacity, whose latency and leakage that capacity sets.
 * :class:`DistributedSharedTlb` is an array of per-tile slices (Fig 1d),
-  each the size of (or, for NOCSTAR's area-normalised configuration,
-  slightly smaller than) a private L2 TLB, so each lookup is fast; the
-  cost moves into the interconnect, which the simulator layer models.
+  one macro each, the size of (or, for NOCSTAR's area-normalised
+  configuration, slightly smaller than) a private L2 TLB, so each
+  lookup is fast; the cost moves into the interconnect, which the
+  simulator layer models.
+
+Each states its SRAM as ``macros`` x ``macro_entries``, which its
+lookup latency follows and from which
+:meth:`~repro.sim.system.System.static_power_mw` and the L2 lookup
+energy are priced.
 
 Port contention (2R/1W, pipelined — one access can start per cycle per
 port, §IV) is tracked here: each bank/slice has a read and a write port
@@ -121,7 +127,7 @@ class _ShardedTlb:
         if arbitration not in (FIFO, PRIORITY):
             raise ValueError(f"unknown arbitration mode: {arbitration!r}")
         self.num_shards = num_shards
-        self._indexer = indexer
+        self.indexer = indexer
         self.policy = policy
         self.arbitration = arbitration
         self.entries_per_shard = total_entries // num_shards
@@ -143,7 +149,7 @@ class _ShardedTlb:
 
     def home(self, page_number: int, asid: int = 0) -> int:
         """Shard holding a translation (configurable indexing, §III-A)."""
-        return self._indexer(asid, page_number, self.num_shards)
+        return self.indexer(asid, page_number, self.num_shards)
 
     @staticmethod
     def caches(page_size: int) -> bool:
@@ -265,8 +271,9 @@ class MonolithicSharedTlb(_ShardedTlb):
         super().__init__(total_entries, ways, num_banks, "mono-bank",
                          indexer=indexer, policy=policy,
                          arbitration=arbitration)
+        self.macros, self.macro_entries = 1, total_entries
         # + 1: the bank-select mux / H-tree in front of the banks.
-        self.lookup_cycles = sram.lookup_cycles(total_entries) + 1
+        self.lookup_cycles = sram.lookup_cycles(self.macro_entries) + 1
 
     @staticmethod
     def banks_for(num_cores: int) -> int:
@@ -298,4 +305,5 @@ class DistributedSharedTlb(_ShardedTlb):
             entries_per_slice * num_slices, ways, num_slices, "slice",
             indexer=indexer, policy=policy, arbitration=arbitration,
         )
-        self.lookup_cycles = sram.lookup_cycles(entries_per_slice)
+        self.macros, self.macro_entries = num_slices, entries_per_slice
+        self.lookup_cycles = sram.lookup_cycles(self.macro_entries)

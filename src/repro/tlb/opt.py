@@ -1,12 +1,15 @@
 """Offline replacement-policy evaluation with a Belady (OPT) bound.
 
 This module never runs inside the DES hot path.  It replays a
-workload's *canonical offline stream* against the L2 structure geometry
-of a :class:`~repro.sim.configs.SystemConfig` — same sharding, same set
-indexing, same ``(asid, page_size, page_number)`` keys — under each
-online policy from :mod:`repro.tlb.policies` and under Belady's OPT,
-and reports per-slice and total hit rates.  The campaign layer turns
-those into the ``%-of-OPT`` column.
+workload's *canonical offline stream* against the L2 organisation a
+:class:`~repro.sim.configs.SystemConfig` builds
+(:meth:`~repro.sim.configs.SystemConfig.l2_structures`, the builder
+:class:`~repro.sim.system.System` uses) — its arrays, its home
+function, its set indexing, the same ``(asid, page_size,
+page_number)`` keys — under each online policy from
+:mod:`repro.tlb.policies` and under Belady's OPT, and reports
+per-slice and total hit rates.  The campaign layer turns those into
+the ``%-of-OPT`` column.
 
 Canonical stream
 ----------------
@@ -22,10 +25,11 @@ matters for the bound is that OPT and every online policy replay the
 
 The replay models the L2 structure in isolation (no L1 filtering, no
 QoS quota): every record is one structure access.  Online policies run
-through the production :class:`~repro.tlb.set_assoc.SetAssociativeTLB`
-code path (install on miss); OPT runs a mandatory-install Belady
-replay, which is optimal among install-on-miss policies — exactly the
-class every shipped online policy belongs to.
+through the arrays of a freshly built organisation under that policy,
+the production :class:`~repro.tlb.set_assoc.SetAssociativeTLB` code
+path (install on miss); OPT runs a mandatory-install Belady replay,
+which is optimal among install-on-miss policies — exactly the class
+every shipped online policy belongs to.
 
 OPT computation and cost
 ------------------------
@@ -44,13 +48,13 @@ never installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.indexing import IndexFn, get_indexer
+from repro.core.indexing import IndexFn
 from repro.tlb.policies import POLICY_NAMES
 from repro.tlb.set_assoc import SetAssociativeTLB
 from repro.vm.address import PAGE_1G
@@ -76,65 +80,24 @@ def canonical_stream(workload) -> List[Access]:
     ])
 
 
-@dataclass(frozen=True)
-class StructureSpec:
-    """L2 geometry extracted from a :class:`SystemConfig`."""
-
-    num_shards: int
-    entries_per_shard: int
-    ways: int
-    index_shift: int
-    indexer: IndexFn
-    #: Private scheme: the home shard is the requesting core, not a hash.
-    private: bool
-
-    @property
-    def num_sets(self) -> int:
-        return self.entries_per_shard // self.ways
-
-    def home(self, core: int, asid: int, page_number: int) -> int:
-        if self.private:
-            return core
-        return self.indexer(asid, page_number, self.num_shards)
+def arrays_of(l2) -> List[SetAssociativeTLB]:
+    """The arrays of a built L2 organisation
+    (:meth:`~repro.sim.configs.SystemConfig.l2_structures`): each
+    private L2's array, or the shared structure's banks or slices."""
+    if isinstance(l2, list):
+        return [private.array for private in l2]
+    return l2.shards
 
 
-def structure_for(config) -> StructureSpec:
-    """The offline structure geometry of a configuration.
-
-    Mirrors :class:`~repro.sim.system.System`'s L2 construction:
-    private L2s become per-core shards, a monolithic structure becomes
-    its banks, distributed/NOCSTAR/ideal become per-core slices —
-    each with the sharded structures' ``log2(shards)`` index shift.
-    """
-    n = config.num_cores
-    indexer = get_indexer(config.slice_indexing)
-    if config.scheme == "private":
-        return StructureSpec(
-            num_shards=n,
-            entries_per_shard=config.entries_per_core,
-            ways=config.l2_ways,
-            index_shift=0,
-            indexer=indexer,
-            private=True,
-        )
-    if config.scheme == "monolithic":
-        banks = config.banks
-        return StructureSpec(
-            num_shards=banks,
-            entries_per_shard=config.entries_per_core * n // banks,
-            ways=config.l2_ways,
-            index_shift=max(banks - 1, 0).bit_length(),
-            indexer=indexer,
-            private=False,
-        )
-    return StructureSpec(
-        num_shards=n,
-        entries_per_shard=config.entries_per_core,
-        ways=config.l2_ways,
-        index_shift=max(n - 1, 0).bit_length(),
-        indexer=indexer,
-        private=False,
-    )
+def geometry(l2) -> Tuple[int, int, int, int, Optional[IndexFn]]:
+    """What a replay reads off a built L2 besides its policy: the array
+    count, each array's entries, ways and index shift, and the shared
+    structure's indexer (None for private L2s, each homed at its own
+    core).  Organisations of one geometry replay alike."""
+    arrays = arrays_of(l2)
+    first = arrays[0]
+    indexer = None if isinstance(l2, list) else l2.indexer
+    return len(arrays), first.entries, first.ways, first.index_shift, indexer
 
 
 @dataclass(frozen=True)
@@ -153,15 +116,15 @@ class PolicyEval:
 
 
 class _PreparedStream:
-    """Canonical stream resolved against one structure geometry."""
+    """Canonical stream resolved against one built L2 organisation."""
 
-    __slots__ = ("spec", "records", "next_use")
+    __slots__ = ("num_shards", "num_sets", "ways", "records", "next_use")
 
-    def __init__(self, workload, spec: StructureSpec) -> None:
-        self.spec = spec
+    def __init__(self, workload, l2) -> None:
+        num_shards, entries, ways, shift, indexer = geometry(l2)
+        num_sets = entries // ways
+        self.num_shards, self.num_sets, self.ways = num_shards, num_sets, ways
         stream = canonical_stream(workload)
-        num_sets = spec.num_sets
-        shift = spec.index_shift
         #: (shard, slot, key, cacheable) per canonical position.
         records: List[Tuple[int, int, Tuple[int, int, int], bool]] = []
         ids = np.empty(len(stream), dtype=np.int64)
@@ -172,7 +135,10 @@ class _PreparedStream:
         id_of: Dict[Tuple[int, Tuple[int, int, int]], int] = {}
         for i, (core, asid, size, page_number) in enumerate(stream):
             key = (asid, size, page_number)
-            shard = spec.home(core, asid, page_number)
+            shard = (
+                core if indexer is None
+                else indexer(asid, page_number, num_shards)
+            )
             slot = shard * num_sets + (page_number >> shift) % num_sets
             records.append((shard, slot, key, size != PAGE_1G))
             ids[i] = id_of.setdefault((slot, key), len(id_of))
@@ -191,18 +157,13 @@ def _next_use(ids: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _replay_online(prepared: _PreparedStream, policy: str) -> PolicyEval:
-    """Replay through the production set-associative array code path."""
-    spec = prepared.spec
-    shards = [
-        SetAssociativeTLB(
-            spec.entries_per_shard, spec.ways, f"offline[{i}]",
-            index_shift=spec.index_shift, policy=policy,
-        )
-        for i in range(spec.num_shards)
-    ]
-    hits = [0] * spec.num_shards
-    accesses = [0] * spec.num_shards
+def _replay_online(
+    prepared: _PreparedStream, policy: str, shards: List[SetAssociativeTLB]
+) -> PolicyEval:
+    """Replay through fresh arrays running ``policy``, the production
+    set-associative array code path."""
+    hits = [0] * prepared.num_shards
+    accesses = [0] * prepared.num_shards
     for shard, _slot, key, cacheable in prepared.records:
         accesses[shard] += 1
         if not cacheable:
@@ -223,17 +184,16 @@ def _replay_online(prepared: _PreparedStream, policy: str) -> PolicyEval:
 
 def _replay_opt(prepared: _PreparedStream) -> PolicyEval:
     """Mandatory-install Belady replay (lazy max-heap eviction)."""
-    spec = prepared.spec
-    num_slots = spec.num_shards * spec.num_sets
+    num_slots = prepared.num_shards * prepared.num_sets
     residents: List[Dict[Tuple[int, int, int], int]] = [
         {} for _ in range(num_slots)
     ]
     heaps: List[List[Tuple[int, Tuple[int, int, int]]]] = [
         [] for _ in range(num_slots)
     ]
-    ways = spec.ways
-    hits = [0] * spec.num_shards
-    accesses = [0] * spec.num_shards
+    ways = prepared.ways
+    hits = [0] * prepared.num_shards
+    accesses = [0] * prepared.num_shards
     next_use = prepared.next_use
     for i, (shard, slot, key, cacheable) in enumerate(prepared.records):
         accesses[shard] += 1
@@ -272,9 +232,13 @@ def offline_policy_eval(
     evaluation shares one canonical stream and one structure geometry,
     so OPT's per-slice hit rate upper-bounds each online policy's.
     """
-    prepared = _PreparedStream(workload, structure_for(config))
+    prepared = _PreparedStream(workload, config.l2_structures())
     results = {
-        policy: _replay_online(prepared, policy) for policy in policies
+        policy: _replay_online(
+            prepared, policy,
+            arrays_of(replace(config, policy=policy).l2_structures()),
+        )
+        for policy in policies
     }
     results[OPT] = _replay_opt(prepared)
     return results

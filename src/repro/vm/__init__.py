@@ -1,4 +1,5 @@
-"""Virtual-memory substrate: addresses, extents, page tables, walkers."""
+"""Virtual-memory substrate: addresses, the global ASID and the VPN
+allocator, page tables, walkers."""
 
 from repro.vm.address import (
     PAGE_4K,
@@ -8,9 +9,7 @@ from repro.vm.address import (
     va_to_vpn,
     vpn_to_va,
 )
-from repro.vm.address_space import Extent
 from repro.vm.page_table import PageTable, PTE
-from repro.vm.superpage import SuperpagePolicy
 from repro.vm.walker import (
     FixedLatencyWalker,
     PageTableWalker,
@@ -25,10 +24,8 @@ __all__ = [
     "translation_vpn",
     "va_to_vpn",
     "vpn_to_va",
-    "Extent",
     "PageTable",
     "PTE",
-    "SuperpagePolicy",
     "FixedLatencyWalker",
     "PageTableWalker",
     "WalkResult",

@@ -6,6 +6,11 @@ with numpy: pool choices and Zipf ranks are drawn in bulk, and
 sequential runs (spatial locality) are reconstructed with an
 anchor-propagation trick instead of a per-access Python loop.
 
+Each pool is laid out as Linux transparent superpages leave it at
+steady state (:meth:`PagePool.build`): its superpage share, rounded
+down to whole 2MB regions, as one aligned 2MB-backed run, then a
+4KB-backed remainder.
+
 Popularity is decoupled from placement: Zipf ranks are scattered over
 the pool's index space with a seeded random permutation, so the hottest
 pages are spread across both the superpage- and 4KB-backed portions of
@@ -22,8 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
-from repro.vm.address_space import GLOBAL_ASID, Extent, VpnAllocator
-from repro.vm.superpage import SuperpagePolicy
+from repro.vm.address_space import GLOBAL_ASID, VpnAllocator
 from repro.workloads.io import page_size_column
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.trace import Record, Workload
@@ -109,14 +113,14 @@ class ZipfSampler:
 
 @dataclass
 class PagePool:
-    """A pool of pages laid out as extents, with vectorised translation."""
+    """A pool of pages: a 2MB-backed run, then a 4KB-backed remainder,
+    with vectorised translation."""
 
     asid: int
     num_pages: int
     super_base: int  # base VPN of the 2MB-backed portion (page index 0..)
     super_pages: int  # 4KB pages inside the 2MB-backed portion
     small_base: int  # base VPN of the 4KB-backed remainder
-    extents: Tuple[Extent, ...]
 
     @classmethod
     def build(
@@ -127,22 +131,27 @@ class PagePool:
         superpage_fraction: float,
         shared: bool,
     ) -> "PagePool":
-        policy = SuperpagePolicy(superpage_fraction)
-        extents = policy.layout(allocator, num_pages, shared=shared)
+        """Lay out ``num_pages`` 4KB pages as Linux THP does at steady
+        state (§V): ``superpage_fraction`` of them, rounded down to
+        whole 2MB regions, in one 2MB-aligned run, then the rest as 4KB
+        pages.  A shared pool is tagged with the global ASID."""
+        if num_pages <= 0:
+            raise ValueError("footprint must be positive")
+        super_pages = int(num_pages * superpage_fraction)
+        super_pages -= super_pages % PAGES_PER_2M
         super_base = small_base = 0
-        super_pages = 0
-        for extent in extents:
-            if extent.page_size == PAGE_2M:
-                super_base, super_pages = extent.base_vpn, extent.num_pages
-            else:
-                small_base = extent.base_vpn
+        if super_pages:
+            super_base = allocator.allocate(
+                super_pages, align_pages=PAGES_PER_2M
+            )
+        if num_pages > super_pages:
+            small_base = allocator.allocate(num_pages - super_pages)
         return cls(
             asid=GLOBAL_ASID if shared else asid,
             num_pages=num_pages,
             super_base=super_base,
             super_pages=super_pages,
             small_base=small_base,
-            extents=tuple(extents),
         )
 
     def translate(

@@ -8,9 +8,9 @@ from repro.sim import configs as cfg
 from repro.tlb.opt import (
     OPT,
     canonical_stream,
+    geometry,
     offline_policy_eval,
     pct_of_opt,
-    structure_for,
 )
 from repro.tlb.policies import POLICY_NAMES
 from repro.vm.address import PAGE_1G, PAGE_4K
@@ -73,28 +73,35 @@ def test_canonical_stream_merges_smt_streams():
 
 
 def test_structure_for_private_is_per_core_shards():
-    spec = structure_for(cfg.private(8))
-    assert spec.private
-    assert spec.num_shards == 8
-    assert spec.index_shift == 0
-    assert spec.home(3, 1, 12345) == 3
+    shards, _, _, shift, indexer = geometry(cfg.private(8).l2_structures())
+    assert indexer is None  # each core's own array is its home
+    assert shards == 8
+    assert shift == 0
+    only_core_3 = Workload(
+        name="core3",
+        traces=[[[]]] * 3 + [[[(0, 1, PAGE_4K, 12345)]]] + [[[]]] * 4,
+        seed=0,
+        superpages=False,
+    )
+    results = offline_policy_eval(only_core_3, cfg.private(8))
+    assert results[OPT].slice_accesses == (0, 0, 0, 1, 0, 0, 0, 0)
 
 
 def test_structure_for_distributed_slices():
     config = cfg.distributed(8)
-    spec = structure_for(config)
-    assert not spec.private
-    assert spec.num_shards == 8
-    assert spec.index_shift == 3
-    assert spec.entries_per_shard == config.entries_per_core
+    shards, entries, _, shift, indexer = geometry(config.l2_structures())
+    assert indexer is not None
+    assert shards == 8
+    assert shift == 3
+    assert entries == config.entries_per_core
 
 
 def test_structure_for_monolithic_banks():
     config = cfg.monolithic(8)
-    spec = structure_for(config)
-    assert not spec.private
-    assert spec.num_shards == 4  # banks_for(8)
-    assert spec.entries_per_shard == config.entries_per_core * 8 // 4
+    shards, entries, _, _, indexer = geometry(config.l2_structures())
+    assert indexer is not None
+    assert shards == 4  # banks_for(8)
+    assert entries == config.entries_per_core * 8 // 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,9 @@
-"""Footprint extents and the VPN allocator."""
+"""The VPN allocator."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.vm.address import PAGE_2M, PAGES_PER_2M
-from repro.vm.address_space import Extent, VpnAllocator
-
-
-def test_extent_rejects_empty():
-    with pytest.raises(ValueError):
-        Extent(0, 0)
-
-
-def test_extent_rejects_misaligned_superpage():
-    with pytest.raises(ValueError):
-        Extent(1, PAGES_PER_2M, page_size=PAGE_2M)
-    with pytest.raises(ValueError):
-        Extent(0, PAGES_PER_2M + 1, page_size=PAGE_2M)
-
-
-def test_extent_contains():
-    extent = Extent(100, 10)
-    assert extent.contains(100)
-    assert extent.contains(109)
-    assert not extent.contains(110)
-    assert not extent.contains(99)
+from repro.vm.address_space import VpnAllocator
 
 
 def test_allocator_never_overlaps():

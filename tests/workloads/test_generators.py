@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vm.address import PAGE_2M, PAGE_4K
+from repro.vm.address import PAGE_2M, PAGE_4K, PAGES_PER_2M
 from repro.workloads.generators import (
     LIB_POOL_PAGES,
     PagePool,
@@ -64,6 +64,7 @@ def test_page_pool_split():
                           superpage_fraction=0.5, shared=False)
     assert pool.asid == 1  # a private pool keeps its own ASID
     assert pool.super_pages == 1024
+    assert pool.num_pages - pool.super_pages == 1024
     sizes, numbers = pool.translate(np.array([0, 1023, 1024, 2047]))
     assert list(sizes) == [PAGE_2M, PAGE_2M, PAGE_4K, PAGE_4K]
 
@@ -72,6 +73,67 @@ def test_page_pool_shared_uses_global_asid():
     pool = PagePool.build(VpnAllocator(), 64, asid=5,
                           superpage_fraction=0.0, shared=True)
     assert pool.asid == 0
+
+
+def _pool(num_pages, fraction, allocator=None):
+    return PagePool.build(allocator or VpnAllocator(), num_pages, asid=1,
+                          superpage_fraction=fraction, shared=False)
+
+
+def test_page_pool_splits_by_fraction():
+    pool = _pool(4096, 0.5)
+    assert pool.super_pages == 2048
+    assert pool.num_pages - pool.super_pages == 2048
+    sizes, _ = pool.translate(np.arange(4096))
+    assert (sizes == PAGE_2M).sum() == 2048
+    assert (sizes == PAGE_4K).sum() == 2048
+
+
+def test_page_pool_rounds_down_to_whole_superpages():
+    pool = _pool(1500, 0.5)
+    # 750 rounds down to 512 (one whole 2MB region).
+    assert pool.super_pages == 512
+    sizes, _ = pool.translate(np.arange(1500))
+    assert (sizes == PAGE_2M).sum() == 512
+    assert (sizes == PAGE_4K).sum() == 1500 - 512
+
+
+def test_page_pool_zero_fraction_is_all_4k():
+    pool = _pool(1000, 0.0)
+    assert pool.super_pages == 0
+    sizes, _ = pool.translate(np.arange(1000))
+    assert set(sizes.tolist()) == {PAGE_4K}
+
+
+def test_page_pool_small_footprint_cannot_use_superpages():
+    pool = _pool(100, 0.9)
+    assert pool.super_pages == 0
+    sizes, _ = pool.translate(np.arange(100))
+    assert set(sizes.tolist()) == {PAGE_4K}
+
+
+def test_page_pool_allocates_every_page_once():
+    """The 2MB run and the 4KB remainder cover ``num_pages`` distinct
+    VPNs between them, and the allocator moves past exactly those."""
+    for fraction in (0.0, 0.3, 0.65, 1.0):
+        allocator = VpnAllocator()
+        start = allocator.next_vpn
+        pool = _pool(10_240, fraction, allocator)
+        vpns = set(range(pool.super_base, pool.super_base + pool.super_pages))
+        small = pool.num_pages - pool.super_pages
+        vpns |= set(range(pool.small_base, pool.small_base + small))
+        assert len(vpns) == 10_240
+        assert min(vpns) >= start and max(vpns) < allocator.next_vpn
+
+
+def test_page_pool_superpage_run_is_aligned():
+    allocator = VpnAllocator()
+    allocator.allocate(3)  # leave the bump pointer unaligned
+    pool = _pool(4096, 0.8, allocator)
+    assert pool.super_pages == 3072
+    assert pool.super_base % PAGES_PER_2M == 0
+    # The 4KB remainder follows the run.
+    assert pool.small_base == pool.super_base + pool.super_pages
 
 
 def test_multithreaded_structure():

@@ -45,6 +45,13 @@ def test_rejects_bad_seq():
         make(seq_fraction=1.0)
 
 
+def test_rejects_superpage_fraction_outside_unit_interval():
+    with pytest.raises(ValueError):
+        make(superpage_fraction=1.5)
+    with pytest.raises(ValueError):
+        make(superpage_fraction=-0.1)
+
+
 def test_rejects_sub_cycle_gap():
     with pytest.raises(ValueError):
         make(mean_gap=0.5)
